@@ -32,9 +32,12 @@ def main() -> None:
         "--settle-budget",
         type=int,
         default=0,
-        help="oracle node budget per open instance (0 = skip settling)",
+        help="oracle budget per open instance, in search-tree nodes "
+        "(item placements tried); 0 skips settling",
     )
     args = ap.parse_args()
+    if args.settle_budget < 0:
+        ap.error(f"--settle-budget must be >= 0, got {args.settle_budget}")
 
     k, m = args.k, args.m
     ceiling = comb(m, k - 2)
@@ -57,7 +60,7 @@ def main() -> None:
 
     if args.settle_budget and open_instances:
         print(f"settling {len(open_instances)} open instances "
-              f"(budget {args.settle_budget} checks each)")
+              f"(budget {args.settle_budget} nodes each)")
         for n in open_instances:
             try:
                 exact = settle_gap(n, k, m, budget=args.settle_budget)

@@ -260,6 +260,9 @@ def _cmd_simulate(args) -> int:
     if k > n:
         print(f"simulate: batch size {k} exceeds item count {n}", file=sys.stderr)
         return 2
+    if args.batches < 0:
+        print(f"simulate: need --batches >= 0, got {args.batches}", file=sys.stderr)
+        return 2
     rng = SplitMix64(args.seed)
     per_server = [0] * m
     max_in_batch = 0
@@ -377,7 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=oracle.DEFAULT_BUDGET,
+        help="most search-tree nodes (item placements tried) to explore",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

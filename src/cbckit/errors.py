@@ -79,7 +79,7 @@ class BudgetExceeded(CbcError):
     def __init__(self, nodes_explored: int, best_upper: int | None = None):
         self.nodes_explored = nodes_explored
         self.best_upper = best_upper
-        msg = f"search budget exhausted after {nodes_explored} validity checks"
+        msg = f"search budget exhausted after {nodes_explored} nodes"
         if best_upper is not None:
             msg += f" (best constructive upper bound {best_upper})"
         super().__init__(msg)

@@ -3,15 +3,18 @@
 Searches target storage values in increasing order and, within each
 target, enumerates candidate layouts as canonical multisets of masks, so
 the first valid hit is optimal by construction; no best-so-far
-bookkeeping.  Intended for roughly m <= 5, k <= 4, n <= 10: the node
-budget counts validity checks and the default refuses to run away.
+bookkeeping.  The search tree is pruned with Hall's counting condition as
+items are placed, so a branch dies at the first crowded server subset.
+Intended for tiny instances (m <= 5 with n up to about 10 finishes in
+milliseconds); the node budget counts the item placements tried in the
+tree and the default refuses to run away.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import bounds, construct
 from .core import Params, SetSystem, serialize, total_storage
@@ -91,6 +94,60 @@ def canonical_systems(
     yield from rec(0, n_items, storage)
 
 
+def _hall_pruned_systems(
+    n_items: int, k: int, m: int, storage: int, on_place: Callable[[], None]
+) -> Iterator[tuple[int, ...]]:
+    """The layouts of ``canonical_systems(n_items, m, storage, min(k, m))``
+    that are valid at batch size k, in the same order.
+
+    Walks the same tree, keeping for every server subset T with |T| < k
+    the slack |T| minus the number of placed masks inside T.  A mask that
+    would drive some slack below zero is not placed: adding items never
+    un-crowds a subset, so no valid layout lies below that branch.  The
+    transposition check stays at the leaves.  ``on_place`` is called once
+    per placement tried, before its Hall check, and may raise to stop the
+    walk.
+    """
+    max_size = min(k, m)
+    masks = [v for v in range(1, 1 << m) if v.bit_count() <= max_size]
+    # The subsets whose slack a mask uses up; none for masks of k servers.
+    supersets_of = []
+    for v in masks:
+        free = [1 << s for s in range(m) if not v >> s & 1]
+        supersets_of.append([
+            v | sum(extra)
+            for size in range(k - v.bit_count())
+            for extra in itertools.combinations(free, size)
+        ])
+    slack = {t: t.bit_count() for supersets in supersets_of for t in supersets}
+    cur: list[int] = []
+
+    def rec(lo: int, left: int, room: int) -> Iterator[tuple[int, ...]]:
+        if left == 0:
+            if room == 0 and not _transposition_reducible(cur, m):
+                yield tuple(cur)
+            return
+        if room < left or room > left * max_size:
+            return
+        for idx in range(lo, len(masks)):
+            weight = masks[idx].bit_count()
+            if room - weight < left - 1:
+                continue
+            on_place()
+            supersets = supersets_of[idx]
+            if not all(map(slack.__getitem__, supersets)):
+                continue
+            for t in supersets:
+                slack[t] -= 1
+            cur.append(masks[idx])
+            yield from rec(idx, left - 1, room - weight)
+            cur.pop()
+            for t in supersets:
+                slack[t] += 1
+
+    yield from rec(0, n_items, storage)
+
+
 def _constructive_upper(n: int, k: int, m: int) -> int | None:
     try:
         system, _ = construct.construct_best(n, k, m)
@@ -104,16 +161,25 @@ def _search_targets(
 ) -> tuple[SearchResult | None, int]:
     """Scan storage targets in [start, stop); None if no valid layout there."""
     nodes = 0
+
+    def on_place() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
-        for candidate in canonical_systems(n, m, target, min(k, m)):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+        for candidate in _hall_pruned_systems(n, k, m, target, on_place):
             system = SetSystem(m, candidate)
             if verify_hc2(system, k).valid:
                 return SearchResult(n, k, m, target, system, nodes), nodes
     return None, nodes
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ParamError(f"need budget >= 0, got budget={budget}")
 
 
 def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -123,7 +189,10 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
     can never be below one copy per item) and ascends.  Only masks of at
     most k servers are enumerated: any valid layout can be truncated to
     that size without increasing storage, so the optimum is reachable.
+    ``budget`` caps the nodes explored, one per item placement tried in
+    the search tree; BudgetExceeded is raised when it runs out.
     """
+    _check_budget(budget)
     if not 1 <= k <= m:
         raise ParamError(f"need 1 <= k <= m, got k={k} m={m}")
     if n < 1:
@@ -145,8 +214,10 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     Pass-through when a regime already pins the value.  Otherwise searches
     storage targets between the certified lower bound and the constructive
     upper bound; if nothing smaller exists the upper bound is exact
-    (a construction achieves it).  Raises Unknown on budget exhaustion.
+    (a construction achieves it).  ``budget`` counts nodes as in
+    ``search_optimal``; raises Unknown on budget exhaustion.
     """
+    _check_budget(budget)
     verdict = bounds.known_n(Params(n, k, m))
     if verdict.exact is not None:
         return verdict.exact
@@ -158,7 +229,7 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
         result, _ = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
     except BudgetExceeded as exc:
         raise Unknown(
-            f"gap for n={n} k={k} m={m} unresolved after {exc.nodes_explored} checks"
+            f"gap for n={n} k={k} m={m} unresolved after {exc.nodes_explored} nodes"
         ) from exc
     if result is not None:
         return result.optimal_n_storage

@@ -197,6 +197,13 @@ def test_simulate_invalid_layout_exits_1(capsys, invalid_file):
     assert "unplannable" in err
 
 
+def test_simulate_negative_batches_exits_2(capsys, table1_file):
+    code, out, err = run(capsys, "simulate", table1_file, "-k", "4", "--batches", "-3", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--batches" in err
+
+
 def test_search_known_values(capsys):
     code, out, _ = run(capsys, "search", "-n", "5", "-k", "2", "-m", "3")
     assert code == 0
@@ -210,6 +217,13 @@ def test_search_known_values(capsys):
 def test_search_budget_exits_3(capsys):
     code, _, err = run(capsys, "search", "-n", "5", "-k", "2", "-m", "3", "--budget", "0")
     assert code == 3
+    assert "budget" in err
+
+
+def test_search_negative_budget_exits_2(capsys):
+    code, out, err = run(capsys, "search", "-n", "5", "-k", "2", "-m", "3", "--budget", "-5")
+    assert code == 2
+    assert out == ""
     assert "budget" in err
 
 

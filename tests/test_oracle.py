@@ -4,10 +4,11 @@ import pytest
 
 from cbckit.bounds import known_n, lower_bound
 from cbckit.construct import construct_best
-from cbckit.core import Params, total_storage
+from cbckit.core import Params, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
-from cbckit.hall import verify_hc2
+from cbckit.hall import verify_hc1, verify_hc2
 from cbckit.oracle import (
+    _hall_pruned_systems,
     canonical_systems,
     render_search_result,
     search_optimal,
@@ -87,6 +88,56 @@ def test_canonical_systems_respects_max_size():
         assert sum(mask.bit_count() for mask in items) == 6
 
 
+def test_pruned_enumeration_matches_filtered_reference():
+    # The Hall-pruned walk must yield exactly the valid layouts of the
+    # unpruned canonical enumeration, in the same order, so the first hit
+    # (the search's witness) is unchanged.
+    for m in (2, 3, 4):
+        for k in range(1, m + 1):
+            for n in range(1, m + 3):
+                for storage in range(n, n * k + 1):
+                    expected = [
+                        c
+                        for c in canonical_systems(n, m, storage, min(k, m))
+                        if verify_hc2(SetSystem(m, c), k).valid
+                    ]
+                    got = list(_hall_pruned_systems(n, k, m, storage, lambda: None))
+                    assert got == expected, (n, k, m, storage)
+
+
+# Witnesses found by the unpruned search, which validity-checked every
+# complete canonical layout in order.
+UNPRUNED_WITNESSES = {
+    (5, 2, 3): "cbc m=3 n=5\n0: 0\n1: 1\n2: 0 1\n3: 0 1\n4: 2\n",
+    (6, 2, 4): "cbc m=4 n=6\n0: 0\n1: 1\n2: 0 1\n3: 0 1\n4: 2\n5: 3\n",
+    (7, 3, 4): "cbc m=4 n=7\n0: 0\n1: 1\n2: 2\n3: 0 1 2\n4: 0 3\n5: 1 3\n6: 2 3\n",
+    (7, 2, 5): "cbc m=5 n=7\n0: 0\n1: 1\n2: 0 1\n3: 0 1\n4: 2\n5: 3\n6: 4\n",
+    (8, 2, 5): "cbc m=5 n=8\n0: 0\n1: 1\n2: 0 1\n3: 0 1\n4: 0 1\n5: 2\n6: 3\n7: 4\n",
+    (8, 3, 5): "cbc m=5 n=8\n0: 0\n1: 1\n2: 2\n3: 3\n4: 0 4\n5: 1 4\n6: 2 4\n7: 3 4\n",
+}
+
+
+def test_search_witnesses_match_the_unpruned_search():
+    for (n, k, m), text in UNPRUNED_WITNESSES.items():
+        assert serialize(search_optimal(n, k, m).witness) == text, (n, k, m)
+
+
+def test_search_n_up_to_10_at_m_5():
+    for n, k, m, expected in [(9, 3, 5, 15), (10, 3, 5, 17)]:
+        result = search_optimal(n, k, m)
+        assert result.optimal_n_storage == expected
+        assert total_storage(result.witness) == expected
+        assert verify_hc1(result.witness, k).valid
+
+
+def test_budget_counts_nodes_explored():
+    nodes = search_optimal(8, 3, 5).nodes_explored
+    assert search_optimal(8, 3, 5, budget=nodes).nodes_explored == nodes
+    with pytest.raises(BudgetExceeded) as err:
+        search_optimal(8, 3, 5, budget=nodes - 1)
+    assert err.value.nodes_explored == nodes
+
+
 def test_budget_exceeded_carries_upper_bound():
     with pytest.raises(BudgetExceeded) as err:
         search_optimal(5, 2, 3, budget=0)
@@ -98,6 +149,10 @@ def test_search_param_errors():
         search_optimal(0, 2, 3)
     with pytest.raises(ParamError):
         search_optimal(3, 4, 3)
+    with pytest.raises(ParamError):
+        search_optimal(5, 2, 3, budget=-1)
+    with pytest.raises(ParamError):
+        settle_gap(19, 5, 6, budget=-1)
 
 
 def test_settle_gap_pass_through():
