@@ -82,14 +82,30 @@ def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
 
 
 def _greedy_scan(m: int, d2: int, w: int, limit: int | None) -> list[int]:
+    """First-fit scan in colex order, blocking each kept word's ball.
+
+    A kept word blocks every weight-w word closer than d2: those that swap
+    j of its positions for j others with 2j < d2.  A candidate is kept iff
+    no earlier kept word blocked it, which is the pairwise distance test
+    without the pairs.
+    """
     kept: list[int] = []
     if limit == 0:
         return kept
+    blocked: set[int] = set()
     for v in w_masks_colex(m, w):
-        if all((v ^ u).bit_count() >= d2 for u in kept):
-            kept.append(v)
-            if limit is not None and len(kept) == limit:
-                break
+        if v in blocked:
+            continue
+        kept.append(v)
+        if limit is not None and len(kept) == limit:
+            break
+        ins = [1 << s for s in bits(v)]
+        outs = [1 << s for s in range(m) if not v >> s & 1]
+        for j in range(1, d2 // 2):
+            out_sums = list(map(sum, itertools.combinations(outs, j)))
+            for in_sum in map(sum, itertools.combinations(ins, j)):
+                base = v - in_sum
+                blocked.update([base + out_sum for out_sum in out_sums])
     return kept
 
 

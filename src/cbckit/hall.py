@@ -9,8 +9,11 @@ equivalent forms:
 * counting form: every subset of at most k-1 servers contains at most
   that many whole replica sets.
 
-``verify_hc2`` checks the counting form by enumerating server subsets and
-is the cheap default (the item collection may be huge, the server set is
+``verify_hc2`` checks the counting form sparsely: only a replica set of
+fewer than k servers fits inside a subset of fewer than k servers, so it
+counts each such distinct set into its own supersets of fewer than k
+servers, one subset size at a time, and looks only at the subsets that
+some stored set reaches.  It is the cheap default (the item collection may be huge, the server set is
 small).  ``verify_hc1`` independently checks the union form by running a
 matching on every k-subset of items; the two must always agree and are
 kept free of shared logic so that one can cross-validate the other.
@@ -25,10 +28,6 @@ from typing import Sequence, Union
 
 from .core import SetSystem, bits
 from .errors import NoPlan, ParamError
-
-# Above this server count the 2^m containment table is not worth building
-# and verify_hc2 falls back to per-subset counting.
-_TABLE_MAX_M = 16
 
 
 @dataclass(frozen=True)
@@ -74,57 +73,63 @@ def _check_batch_size(sys: SetSystem, k: int) -> None:
         raise ParamError(f"need 1 <= k <= m, got k={k} m={sys.m}")
 
 
-def _containment_counts(items: Sequence[int], m: int) -> list[int]:
-    """count[mask] = number of items whose replica set is contained in mask."""
-    cnt = [0] * (1 << m)
-    for it in items:
-        cnt[it] += 1
-    for b in range(m):
-        bit = 1 << b
-        for mask in range(1 << m):
-            if mask & bit:
-                cnt[mask] += cnt[mask ^ bit]
-    return cnt
+def _supersets_adding(mask: int, m: int, extra: int) -> list[int]:
+    """The server subsets over m servers that add exactly ``extra`` servers to ``mask``."""
+    if extra == 0:
+        return [mask]
+    free = [1 << s for s in range(m) if not mask >> s & 1]
+    return [mask | more for more in map(sum, itertools.combinations(free, extra))]
+
+
+def supersets_below(mask: int, m: int, k: int) -> list[int]:
+    """Every server subset T of fewer than k servers that contains ``mask``.
+
+    Empty when ``mask`` itself has k or more servers.  These are the
+    subsets whose Hall count an item stored on ``mask`` adds to.
+    """
+    return [
+        t
+        for extra in range(k - mask.bit_count())
+        for t in _supersets_adding(mask, m, extra)
+    ]
 
 
 def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     """Check the counting form of the restricted Hall condition.
 
     Valid iff every server subset T with |T| <= k-1 contains at most |T|
-    replica sets.  On failure, returns the first violating subset in
-    size-then-lexicographic order together with the items inside it.
+    replica sets.  Counted sparsely, one subset size r at a time: each
+    distinct replica set of at most r servers adds its multiplicity,
+    capped at k, to each of its supersets of exactly r servers, so subsets
+    that no stored set reaches are never visited.  The cost is the number
+    of these incidences: summed over distinct sets v of fewer than k
+    servers, min(mult(v), k) times the sum over j < k-|v| of C(m-|v|, j).
+    On a valid layout that is at most the sum over r < k of r*C(m,r),
+    since no subset holds more than its size; a crowded layout stops after
+    the first size with a crowded subset.  On failure, returns the first
+    violating subset in size-then-lexicographic order together with the
+    items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
-    if m <= _TABLE_MAX_M:
-        cnt = _containment_counts(sys.items, m)
-
-        def contained(mask: int) -> int:
-            return cnt[mask]
-
-    else:
-        by_mask = Counter(sys.items)
-
-        def contained(mask: int) -> int:
-            total = 0
-            sub = mask
-            while True:
-                total += by_mask.get(sub, 0)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            return total
-
-    for r in range(k):
-        for combo in itertools.combinations(range(m), r):
-            mask = 0
-            for s in combo:
-                mask |= 1 << s
-            if contained(mask) > r:
-                inside = tuple(
-                    j for j, it in enumerate(sys.items) if it & ~mask == 0
-                )
-                return ValidityReport(False, CrowdedSubset(combo, inside))
+    by_size: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for mask, mult in Counter(sys.items).items():
+        if mask.bit_count() < k:
+            # k copies already crowd every subset of fewer than k servers,
+            # so further copies cannot change which subsets are crowded.
+            by_size[mask.bit_count()].append((mask, min(mult, k)))
+    for r in range(1, k):
+        inside_counts = Counter(itertools.chain.from_iterable(
+            _supersets_adding(mask, m, r - size) * mult
+            for size in range(1, r + 1)
+            for mask, mult in by_size[size]
+        ))
+        crowded = [t for t, count in inside_counts.items() if count > r]
+        if crowded:
+            servers = min(tuple(bits(t)) for t in crowded)
+            mask = sum(1 << s for s in servers)
+            inside = tuple(j for j, it in enumerate(sys.items) if it & ~mask == 0)
+            return ValidityReport(False, CrowdedSubset(servers, inside))
     return ValidityReport(True)
 
 

@@ -12,14 +12,16 @@ tree and the default refuses to run away.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import bounds, construct
 from .core import Params, SetSystem, serialize, total_storage
+from .cwc import w_masks_colex
 from .errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
-from .hall import verify_hc2
+from .hall import supersets_below, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -60,6 +62,11 @@ def _transposition_reducible(items: list[int], m: int) -> bool:
     return False
 
 
+def _candidate_masks(m: int, max_size: int) -> list[int]:
+    """Non-empty masks of at most ``max_size`` servers, ascending numerically."""
+    return list(heapq.merge(*(w_masks_colex(m, w) for w in range(1, max_size + 1))))
+
+
 def canonical_systems(
     n_items: int, m: int, storage: int, max_size: int | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -73,7 +80,7 @@ def canonical_systems(
     """
     if max_size is None:
         max_size = m
-    masks = [v for v in range(1, 1 << m) if v.bit_count() <= max_size]
+    masks = _candidate_masks(m, max_size)
     cur: list[int] = []
 
     def rec(lo: int, left: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -109,17 +116,11 @@ def _hall_pruned_systems(
     walk.
     """
     max_size = min(k, m)
-    masks = [v for v in range(1, 1 << m) if v.bit_count() <= max_size]
-    # The subsets whose slack a mask uses up; none for masks of k servers.
-    supersets_of = []
-    for v in masks:
-        free = [1 << s for s in range(m) if not v >> s & 1]
-        supersets_of.append([
-            v | sum(extra)
-            for size in range(k - v.bit_count())
-            for extra in itertools.combinations(free, size)
-        ])
-    slack = {t: t.bit_count() for supersets in supersets_of for t in supersets}
+    masks = _candidate_masks(m, max_size)
+    # The subsets whose slack a mask uses up, built on its first placement;
+    # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
+    supersets_of: list[list[int] | None] = [None] * len(masks)
+    slack: dict[int, int] = {}
     cur: list[int] = []
 
     def rec(lo: int, left: int, room: int) -> Iterator[tuple[int, ...]]:
@@ -135,6 +136,10 @@ def _hall_pruned_systems(
                 continue
             on_place()
             supersets = supersets_of[idx]
+            if supersets is None:
+                supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
+                for t in supersets:
+                    slack.setdefault(t, t.bit_count())
             if not all(map(slack.__getitem__, supersets)):
                 continue
             for t in supersets:

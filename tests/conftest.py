@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
 from cbckit.bounds import u_value
+from cbckit.hall import CrowdedSubset, ValidityReport
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -71,6 +73,29 @@ def brute_force_valid(system: SetSystem, k: int) -> bool:
         if not any(len(set(pick)) == r for pick in product(*choices)):
             return False
     return True
+
+
+def hc2_reference(system: SetSystem, k: int) -> ValidityReport:
+    """Per-subset reference for verify_hc2: visit every server subset T of
+    fewer than k servers in size-then-lexicographic order and count the
+    replica sets inside T by walking T's submasks.  The first crowded T is
+    the witness.
+    """
+    by_mask = Counter(system.items)
+    for r in range(k):
+        for combo in combinations(range(system.m), r):
+            mask = mask_of(combo)
+            contained = 0
+            sub = mask
+            while True:
+                contained += by_mask.get(sub, 0)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            if contained > r:
+                inside = tuple(j for j, it in enumerate(system.items) if it & ~mask == 0)
+                return ValidityReport(False, CrowdedSubset(combo, inside))
+    return ValidityReport(True)
 
 
 def assert_storage_bound(system: SetSystem, k: int) -> None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbckit
 from cbckit.cli import SplitMix64, main, sample_batch
 from cbckit.core import parse, total_storage
 
@@ -266,3 +271,25 @@ def test_sample_batch_is_a_k_subset():
         assert len(batch) == 4
         assert len(set(batch)) == 4
         assert all(0 <= x < 9 for x in batch)
+
+
+def test_parser_reused_after_usage_error(capsys, invalid_file):
+    # The parser is built once per process; a usage error must leave it
+    # fit for later calls, which print and exit as a fresh process does.
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "-k", "4"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    commands = [
+        ["bound", "-n", "43", "-k", "4", "-m", "6", "--json"],
+        ["search", "-n", "5", "-k", "2", "-m", "3"],
+        ["verify", invalid_file, "-k", "3"],
+        ["construct", "-n", "7", "-k", "4", "-m", "6"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cbckit.__file__).parents[1]))
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cbckit", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cbckit.core import bits, mask_of
 from cbckit.cwc import (
     ConstantWeightCode,
+    _greedy_scan,
     best_d4_code,
     graham_sloane_d4,
     greedy_code,
@@ -111,6 +113,40 @@ def test_best_d4_code_dominates_both():
             assert best.size >= graham_sloane_d4(m, w).size
             if best.size >= 2:
                 assert min_distance(best) >= 4
+
+
+def pairwise_greedy_scan(m, d2, w, limit):
+    """Reference first-fit scan: test each candidate against every kept word."""
+    kept = []
+    if limit == 0:
+        return kept
+    for v in w_masks_colex(m, w):
+        if all((v ^ u).bit_count() >= d2 for u in kept):
+            kept.append(v)
+            if limit is not None and len(kept) == limit:
+                break
+    return kept
+
+
+def test_ball_blocking_scan_matches_pairwise_scan():
+    for d2 in (4, 6, 8):
+        for m in range(1, 13):
+            for w in range(1, m + 1):
+                for limit in (None, 0, 1, 5):
+                    expected = pairwise_greedy_scan(m, d2, w, limit)
+                    assert _greedy_scan(m, d2, w, limit) == expected, (m, d2, w, limit)
+
+
+def test_best_d4_code_words_are_pinned():
+    # sha256 of repr((m, w, words)) for m <= 24, w <= 4, captured from the
+    # pairwise greedy scan before ball blocking replaced it.
+    digest = hashlib.sha256()
+    for m in range(1, 25):
+        for w in range(1, min(4, m) + 1):
+            digest.update(repr((m, w, best_d4_code(m, w).words)).encode())
+    assert digest.hexdigest() == (
+        "57d0ef97d4c5daa7625b826dda59b6fc745f7bd2179d9b52d5bc6cb78bc13c06"
+    )
 
 
 @given(st.integers(2, 9), st.integers(1, 4), st.integers(1, 3))

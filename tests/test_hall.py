@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbckit.construct import construct_best
 from cbckit.core import SetSystem, bits, mask_of
 from cbckit.errors import NoPlan, ParamError
 from cbckit.hall import (
@@ -16,7 +17,7 @@ from cbckit.hall import (
     verify_hc2,
 )
 
-from conftest import brute_force_valid, set_systems
+from conftest import brute_force_valid, hc2_reference, set_systems
 
 
 @pytest.fixture
@@ -162,9 +163,41 @@ def test_exhaustive_tiny_grid():
                     assert verify_hc1(system, k).valid == expected
 
 
+@given(set_systems(max_m=10, max_n=14, max_set_size=10), st.data())
+def test_hc2_matches_per_subset_reference(system, data):
+    # Any k <= m, replica sets wider than k included; the verdict, the
+    # witness servers and the witness items must all agree.
+    k = data.draw(st.integers(1, system.m))
+    assert verify_hc2(system, k) == hc2_reference(system, k)
+
+
+@pytest.mark.parametrize("n,k,m", [(500, 5, 16), (600, 5, 17)])
+def test_hc2_range_b_with_one_extra_copy(n, k, m):
+    # A certified layout plus one more copy of a stored replica set: the
+    # sparse count must name the reference's witness, also above m = 16.
+    system, _ = construct_best(n, k, m)
+    assert verify_hc2(system, k).valid
+    crowded = SetSystem(m, system.items + (system.items[-1],))
+    report = verify_hc2(crowded, k)
+    assert not report.valid
+    assert report == hc2_reference(crowded, k)
+
+
+def test_hc2_many_copies_of_one_small_set():
+    # 500 copies of each of two singletons at m=20: the count per copy is
+    # capped at k, and the witness still lists every item inside.
+    system = SetSystem.from_sets(20, [(0,)] * 500 + [(1,)] * 500)
+    report = verify_hc2(system, 6)
+    assert report.witness == CrowdedSubset((0,), tuple(range(500)))
+
+
+def test_hc2_every_subset_stored():
+    # All 2^12 - 1 replica sets at k = m = 12: {0,1} already holds three.
+    system = SetSystem(12, tuple(range(1, 1 << 12)))
+    assert verify_hc2(system, 12).witness == CrowdedSubset((0, 1), (0, 1, 2))
+
+
 def test_hc2_wide_server_sets():
-    # m above the containment-table threshold exercises the per-subset
-    # counting fallback.
     m = 20
     crowded = SetSystem.from_sets(m, [(0,), (0,), (1,)])
     report = verify_hc2(crowded, 2)

@@ -130,6 +130,14 @@ def test_search_n_up_to_10_at_m_5():
         assert verify_hc1(result.witness, k).valid
 
 
+def test_search_set_up_does_not_scan_every_mask():
+    # m = 40 has 2^40 masks; only the 820 of at most k = 2 servers are
+    # candidates, and superset lists are built on first placement.
+    result = search_optimal(3, 2, 40, budget=1000)
+    assert result.optimal_n_storage == 3
+    assert verify_hc1(result.witness, 2).valid
+
+
 def test_budget_counts_nodes_explored():
     nodes = search_optimal(8, 3, 5).nodes_explored
     assert search_optimal(8, 3, 5, budget=nodes).nodes_explored == nodes
