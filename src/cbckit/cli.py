@@ -55,12 +55,18 @@ class SplitMix64:
 
 
 def sample_batch(rng: SplitMix64, n: int, k: int) -> list[int]:
-    """Uniform k-subset of range(n) via partial Fisher-Yates, in selection order."""
-    pool = list(range(n))
+    """Uniform k-subset of range(n) via partial Fisher-Yates, in selection order.
+
+    The shuffled pool is kept sparsely, as the positions whose entry a swap
+    has changed, so a batch costs O(k) whatever n is.
+    """
+    moved: dict[int, int] = {}  # pool position -> entry, where it is not the position
+    batch = []
     for j in range(k):
-        r = rng.next_u64() % (n - j)
-        pool[j], pool[j + r] = pool[j + r], pool[j]
-    return pool[:k]
+        r = j + rng.next_u64() % (n - j)
+        batch.append(moved.get(r, r))
+        moved[r] = moved.get(j, j)
+    return batch
 
 
 @dataclass

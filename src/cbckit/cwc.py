@@ -9,6 +9,7 @@ gives distance 4, and a greedy scan covers arbitrary even distances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -131,12 +132,15 @@ def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
     return ConstantWeightCode(m, w, d2, tuple(kept))
 
 
+@functools.cache
 def best_d4_code(m: int, w: int) -> ConstantWeightCode:
     """The larger of the residue-class and greedy distance-4 codes.
 
     Used wherever a construction needs "as many distance-4 words of weight
     w as we can actually build"; exact-value claims downstream are tied to
-    this constructible size, not to the abstract maximum.
+    this constructible size, not to the abstract maximum.  Cached per
+    (m, w): one ``construct`` asks for the same code up to three times, and
+    the result is immutable.
     """
     residue = graham_sloane_d4(m, w)
     greedy = _greedy_scan(m, 4, w, None)

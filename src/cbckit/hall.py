@@ -17,6 +17,11 @@ some stored set reaches.  It is the cheap default (the item collection may be hu
 small).  ``verify_hc1`` independently checks the union form by running a
 matching on every k-subset of items; the two must always agree and are
 kept free of shared logic so that one can cross-validate the other.
+
+``find_sdr`` is that matching, and ``plan_batch`` serves requests with it:
+a bitmask depth-first augmenting-path search on an explicit stack that
+tries the lowest unseen server first.  It is deterministic, in the same
+server order as the recursive reference matcher kept in the tests.
 """
 
 from __future__ import annotations
@@ -136,33 +141,53 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
 def find_sdr(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
     """Match each replica set to a distinct server, or exhibit why none exists.
 
-    Repeated augmenting-path matching; servers are scanned in ascending
-    index, so the result is deterministic (but not canonical).  On failure
+    Augmenting-path matching, one position at a time: a bitmask
+    depth-first search on an explicit stack, so an alternating path may be
+    as long as ``sets`` (no recursion limit applies).  ``owner`` maps a
+    server bit to the position holding it and ``seen`` is one int; each
+    step tries the lowest unseen server of the set on top of the stack.  A
+    set whose lowest server is free takes it at once, which is the first
+    step of that same search.  Deterministic (but not canonical): servers
+    are tried in the same ascending order as the recursive reference
+    matcher, so plans and deficiencies match it exactly.  On failure
     returns the standard Hall violator: the sets reachable by alternating
     paths from the first unmatched one, whose union is too small.
     """
-    owner: dict[int, int] = {}  # server -> position in `sets`
-
-    def augment(pos: int, seen: set[int]) -> bool:
-        for s in bits(sets[pos]):
-            if s in seen:
-                continue
-            seen.add(s)
-            if s not in owner or augment(owner[s], seen):
-                owner[s] = pos
-                return True
-        return False
-
-    for pos in range(len(sets)):
-        seen: set[int] = set()
-        if not augment(pos, seen):
-            # On failure `seen` is exactly the union of the replica sets of
-            # all positions reachable by alternating paths, each of which is
-            # matched except `pos` itself.
-            reachable = sorted({pos} | {owner[s] for s in seen})
-            return Deficiency(tuple(reachable), tuple(sorted(seen)))
-    assignment = {pos: s for s, pos in owner.items()}
-    return RetrievalPlan(dict(sorted(assignment.items())))
+    owner: dict[int, int] = {}  # server bit -> position in `sets`
+    taken = [0] * len(sets)  # position -> its server bit
+    for pos, mask in enumerate(sets):
+        low = mask & -mask
+        if low and low not in owner:
+            owner[low] = pos
+            taken[pos] = low
+            continue
+        stack = [pos]  # the alternating path, root first
+        tried: list[int] = []  # tried[i]: the server stack[i] is trying
+        seen = 0
+        while True:
+            free = sets[stack[-1]] & ~seen
+            if free:
+                bit = free & -free
+                seen |= bit
+                tried.append(bit)
+                holder = owner.get(bit)
+                if holder is None:
+                    for p, b in zip(stack, tried):
+                        owner[b] = p
+                        taken[p] = b
+                    break
+                stack.append(holder)
+            else:
+                stack.pop()
+                if not stack:
+                    # `seen` is exactly the union of the replica sets of all
+                    # positions reachable by alternating paths, each of which
+                    # is matched except `pos` itself.
+                    servers = tuple(bits(seen))
+                    reachable = sorted({pos} | {owner[1 << s] for s in servers})
+                    return Deficiency(tuple(reachable), servers)
+                tried.pop()
+    return RetrievalPlan({pos: b.bit_length() - 1 for pos, b in enumerate(taken)})
 
 
 def verify_hc1(sys: SetSystem, k: int) -> ValidityReport:
@@ -198,10 +223,11 @@ def plan_batch(sys: SetSystem, request: Sequence[int]) -> RetrievalPlan:
     Always succeeds on a layout that verifies at a batch size >= the
     request length; otherwise raises NoPlan carrying the deficiency.
     """
+    n = len(sys.items)
     seen = set()
     for j in request:
-        if not 0 <= j < sys.n:
-            raise ParamError(f"item index {j} outside 0..{sys.n - 1}")
+        if not 0 <= j < n:
+            raise ParamError(f"item index {j} outside 0..{n - 1}")
         if j in seen:
             raise ParamError(f"item index {j} requested twice")
         seen.add(j)
@@ -209,4 +235,4 @@ def plan_batch(sys: SetSystem, request: Sequence[int]) -> RetrievalPlan:
     if isinstance(result, Deficiency):
         items = tuple(request[j] for j in result.items)
         raise NoPlan(Deficiency(items, result.servers))
-    return RetrievalPlan({request[j]: s for j, s in result.assignment.items()})
+    return RetrievalPlan(dict(zip(request, result.assignment.values())))

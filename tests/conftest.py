@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence, Union
 
 import pytest
 from hypothesis import settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
 from cbckit.bounds import u_value
-from cbckit.hall import CrowdedSubset, ValidityReport
+from cbckit.hall import CrowdedSubset, Deficiency, RetrievalPlan, ValidityReport
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -96,6 +97,44 @@ def hc2_reference(system: SetSystem, k: int) -> ValidityReport:
                 inside = tuple(j for j, it in enumerate(system.items) if it & ~mask == 0)
                 return ValidityReport(False, CrowdedSubset(combo, inside))
     return ValidityReport(True)
+
+
+def sdr_reference(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
+    """Recursive reference for find_sdr: the same augmenting-path search,
+    servers scanned in ascending index, with a set of seen servers and one
+    Python frame per step of the alternating path.
+    """
+    owner: dict[int, int] = {}  # server -> position in `sets`
+
+    def augment(pos: int, seen: set[int]) -> bool:
+        for s in bits(sets[pos]):
+            if s in seen:
+                continue
+            seen.add(s)
+            if s not in owner or augment(owner[s], seen):
+                owner[s] = pos
+                return True
+        return False
+
+    for pos in range(len(sets)):
+        seen: set[int] = set()
+        if not augment(pos, seen):
+            # On failure `seen` is exactly the union of the replica sets of
+            # all positions reachable by alternating paths, each of which is
+            # matched except `pos` itself.
+            reachable = sorted({pos} | {owner[s] for s in seen})
+            return Deficiency(tuple(reachable), tuple(sorted(seen)))
+    assignment = {pos: s for s, pos in owner.items()}
+    return RetrievalPlan(dict(sorted(assignment.items())))
+
+
+def chain_system(length: int) -> SetSystem:
+    """Item j on servers {j, j+1} for j < length, then one item on {0}.
+
+    Requesting every item in index order leaves the last one an alternating
+    path through all the others.
+    """
+    return SetSystem.from_sets(length + 1, [(j, j + 1) for j in range(length)] + [(0,)])
 
 
 def assert_storage_bound(system: SetSystem, k: int) -> None:

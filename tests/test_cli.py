@@ -8,7 +8,9 @@ import pytest
 
 import cbckit
 from cbckit.cli import SplitMix64, main, sample_batch
-from cbckit.core import parse, total_storage
+from cbckit.core import parse, serialize, total_storage
+
+from conftest import chain_system
 
 INVALID_LAYOUT = "cbc m=3 n=3\n0: 0 1\n1: 0 1\n2: 0 1\n"
 INTRO_LAYOUT = "cbc m=3 n=3\n0: 0 1\n1: 0 1 2\n2: 0\n"
@@ -271,6 +273,34 @@ def test_sample_batch_is_a_k_subset():
         assert len(batch) == 4
         assert len(set(batch)) == 4
         assert all(0 <= x < 9 for x in batch)
+
+
+def list_sample_batch(rng, n, k):
+    """The sampler as the README pins it: partial Fisher-Yates on a full list."""
+    pool = list(range(n))
+    for j in range(k):
+        r = rng.next_u64() % (n - j)
+        pool[j], pool[j + r] = pool[j + r], pool[j]
+    return pool[:k]
+
+
+def test_sample_batch_matches_list_sampler():
+    cases = [(0, 0), (1, 0), (1, 1), (2, 2), (9, 0), (9, 9), (10, 3), (43, 4), (10_000, 7)]
+    for seed in (0, 1, 42, 2**64 - 1):
+        for n, k in cases:
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(3):
+                assert sample_batch(fast, n, k) == list_sample_batch(slow, n, k), (seed, n, k)
+            assert fast.state == slow.state
+
+
+def test_plan_deep_augmenting_path(capsys, tmp_path):
+    path = tmp_path / "chain.cbc"
+    path.write_text(serialize(chain_system(1200)))
+    items = [str(j) for j in range(1201)]
+    code, out, _ = run(capsys, "plan", str(path), "-k", "1201", *items)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["item 1199 ← server 1200", "item 1200 ← server 0"]
 
 
 def test_parser_reused_after_usage_error(capsys, invalid_file):

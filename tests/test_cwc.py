@@ -203,3 +203,8 @@ def test_parse_code_errors():
         parse_code("cbc m=3 n=1\n0: 0\n")
     with pytest.raises(MalformedHeader):
         parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
+
+
+def test_best_d4_code_is_built_once_per_parameters():
+    assert best_d4_code(11, 3) is best_d4_code(11, 3)
+    assert best_d4_code(11, 3) is not best_d4_code(11, 2)

@@ -1,7 +1,9 @@
+import hashlib
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbckit.construct import construct_best
@@ -17,7 +19,7 @@ from cbckit.hall import (
     verify_hc2,
 )
 
-from conftest import brute_force_valid, hc2_reference, set_systems
+from conftest import brute_force_valid, chain_system, hc2_reference, sdr_reference, set_systems
 
 
 @pytest.fixture
@@ -114,10 +116,46 @@ def test_plan_batch_no_plan(three_copies):
 
 
 def test_plan_batch_validates_request(table1_system):
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match="item index 0 requested twice"):
         plan_batch(table1_system, [0, 0])
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match=r"item index 99 outside 0\.\.42"):
         plan_batch(table1_system, [99])
+
+
+@settings(max_examples=1000)
+@given(st.integers(1, 9).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), max_size=8)))
+def test_find_sdr_matches_recursive_reference(sets):
+    got, want = find_sdr(sets), sdr_reference(sets)
+    assert got == want
+    if isinstance(want, RetrievalPlan):
+        assert list(got.assignment.items()) == list(want.assignment.items())
+
+
+def test_deep_augmenting_path_plans():
+    system = chain_system(1200)
+    plan = plan_batch(system, range(system.n))
+    assert plan.assignment == {**{j: j + 1 for j in range(1200)}, 1200: 0}
+    assert verify_hc1(system, system.n).valid
+
+
+# sha256 of the plans for 2,000 seeded requests per layout, captured from the
+# recursive planner; they pin the server order, not just validity.
+PINNED_PLANS = {
+    (43, 4, 6): "4380f2c626ef94fa4642e5ff950ba9b2eb8381211b0b9eaff211cf135ae80d02",
+    (500, 5, 16): "9139132c10261da72cc93c99f76e75a42cb24748924967f61bc7024778e277fc",
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_PLANS))
+def test_plan_batch_plans_are_pinned(params):
+    n, k, m = params
+    system, _ = construct_best(n, k, m)
+    rng = random.Random(n)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        request = rng.sample(range(n), k)
+        digest.update(repr(list(plan_batch(system, request).assignment.items())).encode())
+    assert digest.hexdigest() == PINNED_PLANS[params]
 
 
 def test_hc2_sub_conditions_independent(three_copies):
