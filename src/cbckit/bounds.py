@@ -5,7 +5,8 @@ coefficients overflow machine words quickly, and the optimality claims
 ride on floors and ceilings being applied exactly where the formulas put
 them, nowhere else.
 
-Regime tags used in results (and by the CLI):
+Regime tags used in results, in the order of ``REGIMES``, the one table
+that ``known_n``, ``construct_best`` and the CLI's ``--method`` all read:
 
 * ``trivial``        n <= m, one server per item suffices
 * ``m=k``            as many servers as the batch size
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 from . import cwc
 from .core import Params, Profile, Rational
@@ -167,8 +168,53 @@ def cwc_bounds(m: int, d2: int, w: int) -> Rational:
     return Fraction(comb(m, w), _least_prime_power(m) ** (d - 1))
 
 
-# Regimes whose exact value is achieved by a construction in this package.
-_CONSTRUCTIVE = {"trivial", "m=k", "n=m+1", "large-n", "range-a", "range-b"}
+def _large_n(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
+    ceiling = (k - 1) * comb(m, k - 1)
+    return (k * n - ceiling, True) if n >= ceiling else None
+
+
+def _range_a(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
+    ceiling = (k - 1) * comb(m, k - 1)
+    if k >= 3 and comb(m, k - 2) <= n <= ceiling:
+        return n * (k - 1) - (ceiling - n) // (m - k + 1), True
+    return None
+
+
+def _range_b(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
+    # The built storage meets the lower bound only when the deficit's
+    # remainder is below half the modulus; otherwise it is one above.
+    if k < 5 or n > comb(m, k - 2):
+        return None
+    width = m - k + 1
+    gap = comb(m, k - 2) - n
+    if gap > width * cwc.best_d4_code(m, k - 3).size:
+        return None
+    return n * (k - 2) - 2 * (gap // width), 2 * (gap % width) < width
+
+
+@dataclass(frozen=True)
+class Regime:
+    """A regime of N(n,k,m): its tag, the ``--method`` name of its builder
+    (None without one) and ``value(n,k,m)``, which is None outside the
+    regime, else ``(storage, proven_optimal)``."""
+
+    tag: str
+    method: Optional[str]
+    value: Callable[[int, int, int], Optional[tuple[int, bool]]]
+
+
+# Most specific first: the order breaks ties between equal storages in
+# construct_best and orders the tags in known_n's ``source``.
+REGIMES = (
+    Regime("trivial", "trivial", lambda n, k, m: (n, True) if n <= m else None),
+    Regime("m=k", "m-equals-k",
+           lambda n, k, m: (k * n - k * (k - 1), True) if m == k and n >= k else None),
+    Regime("n=m+1", "m-plus-1", lambda n, k, m: (m + k, True) if n == m + 1 else None),
+    Regime("n=m+2", None, lambda n, k, m: (_n_m_plus_2(k, m), True) if n == m + 2 else None),
+    Regime("large-n", "large-n", _large_n),
+    Regime("range-a", "range-a", _range_a),
+    Regime("range-b", "range-b", _range_b),
+)
 
 
 def known_n(params: Params) -> BoundResult:
@@ -185,53 +231,39 @@ def known_n(params: Params) -> BoundResult:
     if n < 1:
         raise ParamError(f"need n >= 1, got n={n}")
 
-    hits: list[tuple[str, int]] = []
-    if n <= m:
-        hits.append(("trivial", n))
-    if m == k and n >= k:
-        hits.append(("m=k", k * n - k * (k - 1)))
-    if n == m + 1:
-        hits.append(("n=m+1", m + k))
-    if n == m + 2:
-        hits.append(("n=m+2", _n_m_plus_2(k, m)))
-    ceiling = (k - 1) * comb(m, k - 1)
-    if n >= ceiling:
-        hits.append(("large-n", k * n - ceiling))
-    if k >= 3 and comb(m, k - 2) <= n <= ceiling:
-        gap = ceiling - n
-        hits.append(("range-a", n * (k - 1) - gap // (m - k + 1)))
+    tags, values = [], []
+    constructive = False
+    unproven = None  # only range-b: a construction one above the lower bound
+    for regime in REGIMES:
+        found = regime.value(n, k, m)
+        if found is None:
+            continue
+        value, proven = found
+        if not proven:
+            unproven = (regime.tag, value)
+            continue
+        tags.append(regime.tag)
+        values.append(value)
+        constructive = constructive or regime.method is not None
 
-    range_b_upper: Optional[int] = None
-    if k >= 5 and n <= comb(m, k - 2):
-        code = cwc.best_d4_code(m, k - 3)
-        width = m - k + 1
-        if n >= comb(m, k - 2) - width * code.size:
-            gap = comb(m, k - 2) - n
-            built = n * (k - 2) - 2 * (gap // width)
-            if 2 * (gap % width) < width:
-                hits.append(("range-b", built))
-            else:
-                range_b_upper = built
-
-    if hits:
-        exact = hits[0][1]
-        if any(value != exact for _, value in hits):
-            raise AssertionError(f"regimes disagree for n={n} k={k} m={m}: {hits}")
-        source = ",".join(tag for tag, _ in hits)
-        constructive = any(tag in _CONSTRUCTIVE for tag, _ in hits)
+    if values:
+        exact = values[0]
+        if len(set(values)) > 1:
+            raise AssertionError(f"regimes disagree for n={n} k={k} m={m}: {tags} {values}")
         return BoundResult(
             lower=exact,
             exact=exact,
             upper=exact if constructive else None,
-            source=source,
+            source=",".join(tags),
         )
 
     base = lower_bound(n, k, m)
-    if range_b_upper is not None:
+    if unproven is not None:
+        tag, upper = unproven
         return BoundResult(
             lower=base.lower,
-            upper=range_b_upper,
-            source="counting-bound,range-b",
+            upper=upper,
+            source=f"counting-bound,{tag}",
             chosen_c=base.chosen_c,
         )
     return BoundResult(lower=base.lower, source="counting-bound", chosen_c=base.chosen_c)

@@ -115,6 +115,10 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+# Regime tag by the --method name of its builder, in table order.
+_METHODS = {regime.method: regime.tag for regime in bounds.REGIMES if regime.method is not None}
+
+
 def _cmd_construct(args) -> int:
     method = args.method
     if method == "uniform":
@@ -122,31 +126,13 @@ def _cmd_construct(args) -> int:
             print("construct: --method uniform requires -c", file=sys.stderr)
             return 2
         system = construct.construct_uniform(args.c, args.k, args.m)
+    elif args.n is None:
+        print("construct: -n is required", file=sys.stderr)
+        return 2
     elif method == "auto":
-        if args.n is None:
-            print("construct: -n is required", file=sys.stderr)
-            return 2
         system, _ = construct.construct_best(args.n, args.k, args.m)
     else:
-        if args.n is None:
-            print("construct: -n is required", file=sys.stderr)
-            return 2
-        if method == "trivial":
-            system = construct.construct_trivial(args.n, args.k, args.m)
-        elif method == "m-equals-k":
-            if args.m != args.k:
-                raise RangeError(f"method m-equals-k needs m == k, got k={args.k} m={args.m}")
-            system = construct.construct_m_equals_k(args.n, args.k)
-        elif method == "m-plus-1":
-            if args.n != args.m + 1:
-                raise RangeError(f"method m-plus-1 needs n == m+1, got n={args.n} m={args.m}")
-            system = construct.construct_m_plus_1(args.k, args.m)
-        elif method == "large-n":
-            system = construct.construct_large_n(args.n, args.k, args.m)
-        elif method == "range-a":
-            system, _ = construct.construct_range_a(args.n, args.k, args.m)
-        else:  # range-b
-            system, _ = construct.construct_range_b(args.n, args.k, args.m)
+        system = construct.BUILDERS[_METHODS[method]](args.n, args.k, args.m)
 
     built = total_storage(system)
     result = bounds.known_n(Params(system.n, args.k, args.m))
@@ -350,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "trivial", "m-equals-k", "m-plus-1", "large-n", "range-a", "range-b", "uniform"],
+        choices=["auto", *_METHODS, "uniform"],
     )
     p.add_argument("--out", default=None, help="write layout to this file instead of stdout")
     p.add_argument("--json", action="store_true")

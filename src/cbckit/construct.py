@@ -75,6 +75,31 @@ def _delete_copy(counts: Counter, mask: int) -> None:
     counts[mask] -= 1
 
 
+def _run_steps(counts: Counter, initial: Profile, m: int, aux_sets, full_steps: int,
+               leftover: int, copies: int) -> tuple[SetSystem, ConstructionTrace]:
+    """Apply a deletion construction's steps to ``counts``; return the layout and trace.
+
+    Each full step deletes one copy of every one-larger superset of the
+    next auxiliary set and adds ``copies`` copies of the set; a nonzero
+    ``leftover`` adds a partial step that deletes only that many supersets
+    of the next set.
+    """
+    deletions, additions = [], []
+    for step in range(full_steps + (1 if leftover else 0)):
+        aux = next(aux_sets)
+        supersets = tuple(aux | (1 << x) for x in range(m) if not aux >> x & 1)
+        if step == full_steps:
+            supersets = supersets[:leftover]
+        for sup in supersets:
+            _delete_copy(counts, sup)
+        deletions.append((aux, supersets))
+        if step < full_steps:
+            counts[aux] += copies
+            additions.append((aux, copies))
+    final = _system_from_counts(m, counts)
+    return final, ConstructionTrace(initial, tuple(deletions), tuple(additions), final)
+
+
 def construct_trivial(n: int, k: int, m: int) -> SetSystem:
     """One distinct server per item; optimal whenever n <= m."""
     if not 1 <= k <= m:
@@ -144,27 +169,7 @@ def construct_range_a(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
 
     counts: Counter = Counter({mask: k - 1 for mask in w_masks_colex(m, k - 1)})
     initial = Profile(k, tuple(ceiling if j == k - 1 else 0 for j in range(1, k + 1)))
-    deletions: list[tuple[int, tuple[int, ...]]] = []
-    additions: list[tuple[int, int]] = []
-
-    aux_iter = w_masks_colex(m, k - 2)
-    for _ in range(full_steps):
-        aux = next(aux_iter)
-        supersets = tuple(aux | (1 << x) for x in range(m) if not aux >> x & 1)
-        for sup in supersets:
-            _delete_copy(counts, sup)
-        deletions.append((aux, supersets))
-        counts[aux] += 1
-        additions.append((aux, 1))
-    if leftover:
-        aux = next(aux_iter)
-        supersets = tuple(aux | (1 << x) for x in range(m) if not aux >> x & 1)[:leftover]
-        for sup in supersets:
-            _delete_copy(counts, sup)
-        deletions.append((aux, supersets))
-
-    final = _system_from_counts(m, counts)
-    return final, ConstructionTrace(initial, tuple(deletions), tuple(additions), final)
+    return _run_steps(counts, initial, m, w_masks_colex(m, k - 2), full_steps, leftover, 1)
 
 
 def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTrace]:
@@ -197,35 +202,18 @@ def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
     needed = full_steps + (1 if leftover else 0)
     if needed > code.size:
         raise InsufficientCode(achieved=code.size, needed=needed, code=code)
-    words = sorted(code.words)[:needed]
 
     counts: Counter = Counter({mask: 1 for mask in w_masks_colex(m, k - 2)})
     initial = Profile(k, tuple(ceiling if j == k - 2 else 0 for j in range(1, k + 1)))
-    deletions: list[tuple[int, tuple[int, ...]]] = []
-    additions: list[tuple[int, int]] = []
-
-    for step in range(full_steps):
-        word = words[step]
-        supersets = tuple(word | (1 << x) for x in range(m) if not word >> x & 1)
-        for sup in supersets:
-            _delete_copy(counts, sup)
-        deletions.append((word, supersets))
-        counts[word] += 2
-        additions.append((word, 2))
-    if leftover:
-        word = words[full_steps]
-        supersets = tuple(word | (1 << x) for x in range(m) if not word >> x & 1)[:leftover]
-        for sup in supersets:
-            _delete_copy(counts, sup)
-        deletions.append((word, supersets))
-
-    final = _system_from_counts(m, counts)
-    return final, ConstructionTrace(initial, tuple(deletions), tuple(additions), final)
+    return _run_steps(counts, initial, m, iter(sorted(code.words)), full_steps, leftover, 2)
 
 
 def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:
     # Greedy is the deterministic default; for distance 4 the residue-class
-    # construction sometimes beats it, and the larger code wins.
+    # construction sometimes beats it, and the larger code wins.  A size tie
+    # keeps greedy, where best_d4_code keeps the residue class, and the two
+    # word lists then differ (at (m, w) = (8, 2), for one), so this choice
+    # stays separate from best_d4_code's.
     greedy = _greedy_scan(m, d2, w, None)
     if d2 == 4:
         residue = graham_sloane_d4(m, w)
@@ -251,6 +239,33 @@ def construct_uniform(c: int, k: int, m: int) -> SetSystem:
     return _system_from_counts(m, counts)
 
 
+_METHOD = {regime.tag: regime.method for regime in bounds.REGIMES}
+
+
+def _build_m_equals_k(n: int, k: int, m: int) -> SetSystem:
+    if m != k:
+        raise RangeError(f"method {_METHOD['m=k']} needs m == k, got k={k} m={m}")
+    return construct_m_equals_k(n, k)
+
+
+def _build_m_plus_1(n: int, k: int, m: int) -> SetSystem:
+    if n != m + 1:
+        raise RangeError(f"method {_METHOD['n=m+1']} needs n == m+1, got n={n} m={m}")
+    return construct_m_plus_1(k, m)
+
+
+# The builder of each constructive regime in bounds.REGIMES, by tag, all
+# called as builder(n, k, m).
+BUILDERS = {
+    "trivial": construct_trivial,
+    "m=k": _build_m_equals_k,
+    "n=m+1": _build_m_plus_1,
+    "large-n": construct_large_n,
+    "range-a": lambda n, k, m: construct_range_a(n, k, m)[0],
+    "range-b": lambda n, k, m: construct_range_b(n, k, m)[0],
+}
+
+
 def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResult]:
     """Build the applicable layout with the smallest guaranteed storage.
 
@@ -264,40 +279,18 @@ def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResul
     if n < 1:
         raise ParamError(f"need n >= 1, got n={n}")
 
-    candidates: list[tuple[int, int, str]] = []  # (guaranteed N, priority, tag)
-    builders = {}
-    if n <= m:
-        candidates.append((n, 0, "trivial"))
-        builders["trivial"] = lambda: construct_trivial(n, k, m)
-    if m == k and n >= k:
-        candidates.append((k * n - k * (k - 1), 1, "m=k"))
-        builders["m=k"] = lambda: construct_m_equals_k(n, k)
-    if n == m + 1:
-        candidates.append((m + k, 2, "n=m+1"))
-        builders["n=m+1"] = lambda: construct_m_plus_1(k, m)
-    ceiling = (k - 1) * comb(m, k - 1)
-    if n >= ceiling:
-        candidates.append((k * n - ceiling, 3, "large-n"))
-        builders["large-n"] = lambda: construct_large_n(n, k, m)
-    if k >= 3 and comb(m, k - 2) <= n <= ceiling:
-        deficit = ceiling - n
-        candidates.append((n * (k - 1) - deficit // (m - k + 1), 4, "range-a"))
-        builders["range-a"] = lambda: construct_range_a(n, k, m)[0]
-    if k >= 5 and n <= comb(m, k - 2):
-        code = best_d4_code(m, k - 3)
-        width = m - k + 1
-        if n >= comb(m, k - 2) - width * code.size:
-            deficit = comb(m, k - 2) - n
-            candidates.append((n * (k - 2) - 2 * (deficit // width), 5, "range-b"))
-            builders["range-b"] = lambda: construct_range_b(n, k, m)[0]
-
-    if not candidates:
+    best = None  # (guaranteed N, tag); a tie keeps the earlier regime
+    for regime in bounds.REGIMES:
+        found = regime.value(n, k, m) if regime.method is not None else None
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], regime.tag)
+    if best is None:
         raise Unsupported(
             f"no construction covers n={n} k={k} m={m} "
             "(middle range between n=m+1 and the code-construction floor)"
         )
-    guaranteed, _, tag = min(candidates)
-    system = builders[tag]()
+    guaranteed, tag = best
+    system = BUILDERS[tag](n, k, m)
     verdict = bounds.known_n(Params(n, k, m))
     built = total_storage(system)
     if built != guaranteed:

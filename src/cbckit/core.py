@@ -10,6 +10,7 @@ are meaningful: they are distinct items replicated the same way).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -175,6 +176,12 @@ def serialize(sys: SetSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+# After a successful parse, a character outside this run is one that int(),
+# str.split() or str.splitlines() quietly normalised away: a sign, "_", a
+# non-ASCII digit, CR, tab, a no-break space or a Unicode line break.
+_ALPHABET = re.compile(r"[0-9a-z=: \n]*")
+
+
 def _header_int(token: str, key: str) -> int:
     prefix = key + "="
     if not token.startswith(prefix):
@@ -188,26 +195,27 @@ def _header_int(token: str, key: str) -> int:
     return value
 
 
-def parse(text: str) -> SetSystem:
-    """Parse the "cbc" text format back into a SetSystem.
+def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: str):
+    """Header values and line masks of a "cbc" or "cwc" text, the one grammar of both.
 
-    Raises MalformedHeader / MalformedItemLine / ServerIndexOutOfRange /
-    EmptyItemSet on malformed input.  Round-trips: parse(serialize(s)) == s.
+    Header ``<tag> <key>=<int> ...``, ``keys`` in order from ``m`` (the
+    position count) to the line count; then ``<index>: <positions>`` per
+    ``noun``.  ASCII digits, spaces and LF only.
     """
     lines = text.splitlines()
     if not lines:
         raise MalformedHeader("empty input")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "cbc":
+    if len(head) != len(keys) + 1 or head[0] != tag:
         raise MalformedHeader(f"bad header line {lines[0]!r}")
-    m = _header_int(head[1], "m")
-    n = _header_int(head[2], "n")
+    values = [_header_int(token, key) for token, key in zip(head[1:], keys)]
+    m, count = values[0], values[-1]
     if m < 1:
-        raise MalformedHeader(f"need at least one server, got m={m}")
+        raise MalformedHeader(f"need at least one {part}, got m={m}")
     body = lines[1:]
-    if len(body) != n:
-        raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
-    items = []
+    if len(body) != count:
+        raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
+    masks = []
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
         if not sep:
@@ -215,20 +223,35 @@ def parse(text: str) -> SetSystem:
         try:
             idx = int(idx_str)
         except ValueError:
-            raise MalformedItemLine(f"line {pos + 2}: bad item index {idx_str!r}") from None
+            raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
         if idx != pos:
-            raise MalformedItemLine(f"line {pos + 2}: expected item {pos}, got {idx}")
+            raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
         tokens = rest.split()
         if not tokens:
-            raise EmptyItemSet(f"item {pos} has no servers")
+            raise EmptyItemSet(f"{noun} {pos} has no {part}s")
         mask = 0
         for tok in tokens:
             try:
                 s = int(tok)
             except ValueError:
-                raise MalformedItemLine(f"item {pos}: bad server index {tok!r}") from None
+                raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
             if not 0 <= s < m:
-                raise ServerIndexOutOfRange(f"item {pos}: server {s} outside 0..{m - 1}")
+                raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
             mask |= 1 << s
-        items.append(mask)
+        masks.append(mask)
+    end = _ALPHABET.match(text).end()
+    if end < len(text):
+        line = text.count("\n", 0, end) + 1
+        error = MalformedHeader if line == 1 else MalformedItemLine
+        raise error(f"line {line}: character {text[end]!r} is not allowed")
+    return values, masks
+
+
+def parse(text: str) -> SetSystem:
+    """Parse the "cbc" text format back into a SetSystem.
+
+    Raises MalformedHeader / MalformedItemLine / ServerIndexOutOfRange /
+    EmptyItemSet on malformed input.  Round-trips: parse(serialize(s)) == s.
+    """
+    (m, _), items = _parse_lines(text, "cbc", ("m", "n"), "item", "server")
     return SetSystem(m, tuple(items))

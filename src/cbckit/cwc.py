@@ -13,8 +13,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import bits
-from .errors import InsufficientCode, ParamError
+from .core import _parse_lines, bits
+from .errors import InsufficientCode, MalformedHeader, ParamError
 
 
 def w_masks_colex(m: int, w: int):
@@ -165,51 +165,9 @@ def serialize_code(code: ConstantWeightCode) -> str:
 
 
 def parse_code(text: str) -> ConstantWeightCode:
-    """Parse the "cwc" text format back into a ConstantWeightCode."""
-    # Local import: core's parser helpers stay private to each format.
-    from .core import _header_int
-    from .errors import (
-        EmptyItemSet,
-        MalformedHeader,
-        MalformedItemLine,
-        ServerIndexOutOfRange,
-    )
-
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedHeader("empty input")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "cwc":
-        raise MalformedHeader(f"bad header line {lines[0]!r}")
-    m = _header_int(head[1], "m")
-    w = _header_int(head[2], "w")
-    d2 = _header_int(head[3], "d")
-    size = _header_int(head[4], "size")
-    body = lines[1:]
-    if len(body) != size:
-        raise MalformedHeader(f"header says size={size} but found {len(body)} lines")
-    words = []
-    for pos, line in enumerate(body):
-        idx_str, sep, rest = line.partition(":")
-        if not sep:
-            raise MalformedItemLine(f"line {pos + 2}: missing ':'")
-        try:
-            idx = int(idx_str)
-        except ValueError:
-            raise MalformedItemLine(f"line {pos + 2}: bad word index {idx_str!r}") from None
-        if idx != pos:
-            raise MalformedItemLine(f"line {pos + 2}: expected word {pos}, got {idx}")
-        tokens = rest.split()
-        if not tokens:
-            raise EmptyItemSet(f"word {pos} is empty")
-        mask = 0
-        for tok in tokens:
-            try:
-                s = int(tok)
-            except ValueError:
-                raise MalformedItemLine(f"word {pos}: bad position {tok!r}") from None
-            if not 0 <= s < m:
-                raise ServerIndexOutOfRange(f"word {pos}: position {s} outside 0..{m - 1}")
-            mask |= 1 << s
-        words.append(mask)
-    return ConstantWeightCode(m, w, d2, tuple(words))
+    """Parse the "cwc" text format; words that break the header raise MalformedHeader."""
+    (m, w, d2, _), words = _parse_lines(text, "cwc", ("m", "w", "d", "size"), "word", "position")
+    try:
+        return ConstantWeightCode(m, w, d2, tuple(words))
+    except ParamError as exc:
+        raise MalformedHeader(str(exc)) from None

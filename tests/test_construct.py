@@ -15,7 +15,7 @@ from cbckit.construct import (
     construct_uniform,
     serialize_trace,
 )
-from cbckit.core import Params, SetSystem, profile, total_storage
+from cbckit.core import Params, SetSystem, profile, serialize, total_storage
 from cbckit.errors import ParamError, RangeError, Unsupported
 from cbckit.hall import verify_hc2
 
@@ -195,6 +195,16 @@ def test_uniform_examples():
     twos = construct_uniform(2, 4, 6)
     assert twos.n == 15
     assert profile(twos, 4).counts == profile(construct_range_a(15, 4, 6)[0], 4).counts
+
+
+def test_uniform_keeps_greedy_words_on_a_size_tie():
+    # At (m, w) = (8, 2) greedy and the residue class both have 4 words;
+    # uniform keeps greedy {0,1},{2,3},{4,5},{6,7}, where best_d4_code would
+    # give {0,1},{4,5},{3,6},{2,7}.  This is why construct_uniform does not
+    # share best_d4_code's choice (the `design` benchmark runs this row).
+    assert serialize(construct_uniform(2, 5, 8)) == (
+        "cbc m=8 n=8\n0: 0 1\n1: 0 1\n2: 2 3\n3: 2 3\n4: 4 5\n5: 4 5\n6: 6 7\n7: 6 7\n"
+    )
 
 
 def test_uniform_is_exactly_uniform():

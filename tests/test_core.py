@@ -13,8 +13,10 @@ from cbckit.core import (
     total_storage,
     truncate_to_k,
 )
+from cbckit.cwc import parse_code
 from cbckit.errors import (
     EmptyItemSet,
+    FormatError,
     MalformedHeader,
     MalformedItemLine,
     OversizedSet,
@@ -107,6 +109,91 @@ def test_parse_errors():
         parse("cbc m=3 n=1\n1: 0\n")
     with pytest.raises(MalformedItemLine):
         parse("cbc m=3 n=1\n0: zero\n")
+
+
+# Texts that int(), str.split() and str.splitlines() would read as the
+# canonical layout beside them; the format allows ASCII digits, spaces and
+# LF only.
+NON_CANONICAL = {
+    "plus sign": ("cbc m=+3 n=1\n0: 0\n", "cbc m=3 n=1\n0: 0\n"),
+    "underscore": ("cbc m=12 n=1\n0: 1_0\n", "cbc m=12 n=1\n0: 10\n"),
+    "arabic-indic digit": ("cbc m=3 n=1\n0: \u0661\n", "cbc m=3 n=1\n0: 1\n"),
+    "crlf": ("cbc m=3 n=1\r\n0: 1\r\n", "cbc m=3 n=1\n0: 1\n"),
+    "no-break space": ("cbc m=3 n=1\n0: 0\u00a01\n", "cbc m=3 n=1\n0: 0 1\n"),
+    "line separator": ("cbc m=3 n=1\u20280: 1\n", "cbc m=3 n=1\n0: 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL)
+def test_parse_rejects_non_canonical_characters(case):
+    text, canonical = NON_CANONICAL[case]
+    parse(canonical)
+    with pytest.raises(FormatError, match="is not allowed"):
+        parse(text)
+
+
+def test_parse_names_the_line_of_the_bad_character():
+    with pytest.raises(MalformedHeader, match=r"^line 1: character '\+' is not allowed$"):
+        parse("cbc m=+3 n=1\n0: 0\n")
+    with pytest.raises(MalformedItemLine, match=r"^line 3: character '-' is not allowed$"):
+        parse("cbc m=3 n=2\n0: 1\n1: -0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty input"),
+        ("cbc m=3\n", "bad header line 'cbc m=3'"),
+        ("cbc n=3 m=1\n", "expected m=<int>, got 'n=3'"),
+        ("cbc m=-3 n=1\n0: 0\n", "m must be non-negative, got -3"),
+        ("cbc m=0 n=0\n", "need at least one server, got m=0"),
+        ("cbc m=3 n=2\n0: 0\n", "header says n=2 but found 1 item lines"),
+        ("cbc m=3 n=1\n0 1\n", "line 2: missing ':'"),
+        ("cbc m=3 n=1\nx: 1\n", "line 2: bad item index 'x'"),
+        ("cbc m=3 n=1\n1: 0\n", "line 2: expected item 0, got 1"),
+        ("cbc m=3 n=1\n0:\n", "item 0 has no servers"),
+        ("cbc m=3 n=1\n0: zero\n", "item 0: bad server index 'zero'"),
+        ("cbc m=3 n=1\n0: -1\n", "item 0: server -1 outside 0..2"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+# Near-canonical texts: small headers and lines, then a few characters
+# inserted or dropped (no digits are inserted, so every number stays small).
+_NASTY = "\n\r\t :=+-_ cbwmndsizex\u00a0\u2028\u0661\x00\x85\ufeff"
+
+
+@st.composite
+def near_format_texts(draw):
+    tag, keys = draw(st.sampled_from([("cbc", ("m", "n")), ("cwc", ("m", "w", "d", "size"))]))
+    values = draw(st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys)))
+    lines = [" ".join([tag] + [f"{key}={v}" for key, v in zip(keys, values)])]
+    for j in range(draw(st.integers(0, 4))):
+        positions = draw(st.lists(st.integers(0, 9), max_size=4))
+        lines.append(f"{j}: " + " ".join(map(str, positions)))
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "drop"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(_NASTY)) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@given(st.one_of(st.text(), near_format_texts()))
+def test_parsers_return_or_raise_format_error(text):
+    for parser in (parse, parse_code):
+        try:
+            parser(text)
+        except FormatError:
+            continue
+        assert set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz=: \n")
 
 
 def test_set_system_invariants():

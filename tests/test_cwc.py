@@ -18,7 +18,7 @@ from cbckit.cwc import (
     serialize_code,
     w_masks_colex,
 )
-from cbckit.errors import InsufficientCode, MalformedHeader, ParamError
+from cbckit.errors import FormatError, InsufficientCode, MalformedHeader, ParamError
 
 
 def words_as_sets(code):
@@ -203,6 +203,65 @@ def test_parse_code_errors():
         parse_code("cbc m=3 n=1\n0: 0\n")
     with pytest.raises(MalformedHeader):
         parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cwc m=8 w=2 d=3 size=1\n0: 0 1\n",  # odd distance
+        "cwc m=8 w=2 d=4 size=2\n0: 0 1\n1: 0 2\n",  # words at distance 2
+        "cwc m=8 w=3 d=4 size=1\n0: 0 1\n",  # word of the wrong weight
+        "cwc m=0 w=0 d=4 size=0\n",  # no positions
+    ],
+)
+def test_parse_code_raises_malformed_header_for_a_broken_header(text):
+    with pytest.raises(MalformedHeader):
+        parse_code(text)
+
+
+def test_parse_code_error_messages():
+    with pytest.raises(MalformedHeader, match=r"^distance must be even and >= 2, got 3$"):
+        parse_code("cwc m=8 w=2 d=3 size=1\n0: 0 1\n")
+    with pytest.raises(MalformedHeader, match=r"^header says size=2 but found 1 word lines$"):
+        parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
+    with pytest.raises(FormatError, match=r"^word 0: position 8 outside 0..7$"):
+        parse_code("cwc m=8 w=2 d=4 size=1\n0: 0 8\n")
+
+
+# The cwc spelling of each non-canonical text in test_core.NON_CANONICAL.
+NON_CANONICAL = {
+    "plus sign": ("cwc m=+8 w=2 d=4 size=1\n0: 0 1\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"),
+    "underscore": ("cwc m=12 w=2 d=4 size=1\n0: 0 1_0\n", "cwc m=12 w=2 d=4 size=1\n0: 0 10\n"),
+    "arabic-indic digit": (
+        "cwc m=8 w=2 d=4 size=1\n0: 0 \u0661\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
+    ),
+    "crlf": ("cwc m=8 w=2 d=4 size=1\r\n0: 0 1\r\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"),
+    "no-break space": (
+        "cwc m=8 w=2 d=4 size=1\n0: 0\u00a01\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
+    ),
+    "line separator": (
+        "cwc m=8 w=2 d=4 size=1\u20280: 0 1\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL)
+def test_parse_code_rejects_non_canonical_characters(case):
+    text, canonical = NON_CANONICAL[case]
+    parse_code(canonical)
+    with pytest.raises(FormatError, match="is not allowed"):
+        parse_code(text)
+
+
+@pytest.mark.parametrize("m, w", [(8, 2), (9, 4), (16, 3)])
+def test_residue_and_greedy_codes_tie_with_different_words(m, w):
+    # best_d4_code breaks a size tie towards the residue class, while
+    # construct_uniform's code keeps greedy: the two choices differ.
+    greedy = tuple(_greedy_scan(m, 4, w, None))
+    residue = graham_sloane_d4(m, w)
+    assert len(greedy) == residue.size
+    assert greedy != residue.words
+    assert best_d4_code(m, w).words == residue.words
 
 
 def test_best_d4_code_is_built_once_per_parameters():
