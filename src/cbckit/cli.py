@@ -17,8 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
-from dataclasses import dataclass
 
 from . import bounds, construct, oracle
 from .core import Params, SetSystem, parse, serialize, total_storage
@@ -32,7 +30,7 @@ from .errors import (
     RangeError,
     Unsupported,
 )
-from .hall import CrowdedSubset, Deficiency, plan_batch, verify_hc2
+from .hall import CrowdedSubset, Deficiency, _check_batch_size, plan_batch, verify_hc2
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_INCREMENT = 0x9E3779B97F4A7C15
@@ -69,13 +67,6 @@ def sample_batch(rng: SplitMix64, n: int, k: int) -> list[int]:
     return batch
 
 
-@dataclass
-class LoadStats:
-    per_server_reads: list[int]
-    batches_served: int
-    max_reads_in_any_single_batch_per_server: int
-
-
 def _witness_text(witness) -> str:
     if isinstance(witness, CrowdedSubset):
         servers = "{" + ",".join(str(s) for s in witness.servers) + "}"
@@ -83,6 +74,12 @@ def _witness_text(witness) -> str:
     assert isinstance(witness, Deficiency)
     items = "(" + ",".join(str(j) for j in witness.items) + ")"
     return f"items {items} cover only {len(witness.servers)} servers"
+
+
+def _witness_json(witness) -> dict:
+    if isinstance(witness, CrowdedSubset):
+        return {"servers": list(witness.servers), "items": list(witness.items)}
+    return {"items": list(witness.items), "union": list(witness.servers)}
 
 
 def _verdict(result: bounds.BoundResult, built: int) -> str:
@@ -94,11 +91,15 @@ def _verdict(result: bounds.BoundResult, built: int) -> str:
     return f"upper bound only (lower bound {result.lower})"
 
 
-def _read_layout(path: str) -> SetSystem:
-    if path == "-":
-        return parse(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+def _read_layout(args) -> SetSystem:
+    """The layout named by ``args.file`` (``-`` for stdin), checked against ``args.k``."""
+    if args.file == "-":
+        system = parse(sys.stdin.read())
+    else:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            system = parse(fh.read())
+    _check_batch_size(system, args.k)
+    return system
 
 
 def _bound_json(result: bounds.BoundResult) -> dict:
@@ -123,12 +124,14 @@ def _cmd_construct(args) -> int:
     method = args.method
     if method == "uniform":
         if args.c is None:
-            print("construct: --method uniform requires -c", file=sys.stderr)
-            return 2
+            raise ParamError("--method uniform requires -c")
+        if args.n is not None:
+            raise ParamError("--method uniform takes no -n (n follows from -c)")
         system = construct.construct_uniform(args.c, args.k, args.m)
+    elif args.c is not None:
+        raise ParamError("-c applies only to --method uniform")
     elif args.n is None:
-        print("construct: -n is required", file=sys.stderr)
-        return 2
+        raise ParamError("-n is required")
     elif method == "auto":
         system, _ = construct.construct_best(args.n, args.k, args.m)
     else:
@@ -169,27 +172,19 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    system = _read_layout(args.file)
+    system = _read_layout(args)
     report = verify_hc2(system, args.k)
     storage = total_storage(system)
-    if report.valid:
-        if args.json:
-            _emit_json({"command": "verify", "valid": True, "k": args.k, "N": storage})
-        else:
-            print(f"valid CBC for k={args.k}, N={storage}")
-        return 0
-    desc = _witness_text(report.witness)
     if args.json:
-        witness = report.witness
-        payload = {"command": "verify", "valid": False, "k": args.k, "N": storage}
-        if isinstance(witness, CrowdedSubset):
-            payload["witness"] = {"servers": list(witness.servers), "items": list(witness.items)}
-        else:
-            payload["witness"] = {"items": list(witness.items), "union": list(witness.servers)}
+        payload = {"command": "verify", "valid": report.valid, "k": args.k, "N": storage}
+        if not report.valid:
+            payload["witness"] = _witness_json(report.witness)
         _emit_json(payload)
+    elif report.valid:
+        print(f"valid CBC for k={args.k}, N={storage}")
     else:
-        print(f"invalid CBC for k={args.k}: {desc}")
-    return 1
+        print(f"invalid CBC for k={args.k}: {_witness_text(report.witness)}")
+    return 0 if report.valid else 1
 
 
 def _cmd_bound(args) -> int:
@@ -212,24 +207,14 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    system = _read_layout(args.file)
+    system = _read_layout(args)
     if len(args.items) > args.k:
-        print(f"plan: requested {len(args.items)} items, batch size is {args.k}", file=sys.stderr)
-        return 2
+        raise ParamError(f"requested {len(args.items)} items, batch size is {args.k}")
     try:
         plan = plan_batch(system, args.items)
     except NoPlan as exc:
         if args.json:
-            _emit_json(
-                {
-                    "command": "plan",
-                    "ok": False,
-                    "witness": {
-                        "items": list(exc.witness.items),
-                        "union": list(exc.witness.servers),
-                    },
-                }
-            )
+            _emit_json({"command": "plan", "ok": False, "witness": _witness_json(exc.witness)})
         else:
             print(f"no plan: {_witness_text(exc.witness)}")
         return 1
@@ -248,17 +233,14 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = _read_layout(args.file)
+    system = _read_layout(args)
     n, m, k = system.n, system.m, args.k
     if k > n:
-        print(f"simulate: batch size {k} exceeds item count {n}", file=sys.stderr)
-        return 2
+        raise ParamError(f"batch size {k} exceeds item count {n}")
     if args.batches < 0:
-        print(f"simulate: need --batches >= 0, got {args.batches}", file=sys.stderr)
-        return 2
+        raise ParamError(f"need --batches >= 0, got {args.batches}")
     rng = SplitMix64(args.seed)
     per_server = [0] * m
-    max_in_batch = 0
     for _ in range(args.batches):
         batch = sample_batch(rng, n, k)
         try:
@@ -266,13 +248,13 @@ def _cmd_simulate(args) -> int:
         except NoPlan as exc:
             print(f"unplannable batch {batch}: {_witness_text(exc.witness)}", file=sys.stderr)
             return 1
-        reads = Counter(plan.assignment.values())
-        if reads:
-            max_in_batch = max(max_in_batch, max(reads.values()))
         for server in plan.assignment.values():
             per_server[server] += 1
-    stats = LoadStats(per_server, args.batches, max_in_batch)
-    total = sum(stats.per_server_reads)
+    # A RetrievalPlan reads each server at most once and every batch holds
+    # k >= 1 items, so this is 1 once any batch is served; the field stays
+    # in the output for its existing readers.
+    max_in_batch = min(args.batches, 1)
+    total = sum(per_server)
     if args.json:
         _emit_json(
             {
@@ -280,23 +262,20 @@ def _cmd_simulate(args) -> int:
                 "n": n,
                 "m": m,
                 "k": k,
-                "batches": stats.batches_served,
+                "batches": args.batches,
                 "seed": args.seed,
-                "per_server_reads": stats.per_server_reads,
+                "per_server_reads": per_server,
                 "total_reads": total,
-                "max_reads_in_any_single_batch_per_server": stats.max_reads_in_any_single_batch_per_server,
+                "max_reads_in_any_single_batch_per_server": max_in_batch,
             }
         )
         return 0
-    print(f"simulate n={n} m={m} k={k} batches={stats.batches_served} seed={args.seed}")
-    for server, count in enumerate(stats.per_server_reads):
+    print(f"simulate n={n} m={m} k={k} batches={args.batches} seed={args.seed}")
+    for server, count in enumerate(per_server):
         print(f"server {server}: {count}")
     print(f"total reads: {total}")
-    print(f"max reads in one batch per server: {stats.max_reads_in_any_single_batch_per_server}")
-    print(
-        f"per-server reads: max={max(stats.per_server_reads)} "
-        f"min={min(stats.per_server_reads)} mean={total / m:.2f}"
-    )
+    print(f"max reads in one batch per server: {max_in_batch}")
+    print(f"per-server reads: max={max(per_server)} min={min(per_server)} mean={total / m:.2f}")
     return 0
 
 
@@ -320,6 +299,11 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _finish(p: argparse.ArgumentParser, func) -> None:
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -327,82 +311,70 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, bound, plan and brute-force combinatorial batch codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    layout = argparse.ArgumentParser(add_help=False)  # verify, plan, simulate
+    layout.add_argument("file", help="layout file in cbc format, or - for stdin")
+    layout.add_argument("-k", type=int, required=True)
+    nkm = argparse.ArgumentParser(add_help=False)  # bound, search
+    for flag in ("-n", "-k", "-m"):
+        nkm.add_argument(flag, type=int, required=True)
 
     p = sub.add_parser("construct", help="build a layout and report its optimality")
     p.add_argument("-n", type=int, default=None, help="item count")
     p.add_argument("-k", type=int, required=True, help="batch size")
     p.add_argument("-m", type=int, required=True, help="server count")
     p.add_argument("-c", type=int, default=None, help="replicas per item (uniform method)")
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", *_METHODS, "uniform"],
-    )
+    p.add_argument("--method", default="auto", choices=["auto", *_METHODS, "uniform"])
     p.add_argument("--out", default=None, help="write layout to this file instead of stdout")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_construct)
+    _finish(p, _cmd_construct)
 
-    p = sub.add_parser("verify", help="check a layout file at batch size k")
-    p.add_argument("file", help="layout file in cbc format, or - for stdin")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    p = sub.add_parser("verify", parents=[layout], help="check a layout file at batch size k")
+    _finish(p, _cmd_verify)
 
-    p = sub.add_parser("bound", help="report lower/exact/upper storage bounds")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bound)
+    p = sub.add_parser("bound", parents=[nkm], help="report lower/exact/upper storage bounds")
+    _finish(p, _cmd_bound)
 
-    p = sub.add_parser("plan", help="plan a batch retrieval from a layout file")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p = sub.add_parser("plan", parents=[layout], help="plan a batch retrieval from a layout file")
     p.add_argument("items", type=int, nargs="+", help="item indices to retrieve")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_plan)
+    _finish(p, _cmd_plan)
 
-    p = sub.add_parser("simulate", help="serve random batches and report server load")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p = sub.add_parser(
+        "simulate", parents=[layout], help="serve random batches and report server load"
+    )
     p.add_argument("--batches", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
+    _finish(p, _cmd_simulate)
 
-    p = sub.add_parser("search", help="exhaustive optimal storage for tiny parameters")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    p = sub.add_parser(
+        "search", parents=[nkm], help="exhaustive optimal storage for tiny parameters"
+    )
     p.add_argument(
         "--budget",
         type=int,
         default=oracle.DEFAULT_BUDGET,
         help="most search-tree nodes (item placements tried) to explore",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_search)
+    _finish(p, _cmd_search)
 
     return parser
 
 
+# Exit code by error type, first match wins: a spent search budget, then
+# bad input of any kind (text, file, parameters, uncovered ranges), then
+# any other toolkit failure.
+_EXIT_CODES = (
+    (BudgetExceeded, 3),
+    ((FormatError, OSError, ParamError, RangeError, Unsupported, InsufficientCode), 2),
+    (CbcError, 1),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return 3
-    except (FormatError, OSError) as exc:
+    except (CbcError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (ParamError, RangeError, Unsupported, InsufficientCode) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except CbcError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

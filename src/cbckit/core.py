@@ -170,9 +170,14 @@ def serialize(sys: SetSystem) -> str:
     zero-based server indices.  Output is canonical: byte-identical for
     equal systems.
     """
-    lines = [f"cbc m={sys.m} n={sys.n}"]
-    for j, it in enumerate(sys.items):
-        lines.append(f"{j}: " + " ".join(str(s) for s in bits(it)))
+    return _render_lines(f"cbc m={sys.m} n={sys.n}", sys.items)
+
+
+def _render_lines(head: str, masks: Iterable[int]) -> str:
+    """A header line, then ``<index>: <positions ascending>`` per mask; inverts ``_parse_lines``."""
+    lines = [head]
+    for j, mask in enumerate(masks):
+        lines.append(f"{j}: " + " ".join(str(s) for s in bits(mask)))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import _parse_lines, bits
+from .core import _parse_lines, _render_lines, bits
 from .errors import InsufficientCode, MalformedHeader, ParamError
 
 
@@ -158,10 +158,7 @@ def min_distance(code: ConstantWeightCode) -> int:
 
 def serialize_code(code: ConstantWeightCode) -> str:
     """Render a code in the "cwc" text format (same line shape as layouts)."""
-    lines = [f"cwc m={code.m} w={code.w} d={code.d2} size={code.size}"]
-    for j, word in enumerate(code.words):
-        lines.append(f"{j}: " + " ".join(str(s) for s in bits(word)))
-    return "\n".join(lines) + "\n"
+    return _render_lines(f"cwc m={code.m} w={code.w} d={code.d2} size={code.size}", code.words)
 
 
 def parse_code(text: str) -> ConstantWeightCode:

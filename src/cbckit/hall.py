@@ -194,26 +194,27 @@ def verify_hc1(sys: SetSystem, k: int) -> ValidityReport:
     """Check the union form of the restricted Hall condition.
 
     Runs find_sdr on every k-subset of items (every smaller subcollection
-    inherits its SDR), memoized on the multiset of replica sets since
-    duplicated items are common.  Must always agree with verify_hc2.
+    inherits its SDR), in combination order.  Duplicated items are common,
+    so a k-subset whose multiset of replica sets has already matched is
+    skipped: whether an SDR exists does not depend on the order.  Must
+    always agree with verify_hc2.
     """
     _check_batch_size(sys, k)
     n = sys.n
     r = min(k, n)
     if r == 0:
         return ValidityReport(True)
-    verdict_cache: dict[tuple[int, ...], bool] = {}
+    matched: set[tuple[int, ...]] = set()  # sorted multisets known to have an SDR
     for combo in itertools.combinations(range(n), r):
-        key = tuple(sorted(sys.items[j] for j in combo))
-        ok = verdict_cache.get(key)
-        if ok is None:
-            ok = isinstance(find_sdr(key), RetrievalPlan)
-            verdict_cache[key] = ok
-        if not ok:
-            local = find_sdr([sys.items[j] for j in combo])
-            assert isinstance(local, Deficiency)
+        sets = [sys.items[j] for j in combo]
+        key = tuple(sorted(sets))
+        if key in matched:
+            continue
+        local = find_sdr(sets)
+        if isinstance(local, Deficiency):
             items = tuple(combo[j] for j in local.items)
             return ValidityReport(False, Deficiency(items, local.servers))
+        matched.add(key)
     return ValidityReport(True)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import cbckit
+from cbckit import cli
 from cbckit.cli import SplitMix64, main, sample_batch
 from cbckit.core import parse, serialize, total_storage
+from cbckit.errors import Unknown
 
 from conftest import chain_system
 
@@ -323,3 +327,115 @@ def test_parser_reused_after_usage_error(capsys, invalid_file):
             [sys.executable, "-m", "cbckit", *argv], capture_output=True, text=True, env=env
         )
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def stdin_run(monkeypatch, capsys, text, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return run(capsys, *argv)
+
+
+def test_layout_commands_pin(monkeypatch, capsys, table1_system):
+    # Exit code, stdout and stderr of verify, plan and simulate, text and
+    # --json, for every k in 1..m on three layouts read from stdin, plus a
+    # few bound and search runs; captured before the commands shared one
+    # layout reader and one exit table.
+    layouts = [serialize(table1_system), INTRO_LAYOUT, INVALID_LAYOUT]
+    h = hashlib.sha256()
+    codes = {0: 0, 1: 0, 2: 0, 3: 0}
+    runs = []
+    for text in layouts:
+        system = parse(text)
+        n, m = system.n, system.m
+        for k in range(1, m + 1):
+            last = [str(j) for j in range(n - 1, n - 1 - k, -1)]
+            requests = [
+                [str(j) for j in range(k)], last, last[:1],
+                [str(j) for j in range(k + 1)] if k < n else [str(n)],
+            ]
+            argvs = [["verify", "-", "-k", str(k)]]
+            argvs += [["plan", "-", "-k", str(k), *items] for items in requests]
+            argvs += [["simulate", "-", "-k", str(k), "--batches", "300", "--seed", str(k)]]
+            for argv in argvs:
+                runs += [(text, argv), (text, argv + ["--json"])]
+    for argv in (
+        ["bound", "-n", "43", "-k", "4", "-m", "6"],
+        ["bound", "-n", "54", "-k", "5", "-m", "8"],
+        ["bound", "-n", "5", "-k", "9", "-m", "6"],
+        ["search", "-n", "5", "-k", "2", "-m", "3"],
+        ["search", "-n", "4", "-k", "3", "-m", "4"],
+        ["search", "-n", "5", "-k", "2", "-m", "3", "--budget", "3"],
+        ["search", "-n", "5", "-k", "2", "-m", "3", "--budget", "-1"],
+    ):
+        runs += [("", argv), ("", argv + ["--json"])]
+    for text, argv in runs:
+        result = stdin_run(monkeypatch, capsys, text, argv)
+        codes[result[0]] += 1
+        h.update(repr((argv, *result)).encode())
+    assert codes == {0: 110, 1: 18, 2: 28, 3: 2}
+    assert h.hexdigest() == "478971b49f1e573a6976389609d56a636578d4ef561d2bca255d396259f18f9b"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, stderr",
+    [
+        (["search", "-n", "5", "-k", "2", "-m", "3", "--budget", "0"], "", 3,
+         "search: search budget exhausted after 1 nodes (best constructive upper bound 7)\n"),
+        (["verify", "-", "-k", "2"], "cbc m=2\n", 2, "verify: bad header line 'cbc m=2'\n"),
+        (["verify", "no-such-file.cbc", "-k", "2"], "", 2,
+         "verify: [Errno 2] No such file or directory: 'no-such-file.cbc'\n"),
+        (["verify", "-", "-k", "4"], INTRO_LAYOUT, 2, "verify: need 1 <= k <= m, got k=4 m=3\n"),
+        (["construct", "-n", "4", "-k", "2", "-m", "3", "--method", "trivial"], "", 2,
+         "construct: trivial layout needs n <= m, got n=4 m=3\n"),
+        (["construct", "-n", "9", "-k", "4", "-m", "6"], "", 2,
+         "construct: no construction covers n=9 k=4 m=6"
+         " (middle range between n=m+1 and the code-construction floor)\n"),
+    ],
+)
+def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
+    monkeypatch.chdir(tmp_path)
+    assert stdin_run(monkeypatch, capsys, text, argv) == (code, "", stderr)
+
+
+def test_other_toolkit_errors_exit_1(monkeypatch, capsys):
+    def unknown(*args, **kwargs):
+        raise Unknown("not settled")
+
+    monkeypatch.setattr(cli.oracle, "search_optimal", unknown)
+    assert run(capsys, "search", "-n", "5", "-k", "2", "-m", "3") == (1, "", "search: not settled\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["simulate", "-", "-k", "0"], "simulate: need 1 <= k <= m, got k=0 m=3\n"),
+        (["simulate", "-", "-k", "-3", "--json"], "simulate: need 1 <= k <= m, got k=-3 m=3\n"),
+        (["simulate", "-", "-k", "4"], "simulate: need 1 <= k <= m, got k=4 m=3\n"),
+        (["plan", "-", "-k", "4", "0", "1", "2"], "plan: need 1 <= k <= m, got k=4 m=3\n"),
+        (["plan", "-", "-k", "0", "0"], "plan: need 1 <= k <= m, got k=0 m=3\n"),
+    ],
+)
+def test_layout_commands_reject_k_outside_1_to_m(monkeypatch, capsys, argv, stderr):
+    assert stdin_run(monkeypatch, capsys, INTRO_LAYOUT, argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["-n", "999", "-k", "5", "-m", "8", "-c", "2", "--method", "uniform"],
+         "construct: --method uniform takes no -n (n follows from -c)\n"),
+        (["-n", "43", "-k", "4", "-m", "6", "-c", "2"],
+         "construct: -c applies only to --method uniform\n"),
+        (["-n", "43", "-k", "4", "-m", "6", "-c", "2", "--method", "range-a"],
+         "construct: -c applies only to --method uniform\n"),
+    ],
+)
+def test_construct_rejects_ignored_flags(capsys, argv, stderr):
+    assert run(capsys, "construct", *argv) == (2, "", stderr)
+
+
+def test_k_above_m_exits_2_on_a_layout_with_more_items_than_servers(capsys, table1_file):
+    # 43 items on 6 servers: k=7 is a sample size, but no batch of 7 fits.
+    for argv in (["simulate", table1_file, "-k", "7", "--batches", "5"],
+                 ["plan", table1_file, "-k", "7", "0"]):
+        command = argv[0]
+        assert run(capsys, *argv) == (2, "", f"{command}: need 1 <= k <= m, got k=7 m=6\n")

@@ -260,3 +260,25 @@ def test_any_plan_is_consistent(system):
         assert len(err.witness.servers) < len(err.witness.items)
         return
     assert_plan_consistent(plan, system, request)
+
+
+def test_hc1_reports_digest():
+    # repr of verify_hc1 (verdict and witness) on 2,000 seeded random small
+    # layouts, captured when it matched every multiset twice: once sorted for
+    # the verdict, once in combination order for the witness.
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    valid = 0
+    for _ in range(2000):
+        m = rng.randint(2, 6)
+        k = rng.randint(1, m)
+        width = rng.randint(1, m)
+        items = [
+            mask_of(rng.sample(range(m), rng.randint(1, width)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        report = verify_hc1(SetSystem(m, tuple(items)), k)
+        valid += report.valid
+        h.update(repr((m, k, items, report)).encode())
+    assert valid == 1364
+    assert h.hexdigest() == "fdf99328031d640e7b2917c803652b4a215b545788ed3301d1971fd39b0dc484"
