@@ -239,6 +239,8 @@ def _cmd_simulate(args) -> int:
         raise ParamError(f"batch size {k} exceeds item count {n}")
     if args.batches < 0:
         raise ParamError(f"need --batches >= 0, got {args.batches}")
+    if not 0 <= args.seed <= _MASK64:
+        raise ParamError(f"need 0 <= --seed < 2**64, got {args.seed}")
     rng = SplitMix64(args.seed)
     per_server = [0] * m
     for _ in range(args.batches):

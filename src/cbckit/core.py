@@ -60,11 +60,10 @@ class SetSystem:
         object.__setattr__(self, "items", tuple(self.items))
         if self.m < 1:
             raise ParamError(f"need at least one server, got m={self.m}")
-        full = (1 << self.m) - 1
         for j, it in enumerate(self.items):
             if it == 0:
                 raise ParamError(f"item {j} is stored on no server")
-            if it & ~full:
+            if it >> self.m:
                 raise ParamError(f"item {j} uses servers outside 0..{self.m - 1}")
 
     @classmethod

@@ -48,9 +48,8 @@ class ConstantWeightCode:
             raise ParamError(f"need 1 <= w <= m, got w={self.w} m={self.m}")
         if self.d2 < 2 or self.d2 % 2:
             raise ParamError(f"distance must be even and >= 2, got {self.d2}")
-        full = (1 << self.m) - 1
         for word in self.words:
-            if word & ~full:
+            if word >> self.m:
                 raise ParamError(f"word {word:#x} uses positions outside 0..{self.m - 1}")
             if word.bit_count() != self.w:
                 raise ParamError(f"word {word:#x} has weight {word.bit_count()}, not {self.w}")

@@ -3,11 +3,13 @@
 Searches target storage values in increasing order and, within each
 target, enumerates candidate layouts as canonical multisets of masks, so
 the first valid hit is optimal by construction; no best-so-far
-bookkeeping.  The search tree is pruned with Hall's counting condition as
-items are placed, so a branch dies at the first crowded server subset.
-Intended for tiny instances (m <= 5 with n up to about 10 finishes in
-milliseconds); the node budget counts the item placements tried in the
-tree and the default refuses to run away.
+bookkeeping.  One tree walk serves both the search and the unpruned
+``canonical_systems``: it is pruned with Hall's counting condition at
+batch size k as items are placed, so a branch dies at the first crowded
+server subset, and at k = 1 there is nothing to prune.  Intended for tiny
+instances (m <= 5 with n up to about 10 finishes in milliseconds); the
+node budget counts the item placements tried in the tree and the default
+refuses to run away.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import bounds, construct
-from .core import Params, SetSystem, serialize, total_storage
+from .core import Params, SetSystem, total_storage
 from .cwc import w_masks_colex
 from .errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from .hall import supersets_below, verify_hc2
@@ -34,16 +36,6 @@ class SearchResult:
     optimal_n_storage: int
     witness: SetSystem
     nodes_explored: int
-
-
-def render_search_result(result: SearchResult) -> str:
-    """Text form: parameters and value, then the witness layout."""
-    head = (
-        f"n={result.n} k={result.k} m={result.m} "
-        f"optimal N={result.optimal_n_storage} "
-        f"nodes={result.nodes_explored}\n"
-    )
-    return head + serialize(result.witness)
 
 
 def _swap_bits(mask: int, i: int, j: int) -> int:
@@ -77,45 +69,32 @@ def canonical_systems(
     strictly smaller is pruned.  The pruning is partial symmetry reduction:
     at least one representative of every relabeling class survives, since
     the class minimum cannot be improved by any permutation.
+
+    This is the search's walk at batch size k = 1, where Hall counting
+    prunes nothing: slack is kept only for server subsets of fewer than k
+    servers, and at k = 1 the only such subset is empty and holds no
+    non-empty mask.
     """
     if max_size is None:
         max_size = m
-    masks = _candidate_masks(m, max_size)
-    cur: list[int] = []
-
-    def rec(lo: int, left: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            if budget == 0 and not _transposition_reducible(cur, m):
-                yield tuple(cur)
-            return
-        if budget < left or budget > left * max_size:
-            return
-        for idx in range(lo, len(masks)):
-            weight = masks[idx].bit_count()
-            if budget - weight < left - 1:
-                continue
-            cur.append(masks[idx])
-            yield from rec(idx, left - 1, budget - weight)
-            cur.pop()
-
-    yield from rec(0, n_items, storage)
+    yield from _canonical_walk(n_items, 1, m, storage, max_size, lambda: None)
 
 
-def _hall_pruned_systems(
-    n_items: int, k: int, m: int, storage: int, on_place: Callable[[], None]
+def _canonical_walk(
+    n_items: int, k: int, m: int, storage: int, max_size: int, on_place: Callable[[], None]
 ) -> Iterator[tuple[int, ...]]:
-    """The layouts of ``canonical_systems(n_items, m, storage, min(k, m))``
-    that are valid at batch size k, in the same order.
+    """The one canonical tree walk: ``canonical_systems`` pruned by Hall
+    counting at batch size k, in the same order.
 
-    Walks the same tree, keeping for every server subset T with |T| < k
-    the slack |T| minus the number of placed masks inside T.  A mask that
-    would drive some slack below zero is not placed: adding items never
-    un-crowds a subset, so no valid layout lies below that branch.  The
-    transposition check stays at the leaves.  ``on_place`` is called once
-    per placement tried, before its Hall check, and may raise to stop the
-    walk.
+    Places items in non-decreasing mask order, each mask of at most
+    ``max_size`` servers, until n items use exactly ``storage`` replicas.
+    Keeps for every server subset T with |T| < k the slack |T| minus the
+    number of placed masks inside T.  A mask that would drive some slack
+    below zero is not placed: adding items never un-crowds a subset, so no
+    valid layout lies below that branch.  The transposition check stays at
+    the leaves.  ``on_place`` is called once per placement tried, before
+    its Hall check, and may raise to stop the walk.
     """
-    max_size = min(k, m)
     masks = _candidate_masks(m, max_size)
     # The subsets whose slack a mask uses up, built on its first placement;
     # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
@@ -163,23 +142,23 @@ def _constructive_upper(n: int, k: int, m: int) -> int | None:
 
 def _search_targets(
     n: int, k: int, m: int, start: int, stop: int | None, budget: int
-) -> tuple[SearchResult | None, int]:
+) -> SearchResult | None:
     """Scan storage targets in [start, stop); None if no valid layout there."""
     nodes = 0
 
     def on_place() -> None:
         nonlocal nodes
-        nodes += 1
-        if nodes > budget:
+        if nodes == budget:
             raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+        nodes += 1
 
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
-        for candidate in _hall_pruned_systems(n, k, m, target, on_place):
+        for candidate in _canonical_walk(n, k, m, target, min(k, m), on_place):
             system = SetSystem(m, candidate)
             if verify_hc2(system, k).valid:
-                return SearchResult(n, k, m, target, system, nodes), nodes
-    return None, nodes
+                return SearchResult(n, k, m, target, system, nodes)
+    return None
 
 
 def _check_budget(budget: int) -> None:
@@ -208,7 +187,7 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
             start = max(n, bounds.lower_bound(n, k, m).lower)
         except RangeError:
             pass
-    result, _ = _search_targets(n, k, m, start, None, budget)
+    result = _search_targets(n, k, m, start, None, budget)
     assert result is not None  # a fully replicated layout is valid at N = k*n
     return result
 
@@ -231,7 +210,7 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
             f"n={n} k={k} m={m} has no constructive upper bound to settle against"
         )
     try:
-        result, _ = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
+        result = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
     except BudgetExceeded as exc:
         raise Unknown(
             f"gap for n={n} k={k} m={m} unresolved after {exc.nodes_explored} nodes"

@@ -338,7 +338,8 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
     # Exit code, stdout and stderr of verify, plan and simulate, text and
     # --json, for every k in 1..m on three layouts read from stdin, plus a
     # few bound and search runs; captured before the commands shared one
-    # layout reader and one exit table.
+    # layout reader and one exit table, and re-pinned when an exhausted
+    # budget began reporting the nodes explored (budget, not budget + 1).
     layouts = [serialize(table1_system), INTRO_LAYOUT, INVALID_LAYOUT]
     h = hashlib.sha256()
     codes = {0: 0, 1: 0, 2: 0, 3: 0}
@@ -372,14 +373,14 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         codes[result[0]] += 1
         h.update(repr((argv, *result)).encode())
     assert codes == {0: 110, 1: 18, 2: 28, 3: 2}
-    assert h.hexdigest() == "478971b49f1e573a6976389609d56a636578d4ef561d2bca255d396259f18f9b"
+    assert h.hexdigest() == "8bd2fc6f3690967512c98569547ec9e5b2e194f6a43c9b6539e1ed3ea67e00cf"
 
 
 @pytest.mark.parametrize(
     "argv, text, code, stderr",
     [
         (["search", "-n", "5", "-k", "2", "-m", "3", "--budget", "0"], "", 3,
-         "search: search budget exhausted after 1 nodes (best constructive upper bound 7)\n"),
+         "search: search budget exhausted after 0 nodes (best constructive upper bound 7)\n"),
         (["verify", "-", "-k", "2"], "cbc m=2\n", 2, "verify: bad header line 'cbc m=2'\n"),
         (["verify", "no-such-file.cbc", "-k", "2"], "", 2,
          "verify: [Errno 2] No such file or directory: 'no-such-file.cbc'\n"),
@@ -389,11 +390,24 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         (["construct", "-n", "9", "-k", "4", "-m", "6"], "", 2,
          "construct: no construction covers n=9 k=4 m=6"
          " (middle range between n=m+1 and the code-construction floor)\n"),
+        (["simulate", "-", "-k", "2", "--seed", "-1"], INTRO_LAYOUT, 2,
+         "simulate: need 0 <= --seed < 2**64, got -1\n"),
+        (["simulate", "-", "-k", "2", "--seed", str(2**64)], INTRO_LAYOUT, 2,
+         f"simulate: need 0 <= --seed < 2**64, got {2**64}\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
     monkeypatch.chdir(tmp_path)
     assert stdin_run(monkeypatch, capsys, text, argv) == (code, "", stderr)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_runs_at_both_ends_of_the_seed_range(monkeypatch, capsys, seed):
+    argv = ["simulate", "-", "-k", "2", "--batches", "10", "--seed", str(seed), "--json"]
+    code, out, err = stdin_run(monkeypatch, capsys, INTRO_LAYOUT, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["seed"] == seed and report["total_reads"] == 20
 
 
 def test_other_toolkit_errors_exit_1(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -194,6 +196,21 @@ def test_parsers_return_or_raise_format_error(text):
         except FormatError:
             continue
         assert set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz=: \n")
+
+
+@pytest.mark.parametrize(
+    "parser, text",
+    [(parse, "cbc m=100000000 n=0\n"), (parse_code, "cwc m=100000000 w=1 d=2 size=0\n")],
+)
+def test_range_check_memory_does_not_grow_with_m(parser, text):
+    # Checking masks against m must not build an m-bit mask.
+    tracemalloc.start()
+    try:
+        parser(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_set_system_invariants():

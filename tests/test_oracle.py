@@ -7,13 +7,7 @@ from cbckit.construct import construct_best
 from cbckit.core import Params, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
-from cbckit.oracle import (
-    _hall_pruned_systems,
-    canonical_systems,
-    render_search_result,
-    search_optimal,
-    settle_gap,
-)
+from cbckit.oracle import _canonical_walk, canonical_systems, search_optimal, settle_gap
 
 
 def test_search_examples():
@@ -101,7 +95,9 @@ def test_pruned_enumeration_matches_filtered_reference():
                         for c in canonical_systems(n, m, storage, min(k, m))
                         if verify_hc2(SetSystem(m, c), k).valid
                     ]
-                    got = list(_hall_pruned_systems(n, k, m, storage, lambda: None))
+                    got = list(
+                        _canonical_walk(n, k, m, storage, min(k, m), lambda: None)
+                    )
                     assert got == expected, (n, k, m, storage)
 
 
@@ -143,7 +139,26 @@ def test_budget_counts_nodes_explored():
     assert search_optimal(8, 3, 5, budget=nodes).nodes_explored == nodes
     with pytest.raises(BudgetExceeded) as err:
         search_optimal(8, 3, 5, budget=nodes - 1)
-    assert err.value.nodes_explored == nodes
+    assert err.value.nodes_explored == nodes - 1
+
+
+# (optimal N, nodes explored) of the Hall-pruned canonical search.
+SEARCH_NODE_COUNTS = {
+    (5, 2, 3): (7, 63),
+    (6, 2, 4): (8, 193),
+    (7, 3, 4): (12, 33),
+    (7, 2, 5): (9, 579),
+    (8, 2, 5): (11, 3234),
+    (8, 3, 5): (12, 318),
+    (9, 3, 5): (15, 319),
+    (10, 3, 5): (17, 5456),
+}
+
+
+def test_search_node_counts_are_pinned():
+    for (n, k, m), expected in SEARCH_NODE_COUNTS.items():
+        result = search_optimal(n, k, m)
+        assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
 
 
 def test_budget_exceeded_carries_upper_bound():
@@ -183,10 +198,3 @@ def test_settle_gap_budget_exhaustion():
     with pytest.raises(Unknown):
         settle_gap(19, 5, 6, budget=500)
 
-
-def test_render_search_result():
-    result = search_optimal(3, 2, 3)
-    text = render_search_result(result)
-    head, rest = text.split("\n", 1)
-    assert head.startswith("n=3 k=2 m=3 optimal N=3")
-    assert rest.startswith("cbc m=3 n=3\n")
