@@ -59,7 +59,7 @@ from .hall import (
     verify_hc1,
     verify_hc2,
 )
-from .oracle import SearchResult, canonical_systems, search_optimal, settle_gap
+from .oracle import SearchResult, search_optimal, settle_gap
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "ValidityReport",
     "b_value",
     "best_d4_code",
-    "canonical_systems",
     "check_inequality",
     "construct_best",
     "construct_large_n",

@@ -21,7 +21,7 @@ from typing import Mapping
 from . import bounds
 from .core import Params, Profile, SetSystem, bits, total_storage
 from .cwc import ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex, _greedy_scan
-from .errors import InsufficientCode, ParamError, RangeError, Unsupported
+from .errors import ParamError, RangeError, Unsupported
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,10 @@ def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
             f"n={n} below the constructible floor {ceiling - width * code.size} "
             f"(code of size {code.size})"
         )
+    # The floor check gives deficit <= width * |code|, so the code has a
+    # word for every full step and for a partial one.
     deficit = ceiling - n
     full_steps, leftover = divmod(deficit, width)
-    needed = full_steps + (1 if leftover else 0)
-    if needed > code.size:
-        raise InsufficientCode(achieved=code.size, needed=needed, code=code)
 
     counts: Counter = Counter({mask: 1 for mask in w_masks_colex(m, k - 2)})
     initial = Profile(k, tuple(ceiling if j == k - 2 else 0 for j in range(1, k + 1)))

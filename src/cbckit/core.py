@@ -204,7 +204,8 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
 
     Header ``<tag> <key>=<int> ...``, ``keys`` in order from ``m`` (the
     position count) to the line count; then ``<index>: <positions>`` per
-    ``noun``.  ASCII digits, spaces and LF only.
+    ``noun``, positions strictly ascending.  ASCII digits, spaces and LF
+    only.
     """
     lines = text.splitlines()
     if not lines:
@@ -234,13 +235,17 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
         if not tokens:
             raise EmptyItemSet(f"{noun} {pos} has no {part}s")
         mask = 0
+        prev = -1
         for tok in tokens:
             try:
                 s = int(tok)
             except ValueError:
                 raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
-            if not 0 <= s < m:
-                raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
+            if not prev < s < m:
+                if not 0 <= s < m:
+                    raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
+                raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
+            prev = s
             mask |= 1 << s
         masks.append(mask)
     end = _ALPHABET.match(text).end()

@@ -1,15 +1,17 @@
 """Exhaustive ground truth for tiny instances.
 
-Searches target storage values in increasing order and, within each
-target, enumerates candidate layouts as canonical multisets of masks, so
-the first valid hit is optimal by construction; no best-so-far
-bookkeeping.  One tree walk serves both the search and the unpruned
-``canonical_systems``: it is pruned with Hall's counting condition at
-batch size k as items are placed, so a branch dies at the first crowded
-server subset, and at k = 1 there is nothing to prune.  Intended for tiny
-instances (m <= 5 with n up to about 10 finishes in milliseconds); the
-node budget counts the item placements tried in the tree and the default
-refuses to run away.
+Searches target storage values in increasing order.  At each target, one
+recursive walk places n items in non-decreasing mask order (masks
+ascending numerically) and stops at its first complete layout.  The walk
+keeps Hall's counting condition at batch size k as items are placed, so a
+branch dies at the first crowded server subset; the condition is
+monotone, so no prefix of a valid layout is cut, every complete layout
+reached is valid, and the first is the least valid layout at that
+storage.  ``search`` therefore returns the least valid layout at the least
+storage, with no best-so-far bookkeeping.  Intended for tiny instances
+(m <= 5 with n up to about 10 finishes in milliseconds); the node budget
+counts the item placements tried in the tree and the default refuses to
+run away.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 from . import bounds, construct
 from .core import Params, SetSystem, total_storage
@@ -38,98 +39,9 @@ class SearchResult:
     nodes_explored: int
 
 
-def _swap_bits(mask: int, i: int, j: int) -> int:
-    if (mask >> i & 1) != (mask >> j & 1):
-        mask ^= (1 << i) | (1 << j)
-    return mask
-
-
-def _transposition_reducible(items: list[int], m: int) -> bool:
-    """True if relabeling two servers yields a strictly smaller encoding."""
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            swapped = sorted(_swap_bits(v, i, j) for v in items)
-            if swapped < items:
-                return True
-    return False
-
-
 def _candidate_masks(m: int, max_size: int) -> list[int]:
     """Non-empty masks of at most ``max_size`` servers, ascending numerically."""
     return list(heapq.merge(*(w_masks_colex(m, w) for w in range(1, max_size + 1))))
-
-
-def canonical_systems(
-    n_items: int, m: int, storage: int, max_size: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Canonical multisets of n non-empty masks over m servers with given total size.
-
-    Items are emitted in non-decreasing mask order (colex on subsets), and
-    any multiset that a single server-label transposition would make
-    strictly smaller is pruned.  The pruning is partial symmetry reduction:
-    at least one representative of every relabeling class survives, since
-    the class minimum cannot be improved by any permutation.
-
-    This is the search's walk at batch size k = 1, where Hall counting
-    prunes nothing: slack is kept only for server subsets of fewer than k
-    servers, and at k = 1 the only such subset is empty and holds no
-    non-empty mask.
-    """
-    if max_size is None:
-        max_size = m
-    yield from _canonical_walk(n_items, 1, m, storage, max_size, lambda: None)
-
-
-def _canonical_walk(
-    n_items: int, k: int, m: int, storage: int, max_size: int, on_place: Callable[[], None]
-) -> Iterator[tuple[int, ...]]:
-    """The one canonical tree walk: ``canonical_systems`` pruned by Hall
-    counting at batch size k, in the same order.
-
-    Places items in non-decreasing mask order, each mask of at most
-    ``max_size`` servers, until n items use exactly ``storage`` replicas.
-    Keeps for every server subset T with |T| < k the slack |T| minus the
-    number of placed masks inside T.  A mask that would drive some slack
-    below zero is not placed: adding items never un-crowds a subset, so no
-    valid layout lies below that branch.  The transposition check stays at
-    the leaves.  ``on_place`` is called once per placement tried, before
-    its Hall check, and may raise to stop the walk.
-    """
-    masks = _candidate_masks(m, max_size)
-    # The subsets whose slack a mask uses up, built on its first placement;
-    # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
-    supersets_of: list[list[int] | None] = [None] * len(masks)
-    slack: dict[int, int] = {}
-    cur: list[int] = []
-
-    def rec(lo: int, left: int, room: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            if room == 0 and not _transposition_reducible(cur, m):
-                yield tuple(cur)
-            return
-        if room < left or room > left * max_size:
-            return
-        for idx in range(lo, len(masks)):
-            weight = masks[idx].bit_count()
-            if room - weight < left - 1:
-                continue
-            on_place()
-            supersets = supersets_of[idx]
-            if supersets is None:
-                supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
-                for t in supersets:
-                    slack.setdefault(t, t.bit_count())
-            if not all(map(slack.__getitem__, supersets)):
-                continue
-            for t in supersets:
-                slack[t] -= 1
-            cur.append(masks[idx])
-            yield from rec(idx, left - 1, room - weight)
-            cur.pop()
-            for t in supersets:
-                slack[t] += 1
-
-    yield from rec(0, n_items, storage)
 
 
 def _constructive_upper(n: int, k: int, m: int) -> int | None:
@@ -143,21 +55,62 @@ def _constructive_upper(n: int, k: int, m: int) -> int | None:
 def _search_targets(
     n: int, k: int, m: int, start: int, stop: int | None, budget: int
 ) -> SearchResult | None:
-    """Scan storage targets in [start, stop); None if no valid layout there."""
+    """Scan storage targets in [start, stop); None if no valid layout there.
+
+    ``place`` puts the remaining ``left`` items, masks from ``masks[lo]``
+    up, on exactly ``room`` more replicas; each mask has at most
+    min(k, m) servers.  It keeps for every server subset T with |T| < k
+    the slack |T| minus the number of placed masks inside T, and does not
+    place a mask that would drive some slack below zero: adding items
+    never un-crowds a subset.  A walk that finds nothing restores every
+    slack, so the next target reuses the same state.
+    """
+    max_size = min(k, m)
+    masks = _candidate_masks(m, max_size)
+    # The subsets whose slack a mask uses up, built on its first placement;
+    # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
+    supersets_of: list[list[int] | None] = [None] * len(masks)
+    slack: dict[int, int] = {}
+    cur: list[int] = []
     nodes = 0
 
-    def on_place() -> None:
+    def place(lo: int, left: int, room: int) -> bool:
         nonlocal nodes
-        if nodes == budget:
-            raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
-        nodes += 1
+        if left == 0:
+            return room == 0
+        if room < left or room > left * max_size:
+            return False
+        for idx in range(lo, len(masks)):
+            weight = masks[idx].bit_count()
+            if room - weight < left - 1:
+                continue
+            if nodes == budget:
+                raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+            nodes += 1
+            supersets = supersets_of[idx]
+            if supersets is None:
+                supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
+                for t in supersets:
+                    slack.setdefault(t, t.bit_count())
+            if not all(map(slack.__getitem__, supersets)):
+                continue
+            for t in supersets:
+                slack[t] -= 1
+            cur.append(masks[idx])
+            if place(idx, left - 1, room - weight):
+                return True
+            cur.pop()
+            for t in supersets:
+                slack[t] += 1
+        return False
 
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
-        for candidate in _canonical_walk(n, k, m, target, min(k, m), on_place):
-            system = SetSystem(m, candidate)
-            if verify_hc2(system, k).valid:
-                return SearchResult(n, k, m, target, system, nodes)
+        if place(0, n, target):
+            system = SetSystem(m, tuple(cur))
+            if not verify_hc2(system, k).valid:
+                raise AssertionError(f"Hall-pruned walk reached an invalid layout {cur}")
+            return SearchResult(n, k, m, target, system, nodes)
     return None
 
 
@@ -167,12 +120,14 @@ def _check_budget(budget: int) -> None:
 
 
 def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """True optimal storage for (n,k,m) by exhaustive canonical enumeration.
+    """True optimal storage for (n,k,m) by exhaustive Hall-pruned search.
 
-    Starts at the counting lower bound (or n, whichever is larger; storage
-    can never be below one copy per item) and ascends.  Only masks of at
-    most k servers are enumerated: any valid layout can be truncated to
-    that size without increasing storage, so the optimum is reachable.
+    The witness is the least valid layout (masks ascending) at that
+    storage.  Starts at the counting lower bound (or n, whichever is
+    larger; storage can never be below one copy per item) and ascends.
+    Only masks of at most k servers are enumerated: any valid layout can
+    be truncated to that size without increasing storage, so the optimum
+    is reachable.
     ``budget`` caps the nodes explored, one per item placement tried in
     the search tree; BudgetExceeded is raised when it runs out.
     """

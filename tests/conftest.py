@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, count, product
 from typing import Sequence, Union
 
 import pytest
@@ -74,6 +74,21 @@ def brute_force_valid(system: SetSystem, k: int) -> bool:
         if not any(len(set(pick)) == r for pick in product(*choices)):
             return False
     return True
+
+
+def least_valid_layout(n: int, k: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """Reference for oracle.search_optimal: the least storage N at which
+    some layout of n items is valid at batch size k, and the first such
+    layout among the ascending combinations of masks of at most min(k, m)
+    servers, checked by brute force with no pruning.
+    """
+    masks = [mask for mask in range(1, 1 << m) if mask.bit_count() <= min(k, m)]
+    for storage in count(n):
+        for items in combinations_with_replacement(masks, n):
+            if sum(map(int.bit_count, items)) == storage and brute_force_valid(
+                SetSystem(m, items), k
+            ):
+                return storage, items
 
 
 def hc2_reference(system: SetSystem, k: int) -> ValidityReport:

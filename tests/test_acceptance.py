@@ -79,7 +79,7 @@ def test_criterion_3_code_range_sweep():
         for n in range(ceiling, 0, -1):
             try:
                 construct_range_b(n, k, m)
-            except (InsufficientCode, RangeError):
+            except RangeError:
                 break
             floor_n = n
         assert floor_n == 40  # ceiling - (m-k+1) * 4 with the size-4 code

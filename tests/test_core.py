@@ -111,6 +111,8 @@ def test_parse_errors():
         parse("cbc m=3 n=1\n1: 0\n")
     with pytest.raises(MalformedItemLine):
         parse("cbc m=3 n=1\n0: zero\n")
+    with pytest.raises(MalformedItemLine):
+        parse("cbc m=3 n=1\n0: 1 1\n")
 
 
 # Texts that int(), str.split() and str.splitlines() would read as the
@@ -156,6 +158,9 @@ def test_parse_names_the_line_of_the_bad_character():
         ("cbc m=3 n=1\n0:\n", "item 0 has no servers"),
         ("cbc m=3 n=1\n0: zero\n", "item 0: bad server index 'zero'"),
         ("cbc m=3 n=1\n0: -1\n", "item 0: server -1 outside 0..2"),
+        ("cbc m=3 n=1\n0: 1 1\n", "item 0: server 1 after 1, not ascending"),
+        ("cbc m=3 n=1\n0: 2 1\n", "item 0: server 1 after 2, not ascending"),
+        ("cbc m=3 n=1\n0: 2 3\n", "item 0: server 3 outside 0..2"),
     ],
 )
 def test_parse_error_messages(text, message):

@@ -18,7 +18,13 @@ from cbckit.cwc import (
     serialize_code,
     w_masks_colex,
 )
-from cbckit.errors import FormatError, InsufficientCode, MalformedHeader, ParamError
+from cbckit.errors import (
+    FormatError,
+    InsufficientCode,
+    MalformedHeader,
+    MalformedItemLine,
+    ParamError,
+)
 
 
 def words_as_sets(code):
@@ -226,6 +232,10 @@ def test_parse_code_error_messages():
         parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
     with pytest.raises(FormatError, match=r"^word 0: position 8 outside 0..7$"):
         parse_code("cwc m=8 w=2 d=4 size=1\n0: 0 8\n")
+    with pytest.raises(MalformedItemLine, match=r"^word 0: position 1 after 1, not ascending$"):
+        parse_code("cwc m=8 w=2 d=4 size=1\n0: 1 1\n")
+    with pytest.raises(MalformedItemLine, match=r"^word 0: position 0 after 1, not ascending$"):
+        parse_code("cwc m=8 w=2 d=4 size=1\n0: 1 0\n")
 
 
 # The cwc spelling of each non-canonical text in test_core.NON_CANONICAL.

@@ -1,13 +1,14 @@
-from itertools import combinations_with_replacement, permutations
-
 import pytest
 
-from cbckit.bounds import known_n, lower_bound
+from cbckit import bounds
+from cbckit.bounds import BoundResult, known_n, lower_bound
 from cbckit.construct import construct_best
 from cbckit.core import Params, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
-from cbckit.oracle import _canonical_walk, canonical_systems, search_optimal, settle_gap
+from cbckit.oracle import search_optimal, settle_gap
+
+from conftest import least_valid_layout
 
 
 def test_search_examples():
@@ -47,58 +48,15 @@ def test_sandwich_property():
         assert found <= total_storage(system)
 
 
-def _orbit_min(items, m):
-    best = None
-    for perm in permutations(range(m)):
-        mapped = sorted(
-            sum(1 << perm[b] for b in range(m) if mask >> b & 1) for mask in items
-        )
-        key = tuple(mapped)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def test_canonical_enumeration_covers_every_orbit():
-    # Naive ground truth at (n, m, storage) = (3, 3, 3): every multiset of
-    # three non-empty subsets of a 3-set with total size 3.
-    naive = [
-        items
-        for items in combinations_with_replacement(range(1, 8), 3)
-        if sum(mask.bit_count() for mask in items) == 3
-    ]
-    assert len(naive) == 10
-    survivors = set(canonical_systems(3, 3, 3))
-    orbits = {_orbit_min(items, 3) for items in naive}
-    assert len(orbits) == 3
-    # The orbit minimum survives pruning (no permutation improves it), so
-    # every relabeling class keeps at least one representative.
-    assert orbits <= survivors
-
-
-def test_canonical_systems_respects_max_size():
-    for items in canonical_systems(3, 4, 6, max_size=2):
-        assert all(mask.bit_count() <= 2 for mask in items)
-        assert sum(mask.bit_count() for mask in items) == 6
-
-
-def test_pruned_enumeration_matches_filtered_reference():
-    # The Hall-pruned walk must yield exactly the valid layouts of the
-    # unpruned canonical enumeration, in the same order, so the first hit
-    # (the search's witness) is unchanged.
-    for m in (2, 3, 4):
+def test_search_witness_is_the_least_valid_layout_at_the_least_storage():
+    # An independent reference: plain combinations of ascending masks,
+    # checked by brute force, with no Hall pruning.
+    for m in range(1, 5):
         for k in range(1, m + 1):
             for n in range(1, m + 3):
-                for storage in range(n, n * k + 1):
-                    expected = [
-                        c
-                        for c in canonical_systems(n, m, storage, min(k, m))
-                        if verify_hc2(SetSystem(m, c), k).valid
-                    ]
-                    got = list(
-                        _canonical_walk(n, k, m, storage, min(k, m), lambda: None)
-                    )
-                    assert got == expected, (n, k, m, storage)
+                result = search_optimal(n, k, m)
+                expected = least_valid_layout(n, k, m)
+                assert (result.optimal_n_storage, result.witness.items) == expected, (n, k, m)
 
 
 # Witnesses found by the unpruned search, which validity-checked every
@@ -198,3 +156,23 @@ def test_settle_gap_budget_exhaustion():
     with pytest.raises(Unknown):
         settle_gap(19, 5, 6, budget=500)
 
+
+
+# (n, k, m, forced bracket [lower, upper), least budget): the search over
+# the bracket finishes with no layout, so the upper bound is exact; one
+# node less and the gap stays unresolved.
+NO_HIT_SETTLE_BUDGETS = [
+    (5, 2, 3, 5, 7, 56),
+    (6, 2, 4, 6, 8, 184),
+    (8, 3, 5, 10, 12, 11_155),
+]
+
+
+@pytest.mark.parametrize("n, k, m, lower, upper, budget", NO_HIT_SETTLE_BUDGETS)
+def test_settle_gap_returns_upper_when_the_finished_search_finds_nothing(
+    monkeypatch, n, k, m, lower, upper, budget
+):
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=lower, upper=upper))
+    assert settle_gap(n, k, m, budget=budget) == upper
+    with pytest.raises(Unknown):
+        settle_gap(n, k, m, budget=budget - 1)
