@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceeded,
     CbcError,
     FormatError,
-    InsufficientCode,
     NoPlan,
     ParamError,
     RangeError,
@@ -365,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # any other toolkit failure.
 _EXIT_CODES = (
     (BudgetExceeded, 3),
-    ((FormatError, OSError, ParamError, RangeError, Unsupported, InsufficientCode), 2),
+    ((FormatError, OSError, ParamError, RangeError, Unsupported), 2),
     (CbcError, 1),
 )
 

@@ -18,10 +18,10 @@ small).  ``verify_hc1`` independently checks the union form by running a
 matching on every k-subset of items; the two must always agree and are
 kept free of shared logic so that one can cross-validate the other.
 
-``find_sdr`` is that matching, and ``plan_batch`` serves requests with it:
-a bitmask depth-first augmenting-path search on an explicit stack that
-tries the lowest unseen server first.  It is deterministic, in the same
-server order as the recursive reference matcher kept in the tests.
+``find_sdr`` is that matching: a bitmask depth-first augmenting-path
+search on an explicit stack, lowest unseen server first, deterministic in
+the server order of the recursive reference matcher in the tests.  It
+returns each position's server; ``plan_batch`` makes the RetrievalPlan.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     return ValidityReport(True)
 
 
-def find_sdr(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
-    """Match each replica set to a distinct server, or exhibit why none exists.
+def find_sdr(sets: Sequence[int]) -> Union[list[int], Deficiency]:
+    """A distinct server for each replica set, by position, or why none exists.
 
     Augmenting-path matching, one position at a time: a bitmask
     depth-first search on an explicit stack, so an alternating path may be
@@ -149,7 +149,7 @@ def find_sdr(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
     set whose lowest server is free takes it at once, which is the first
     step of that same search.  Deterministic (but not canonical): servers
     are tried in the same ascending order as the recursive reference
-    matcher, so plans and deficiencies match it exactly.  On failure
+    matcher, so matchings and deficiencies match it exactly.  On failure
     returns the standard Hall violator: the sets reachable by alternating
     paths from the first unmatched one, whose union is too small.
     """
@@ -187,7 +187,7 @@ def find_sdr(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
                     reachable = sorted({pos} | {owner[1 << s] for s in servers})
                     return Deficiency(tuple(reachable), servers)
                 tried.pop()
-    return RetrievalPlan({pos: b.bit_length() - 1 for pos, b in enumerate(taken)})
+    return [b.bit_length() - 1 for b in taken]
 
 
 def verify_hc1(sys: SetSystem, k: int) -> ValidityReport:
@@ -219,7 +219,7 @@ def verify_hc1(sys: SetSystem, k: int) -> ValidityReport:
 
 
 def plan_batch(sys: SetSystem, request: Sequence[int]) -> RetrievalPlan:
-    """Plan one distinct server read per requested item.
+    """Plan one read per requested item, on the server ``find_sdr`` matched.
 
     Always succeeds on a layout that verifies at a batch size >= the
     request length; otherwise raises NoPlan carrying the deficiency.
@@ -236,4 +236,4 @@ def plan_batch(sys: SetSystem, request: Sequence[int]) -> RetrievalPlan:
     if isinstance(result, Deficiency):
         items = tuple(request[j] for j in result.items)
         raise NoPlan(Deficiency(items, result.servers))
-    return RetrievalPlan(dict(zip(request, result.assignment.values())))
+    return RetrievalPlan(dict(zip(request, result)))

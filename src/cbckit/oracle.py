@@ -27,6 +27,9 @@ from .errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from .hall import supersets_below, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
+# The walk recurses one Python frame per item, so n stays well inside the
+# default recursion limit of 1000.
+MAX_SEARCH_N = 500
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,11 @@ def _search_targets(
     never un-crowds a subset.  A walk that finds nothing restores every
     slack, so the next target reuses the same state.
     """
+    if n > MAX_SEARCH_N:
+        raise ParamError(
+            f"exhaustive search takes n <= {MAX_SEARCH_N} (one recursion level"
+            f" per item), got n={n}"
+        )
     max_size = min(k, m)
     masks = _candidate_masks(m, max_size)
     # The subsets whose slack a mask uses up, built on its first placement;
@@ -129,7 +137,8 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
     be truncated to that size without increasing storage, so the optimum
     is reachable.
     ``budget`` caps the nodes explored, one per item placement tried in
-    the search tree; BudgetExceeded is raised when it runs out.
+    the search tree; BudgetExceeded is raised when it runs out.  n above
+    MAX_SEARCH_N (500) raises ParamError.
     """
     _check_budget(budget)
     if not 1 <= k <= m:
@@ -154,7 +163,8 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     storage targets between the certified lower bound and the constructive
     upper bound; if nothing smaller exists the upper bound is exact
     (a construction achieves it).  ``budget`` counts nodes as in
-    ``search_optimal``; raises Unknown on budget exhaustion.
+    ``search_optimal``; raises Unknown on budget exhaustion, and
+    ParamError for n above MAX_SEARCH_N (500) when a search is needed.
     """
     _check_budget(budget)
     verdict = bounds.known_n(Params(n, k, m))

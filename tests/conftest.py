@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
 from cbckit.bounds import u_value
-from cbckit.hall import CrowdedSubset, Deficiency, RetrievalPlan, ValidityReport
+from cbckit.hall import CrowdedSubset, Deficiency, ValidityReport
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -114,7 +114,7 @@ def hc2_reference(system: SetSystem, k: int) -> ValidityReport:
     return ValidityReport(True)
 
 
-def sdr_reference(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
+def sdr_reference(sets: Sequence[int]) -> Union[list[int], Deficiency]:
     """Recursive reference for find_sdr: the same augmenting-path search,
     servers scanned in ascending index, with a set of seen servers and one
     Python frame per step of the alternating path.
@@ -139,8 +139,8 @@ def sdr_reference(sets: Sequence[int]) -> Union[RetrievalPlan, Deficiency]:
             # matched except `pos` itself.
             reachable = sorted({pos} | {owner[s] for s in seen})
             return Deficiency(tuple(reachable), tuple(sorted(seen)))
-    assignment = {pos: s for s, pos in owner.items()}
-    return RetrievalPlan(dict(sorted(assignment.items())))
+    server_of = {pos: s for s, pos in owner.items()}
+    return [server_of[pos] for pos in range(len(sets))]
 
 
 def chain_system(length: int) -> SetSystem:

@@ -6,7 +6,7 @@ from cbckit.construct import construct_best
 from cbckit.core import Params, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
-from cbckit.oracle import search_optimal, settle_gap
+from cbckit.oracle import MAX_SEARCH_N, search_optimal, settle_gap
 
 from conftest import least_valid_layout
 
@@ -134,6 +134,13 @@ def test_search_param_errors():
         search_optimal(5, 2, 3, budget=-1)
     with pytest.raises(ParamError):
         settle_gap(19, 5, 6, budget=-1)
+
+
+def test_search_n_is_capped_below_the_recursion_limit():
+    assert MAX_SEARCH_N == 500
+    assert search_optimal(500, 1, 1).optimal_n_storage == 500
+    with pytest.raises(ParamError, match="n <= 500"):
+        search_optimal(501, 1, 1)
 
 
 def test_settle_gap_pass_through():
