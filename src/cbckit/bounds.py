@@ -6,7 +6,10 @@ ride on floors and ceilings being applied exactly where the formulas put
 them, nowhere else.
 
 Regime tags used in results, in the order of ``REGIMES``, the one table
-that ``known_n``, ``construct_best`` and the CLI's ``--method`` all read:
+that ``known_n``, ``construct_best`` and the CLI's ``--method`` all read.
+The table's order is the one preference rule: the first applicable regime
+with a builder is the one ``construct_best`` builds, and its storage is the
+``upper`` that ``known_n`` reports.
 
 * ``trivial``        n <= m, one server per item suffices
 * ``m=k``            as many servers as the batch size
@@ -36,9 +39,10 @@ class BoundResult:
     """Certified bracket on the optimal total storage N(n,k,m).
 
     ``lower`` is always a proven lower bound; ``exact`` is set when some
-    regime pins the value; ``upper`` is set when a construction in this
-    package achieves it.  ``chosen_c`` records the index selected by the
-    counting bound, when that bound was evaluated.
+    regime pins the value; ``upper`` is the storage of the layout that
+    ``construct_best`` builds, when it builds one.  ``chosen_c`` records
+    the index selected by the counting bound, when that bound was
+    evaluated.
     """
 
     lower: int
@@ -86,6 +90,14 @@ def b_value(n: int, k: int, m: int, c: int) -> Rational:
     return n * c - Fraction(k - c) * (u_value(m, k, c) - n) / (m - k + 1)
 
 
+def _check_params(n: int, k: int, m: int) -> None:
+    """Reject parameters outside 2 <= k <= m, n >= 1, where the bounds apply."""
+    if not 2 <= k <= m:
+        raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
+    if n < 1:
+        raise ParamError(f"need n >= 1, got n={n}")
+
+
 def lower_bound(n: int, k: int, m: int) -> BoundResult:
     """Floored counting lower bound on N(n,k,m) for n up to (k-1)*C(m,k-1).
 
@@ -93,10 +105,7 @@ def lower_bound(n: int, k: int, m: int) -> BoundResult:
     n*c - floor((k-c)*(U - n)/(m-k+1)).  The unfloored b-values are
     checked to peak exactly at this c (they rise up to it and fall after).
     """
-    if not 2 <= k <= m:
-        raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
-    if n < 1:
-        raise ParamError(f"need n >= 1, got n={n}")
+    _check_params(n, k, m)
     ceiling = (k - 1) * comb(m, k - 1)
     if n > ceiling:
         raise RangeError(
@@ -203,8 +212,10 @@ class Regime:
     value: Callable[[int, int, int], Optional[tuple[int, bool]]]
 
 
-# Most specific first: the order breaks ties between equal storages in
-# construct_best and orders the tags in known_n's ``source``.
+# Most specific first.  The order is the preference: construct_best builds
+# the first applicable regime that has a builder, known_n reports that
+# regime's storage as ``upper``, and the order lists the tags in known_n's
+# ``source``.
 REGIMES = (
     Regime("trivial", "trivial", lambda n, k, m: (n, True) if n <= m else None),
     Regime("m=k", "m-equals-k",
@@ -220,50 +231,39 @@ REGIMES = (
 def known_n(params: Params) -> BoundResult:
     """Dispatch every applicable closed-form regime for N(n,k,m).
 
-    Most specific regimes first; when several apply their values must
-    agree (asserted).  Falls back to the counting lower bound when no
-    regime pins the value; in the code-construction range the result may
-    instead be an exact lower/upper pair one apart.
+    Proven regimes pin ``exact``; when several apply their values must
+    agree (asserted).  ``upper`` is the storage of the first applicable
+    regime in ``REGIMES`` order that has a builder, the one
+    ``construct_best`` builds, and None when no builder applies.  Without
+    a proven regime ``lower`` is the counting bound, and ``source`` names
+    it and any unproven regime that applies.
     """
     n, k, m = params.n, params.k, params.m
-    if not 2 <= k <= m:
-        raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
-    if n < 1:
-        raise ParamError(f"need n >= 1, got n={n}")
+    _check_params(n, k, m)
 
-    tags, values = [], []
-    constructive = False
-    unproven = None  # only range-b: a construction one above the lower bound
+    tags, values, unproven = [], [], []
+    upper = None
     for regime in REGIMES:
         found = regime.value(n, k, m)
         if found is None:
             continue
         value, proven = found
-        if not proven:
-            unproven = (regime.tag, value)
-            continue
-        tags.append(regime.tag)
-        values.append(value)
-        constructive = constructive or regime.method is not None
+        if upper is None and regime.method is not None:
+            upper = value
+        if proven:
+            tags.append(regime.tag)
+            values.append(value)
+        else:
+            unproven.append(regime.tag)
 
     if values:
-        exact = values[0]
         if len(set(values)) > 1:
             raise AssertionError(f"regimes disagree for n={n} k={k} m={m}: {tags} {values}")
-        return BoundResult(
-            lower=exact,
-            exact=exact,
-            upper=exact if constructive else None,
-            source=",".join(tags),
-        )
-
+        return BoundResult(lower=values[0], exact=values[0], upper=upper, source=",".join(tags))
     base = lower_bound(n, k, m)
-    if unproven is not None:
-        tag, upper = unproven
-        return BoundResult(
-            lower=base.lower,
-            upper=upper,
-            source=f"counting-bound,{tag}",
-            chosen_c=base.chosen_c,
-        )
-    return BoundResult(lower=base.lower, source="counting-bound", chosen_c=base.chosen_c)
+    return BoundResult(
+        lower=base.lower,
+        upper=upper,
+        source=",".join([base.source, *unproven]),
+        chosen_c=base.chosen_c,
+    )

@@ -14,6 +14,7 @@ selection order, form the batch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -101,16 +102,6 @@ def _read_layout(args) -> SetSystem:
     return system
 
 
-def _bound_json(result: bounds.BoundResult) -> dict:
-    return {
-        "lower": result.lower,
-        "exact": result.exact,
-        "upper": result.upper,
-        "source": result.source,
-        "chosen_c": result.chosen_c,
-    }
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -154,7 +145,7 @@ def _cmd_construct(args) -> int:
                 "N": built,
                 "verdict": verdict,
                 "layout": text,
-                **_bound_json(result),
+                **dataclasses.asdict(result),
             }
         )
     else:
@@ -189,9 +180,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     result = bounds.known_n(Params(args.n, args.k, args.m))
     if args.json:
-        _emit_json(
-            {"command": "bound", "n": args.n, "k": args.k, "m": args.m, **_bound_json(result)}
-        )
+        _emit_json({"command": "bound", "n": args.n, "k": args.k, "m": args.m,
+                    **dataclasses.asdict(result)})
         return 0
     print(f"n={args.n} k={args.k} m={args.m}")
     if result.exact is not None:

@@ -7,8 +7,12 @@ every step in a ConstructionTrace.  The trace doubles as a runtime proof
 obligation: each deletion must find a copy still present, which is exactly
 the availability argument behind the constructions' correctness.
 
-Item order in every produced layout is canonical: masks ascending, i.e.
-colexicographic on the underlying subsets.
+Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
+deletion builders and ``construct_uniform`` list masks ascending, i.e.
+colexicographic on the underlying subsets.  ``construct_m_plus_1`` and
+``construct_large_n`` list their sorted part first and put their extra
+items, all on servers 0..k-1, last: ``construct_m_plus_1(2, 4)`` gives
+masks 1, 2, 4, 8, 3.
 """
 
 from __future__ import annotations
@@ -266,34 +270,23 @@ BUILDERS = {
 
 
 def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResult]:
-    """Build the applicable layout with the smallest guaranteed storage.
+    """Build the first applicable regime in ``bounds.REGIMES`` that has a builder.
 
-    Returns the layout together with the bounds verdict for (n,k,m), after
-    asserting that the built storage matches the chosen regime's formula
-    and respects the certified lower bound.  Raises Unsupported in the
-    uncovered middle range (m+2 < n < C(m,k-2) beyond the code range).
+    Returns the layout together with the bounds verdict for (n,k,m), whose
+    ``upper`` is that regime's storage, after asserting that the built
+    storage matches it.  Raises Unsupported in the uncovered middle range
+    (m+2 < n < C(m,k-2) beyond the code range).
     """
-    if not 2 <= k <= m:
-        raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
-    if n < 1:
-        raise ParamError(f"need n >= 1, got n={n}")
-
-    best = None  # (guaranteed N, tag); a tie keeps the earlier regime
-    for regime in bounds.REGIMES:
-        found = regime.value(n, k, m) if regime.method is not None else None
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], regime.tag)
-    if best is None:
+    verdict = bounds.known_n(Params(n, k, m))
+    if verdict.upper is None:
         raise Unsupported(
             f"no construction covers n={n} k={k} m={m} "
             "(middle range between n=m+1 and the code-construction floor)"
         )
-    guaranteed, tag = best
+    tag = next(regime.tag for regime in bounds.REGIMES
+               if regime.method is not None and regime.value(n, k, m) is not None)
     system = BUILDERS[tag](n, k, m)
-    verdict = bounds.known_n(Params(n, k, m))
     built = total_storage(system)
-    if built != guaranteed:
-        raise AssertionError(f"{tag} built N={built}, formula says {guaranteed}")
-    if built < verdict.lower:
-        raise AssertionError(f"{tag} built N={built} below lower bound {verdict.lower}")
+    if built != verdict.upper:
+        raise AssertionError(f"{tag} built N={built}, formula says {verdict.upper}")
     return system, verdict

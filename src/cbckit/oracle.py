@@ -20,8 +20,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from . import bounds, construct
-from .core import Params, SetSystem, total_storage
+from . import bounds
+from .core import Params, SetSystem
 from .cwc import w_masks_colex
 from .errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from .hall import supersets_below, verify_hc2
@@ -49,10 +49,9 @@ def _candidate_masks(m: int, max_size: int) -> list[int]:
 
 def _constructive_upper(n: int, k: int, m: int) -> int | None:
     try:
-        system, _ = construct.construct_best(n, k, m)
+        return bounds.known_n(Params(n, k, m)).upper
     except CbcError:
         return None
-    return total_storage(system)
 
 
 def _search_targets(

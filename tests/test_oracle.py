@@ -119,10 +119,15 @@ def test_search_node_counts_are_pinned():
         assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
 
 
-def test_budget_exceeded_carries_upper_bound():
+@pytest.mark.parametrize("n, k, m, upper", [
+    (5, 2, 3, 7),
+    (3, 1, 3, None),  # k = 1: known_n refuses, so there is no verdict
+    (9, 4, 6, None),  # middle range: no regime with a builder applies
+])
+def test_budget_exceeded_carries_upper_bound(n, k, m, upper):
     with pytest.raises(BudgetExceeded) as err:
-        search_optimal(5, 2, 3, budget=0)
-    assert err.value.best_upper == 7
+        search_optimal(n, k, m, budget=0)
+    assert err.value.best_upper == upper
 
 
 def test_search_param_errors():

@@ -16,8 +16,8 @@ import pytest
 from cbckit import cli
 from cbckit.bounds import known_n
 from cbckit.construct import construct_best, construct_range_a, construct_range_b, serialize_trace
-from cbckit.core import Params, serialize
-from cbckit.errors import CbcError
+from cbckit.core import Params, serialize, total_storage
+from cbckit.errors import CbcError, Unsupported
 
 
 def grid(max_m, max_n):
@@ -37,15 +37,21 @@ def cli_run(argv):
 def test_known_n_and_construct_best_digest():
     # Every m <= 9, 2 <= k <= m, n up to two past the large-n floor (at
     # most 120): 2,126 instances, each the repr of known_n followed by the
-    # built layout or the error's type and message.
+    # built layout or the error's type and message.  known_n's upper is the
+    # storage construct_best builds, and None exactly where it builds none.
     h = hashlib.sha256()
     count = 0
     for n, k, m in grid(9, 120):
-        text = repr(known_n(Params(n, k, m)))
+        verdict = known_n(Params(n, k, m))
+        text = repr(verdict)
         try:
-            text += serialize(construct_best(n, k, m)[0])
-        except CbcError as exc:
+            system = construct_best(n, k, m)[0]
+        except Unsupported as exc:
+            assert verdict.upper is None, (n, k, m)
             text += f"{type(exc).__name__} {exc}"
+        else:
+            assert verdict.upper == total_storage(system), (n, k, m)
+            text += serialize(system)
         h.update(text.encode())
         count += 1
     assert count == 2126
