@@ -11,11 +11,9 @@ from .bounds import (
     BoundResult,
     b_value,
     check_inequality,
-    cwc_bounds,
     known_n,
     lower_bound,
     u_value,
-    uniform_n_ceiling,
 )
 from .construct import (
     ConstructionTrace,
@@ -87,7 +85,6 @@ __all__ = [
     "construct_range_b",
     "construct_trivial",
     "construct_uniform",
-    "cwc_bounds",
     "find_sdr",
     "graham_sloane_d4",
     "greedy_code",
@@ -106,7 +103,6 @@ __all__ = [
     "total_storage",
     "truncate_to_k",
     "u_value",
-    "uniform_n_ceiling",
     "verify_hc1",
     "verify_hc2",
 ]

@@ -133,50 +133,6 @@ def _n_m_plus_2(k: int, m: int) -> int:
     return 2 * m - 2 + 1 + -((k + 1) // -(m + 1 - k))
 
 
-def uniform_n_ceiling(m: int, c: int, k: int) -> Rational:
-    """Maximum item count supported by any layout storing every item on c servers."""
-    return u_value(m, k, c)
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True
-
-
-def _least_prime_power(m: int) -> int:
-    q = max(m, 2)
-    while not _is_prime_power(q):
-        q += 1
-    return q
-
-
-def cwc_bounds(m: int, d2: int, w: int) -> Rational:
-    """Existence lower bound on the size of a constant-weight code.
-
-    C(m,w) for distance 2 (automatic), C(m,w)/m for distance 4, and
-    C(m,w)/q^(d-1) with q the least prime power >= m for distance 2d.
-    Informational: the cwc module builds concrete codes separately.
-    """
-    if d2 < 2 or d2 % 2:
-        raise ParamError(f"distance must be even and >= 2, got {d2}")
-    if not 1 <= w <= m:
-        raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
-    d = d2 // 2
-    if d == 1:
-        return Fraction(comb(m, w))
-    if d == 2:
-        return Fraction(comb(m, w), m)
-    return Fraction(comb(m, w), _least_prime_power(m) ** (d - 1))
-
-
 def _large_n(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
     ceiling = (k - 1) * comb(m, k - 1)
     return (k * n - ceiling, True) if n >= ceiling else None

@@ -9,14 +9,20 @@ equivalent forms:
 * counting form: every subset of at most k-1 servers contains at most
   that many whole replica sets.
 
-``verify_hc2`` checks the counting form sparsely: only a replica set of
-fewer than k servers fits inside a subset of fewer than k servers, so it
-counts each such distinct set into its own supersets of fewer than k
-servers, one subset size at a time, and looks only at the subsets that
-some stored set reaches.  It is the cheap default (the item collection may be huge, the server set is
-small).  ``verify_hc1`` independently checks the union form by running a
-matching on every k-subset of items; the two must always agree and are
-kept free of shared logic so that one can cross-validate the other.
+``verify_hc2`` checks the counting form one subset size r at a time.  It
+first applies the paper's counting argument: an r-subset contains at most
+C(r, s) distinct stored sets of s servers, so when even the largest
+multiplicities that many sets could have sum to at most r, no r-subset is
+crowded and size r is skipped.  Layouts of distinct (k-2)-sets, and the
+large-n layouts of (k-1)-sets stored k-1 times each, skip every size.
+Any other size is counted sparsely: only a replica set of fewer than k
+servers fits inside a subset of fewer than k servers, so each such
+distinct set is counted into its own supersets of size r, and only
+subsets that some stored set reaches are looked at.  It is the cheap
+default (the item collection may be huge, the server set is small).
+``verify_hc1`` independently checks the union form by running a matching
+on every k-subset of items; the two must always agree and are kept free
+of shared logic so that one can cross-validate the other.
 
 ``find_sdr`` is that matching: a bitmask depth-first augmenting-path
 search on an explicit stack, lowest unseen server first, deterministic in
@@ -29,6 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence, Union
 
 from .core import SetSystem, bits
@@ -103,27 +110,41 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     """Check the counting form of the restricted Hall condition.
 
     Valid iff every server subset T with |T| <= k-1 contains at most |T|
-    replica sets.  Counted sparsely, one subset size r at a time: each
-    distinct replica set of at most r servers adds its multiplicity,
-    capped at k, to each of its supersets of exactly r servers, so subsets
-    that no stored set reaches are never visited.  The cost is the number
-    of these incidences: summed over distinct sets v of fewer than k
-    servers, min(mult(v), k) times the sum over j < k-|v| of C(m-|v|, j).
-    On a valid layout that is at most the sum over r < k of r*C(m,r),
+    replica sets.  Checked one subset size r at a time, with each distinct
+    replica set's multiplicity capped at k.  First a bound: T holds at
+    most C(r, s) distinct sets of s servers, so at most the sum over s <= r
+    of the C(r, s) largest multiplicities among sets of s servers; when
+    that is at most r, no r-subset is crowded and size r is skipped, at a
+    cost of O(distinct sets).  Otherwise the size is counted sparsely: each
+    distinct replica set of at most r servers adds its multiplicity to each
+    of its supersets of exactly r servers, so subsets that no stored set
+    reaches are never visited.  A counted size costs its incidences:
+    summed over distinct sets v of at most r servers, min(mult(v), k)
+    times C(m-|v|, r-|v|).  On a valid layout that is at most r*C(m,r),
     since no subset holds more than its size; a crowded layout stops after
-    the first size with a crowded subset.  On failure, returns the first
-    violating subset in size-then-lexicographic order together with the
-    items inside it.
+    the first size with a crowded subset.  Skipping sizes that no subset
+    can crowd leaves that first crowded subset unchanged.  On failure,
+    returns the first violating subset in size-then-lexicographic order
+    together with the items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
+    # by_size[s]: the distinct stored sets of s servers, largest
+    # multiplicity first (capping keeps that order).
     by_size: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for mask, mult in Counter(sys.items).items():
+    for mask, mult in Counter(sys.items).most_common():
         if mask.bit_count() < k:
             # k copies already crowd every subset of fewer than k servers,
             # so further copies cannot change which subsets are crowded.
             by_size[mask.bit_count()].append((mask, min(mult, k)))
     for r in range(1, k):
+        # An r-subset contains at most C(r, s) distinct sets of s servers, so
+        # it holds at most `most` items; if that is <= r, none is crowded.
+        most = sum(
+            mult for s in range(1, r + 1) for _, mult in by_size[s][:comb(r, s)]
+        )
+        if most <= r:
+            continue
         inside_counts = Counter(itertools.chain.from_iterable(
             _supersets_adding(mask, m, r - size) * mult
             for size in range(1, r + 1)

@@ -6,14 +6,11 @@ import pytest
 
 from cbckit.bounds import (
     BoundResult,
-    _least_prime_power,
     b_value,
     check_inequality,
-    cwc_bounds,
     known_n,
     lower_bound,
     u_value,
-    uniform_n_ceiling,
 )
 from cbckit.core import Params, Profile
 from cbckit.errors import ParamError, RangeError
@@ -143,35 +140,6 @@ def test_known_n_fallback_gap_regime():
 def test_known_n_param_errors():
     with pytest.raises(ParamError):
         known_n(Params(5, 1, 3))
-
-
-def test_uniform_n_ceiling_examples():
-    assert uniform_n_ceiling(6, 3, 4) == 60
-    assert uniform_n_ceiling(7, 1, 4) == 7
-    assert uniform_n_ceiling(8, 2, 5) == Fraction(56, 3)
-
-
-def test_cwc_bounds_examples():
-    assert cwc_bounds(5, 4, 2) == 2
-    assert cwc_bounds(8, 4, 2) == Fraction(7, 2)
-    assert cwc_bounds(9, 2, 3) == comb(9, 3)
-    assert cwc_bounds(9, 6, 2) == Fraction(comb(9, 2), 81)  # q = 9 = 3^2
-
-
-def test_cwc_bounds_param_errors():
-    with pytest.raises(ParamError):
-        cwc_bounds(8, 3, 2)
-    with pytest.raises(ParamError):
-        cwc_bounds(8, 0, 2)
-
-
-def test_least_prime_power():
-    assert _least_prime_power(7) == 7
-    assert _least_prime_power(8) == 8
-    assert _least_prime_power(9) == 9
-    assert _least_prime_power(10) == 11
-    assert _least_prime_power(24) == 25
-    assert _least_prime_power(1) == 2
 
 
 def test_bound_result_invariants():

@@ -13,6 +13,7 @@ from cbckit.hall import (
     CrowdedSubset,
     Deficiency,
     RetrievalPlan,
+    ValidityReport,
     find_sdr,
     plan_batch,
     verify_hc1,
@@ -222,6 +223,56 @@ def test_hc2_range_b_with_one_extra_copy(n, k, m):
     report = verify_hc2(crowded, k)
     assert not report.valid
     assert report == hc2_reference(crowded, k)
+
+
+def uniform_family(m: int, w: int) -> tuple[int, ...]:
+    """Every w-subset of m servers, once each, in lexicographic order."""
+    return tuple(mask_of(c) for c in combinations(range(m), w))
+
+
+@pytest.mark.parametrize("k,m", [(5, 8), (7, 9)])
+def test_hc2_complete_k_minus_2_family_is_valid(k, m):
+    # An r-subset holds C(r, k-2) <= r of the (k-2)-sets for every r < k,
+    # with equality at r = k-1: the paper's counting bound, met exactly.
+    system = SetSystem(m, uniform_family(m, k - 2))
+    assert verify_hc2(system, k) == hc2_reference(system, k) == ValidityReport(True)
+
+
+@pytest.mark.parametrize("k,m", [(5, 8), (7, 9)])
+@pytest.mark.parametrize("extra", ["duplicate", "k-1 set"])
+def test_hc2_complete_k_minus_2_family_plus_one_is_crowded(k, m, extra):
+    # One more item lifts the count of some (k-1)-subset to k, one above
+    # its size, so the bound no longer rules that size out.
+    family = uniform_family(m, k - 2)
+    added = family[-1] if extra == "duplicate" else mask_of(range(k - 1))
+    system = SetSystem(m, family + (added,))
+    report = verify_hc2(system, k)
+    assert not report.valid
+    assert len(report.witness.servers) == k - 1
+    assert report == hc2_reference(system, k)
+
+
+@st.composite
+def near_uniform_layouts(draw, max_m=6):
+    """All w-subsets of m servers minus up to three, plus up to three random
+    sets, at a batch size k from w to w+3: where the counting bound on
+    crowded subsets is tight or one short."""
+    m = draw(st.integers(2, max_m))
+    w = draw(st.integers(1, m - 1))
+    family = uniform_family(m, w)
+    dropped = draw(st.sets(st.sampled_from(family), max_size=3))
+    extras = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=3))
+    k = draw(st.integers(w, min(w + 3, m)))
+    items = [mask for mask in family if mask not in dropped] + extras
+    return SetSystem(m, tuple(draw(st.permutations(items)))), k
+
+
+@given(near_uniform_layouts())
+def test_hc2_near_uniform_matches_reference_and_hc1(layout):
+    system, k = layout
+    report = verify_hc2(system, k)
+    assert report == hc2_reference(system, k)
+    assert report.valid == verify_hc1(system, k).valid
 
 
 def test_hc2_many_copies_of_one_small_set():
