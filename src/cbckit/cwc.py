@@ -2,9 +2,11 @@
 
 Codewords are bit masks of weight w over positions 0..m-1; the Hamming
 distance between two words equals the size of the symmetric difference of
-the underlying subsets and is always even for equal weights.  The
-constructions here feed the layout builders: a fixed-residue-sum class
-gives distance 4, and a greedy scan covers arbitrary even distances.
+the underlying subsets and is always even for equal weights.  Two words are
+closer than d2 exactly when they share at least w - j positions, with
+j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
+O(size * C(w, j)) time.  A fixed-residue-sum class gives distance 4, and a
+greedy first-fit scan gives any even distance.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def w_masks_colex(m: int, w: int):
 
 @dataclass(frozen=True)
 class ConstantWeightCode:
-    """A set of weight-w words with declared minimum pairwise distance d2."""
+    """Weight-w words at declared minimum distance d2, checked in O(size * C(w, j)) time."""
 
     m: int
     w: int
@@ -53,11 +55,10 @@ class ConstantWeightCode:
                 raise ParamError(f"word {word:#x} uses positions outside 0..{self.m - 1}")
             if word.bit_count() != self.w:
                 raise ParamError(f"word {word:#x} has weight {word.bit_count()}, not {self.w}")
-        for a, b in itertools.combinations(self.words, 2):
-            if (a ^ b).bit_count() < self.d2:
-                raise ParamError(
-                    f"words {a:#x} and {b:#x} are closer than distance {self.d2}"
-                )
+        _, clash = _first_fit(self.words, self.w, self.d2, None)
+        if clash:
+            a, b = clash
+            raise ParamError(f"words {a:#x} and {b:#x} are closer than distance {self.d2}")
 
     @property
     def size(self) -> int:
@@ -81,32 +82,35 @@ def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
     return ConstantWeightCode(m, w, 4, tuple(classes[best]))
 
 
-def _greedy_scan(m: int, d2: int, w: int, limit: int | None) -> list[int]:
-    """First-fit scan in colex order, blocking each kept word's ball.
+def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tuple | None]:
+    """Keep, up to ``limit`` (None: all), each word at distance >= d2 from the kept ones.
 
-    A kept word blocks every weight-w word closer than d2: those that swap
-    j of its positions for j others with 2j < d2.  A candidate is kept iff
-    no earlier kept word blocked it, which is the pairwise distance test
-    without the pairs.
+    Weight-w words sharing s positions are at distance 2(w - s), so two are
+    closer than d2 exactly when they share a (w - j)-subset, with
+    j = min((d2 - 1) // 2, w).  A word's keys are those C(w, j) subsets; it
+    is kept iff no kept word owns one.  O(len(words) * C(w, j)) time.
+    Returns the kept words and, at the first dropped word b, the pair (a, b)
+    with a the first kept word closer to b than d2 (None if none dropped).
     """
+    j = min((d2 - 1) // 2, w)
+    owner: dict[int, int] = {}
     kept: list[int] = []
-    if limit == 0:
-        return kept
-    blocked: set[int] = set()
-    for v in w_masks_colex(m, w):
-        if v in blocked:
-            continue
-        kept.append(v)
-        if limit is not None and len(kept) == limit:
+    clash = None
+    for v in words:
+        if len(kept) == limit:
             break
-        ins = [1 << s for s in bits(v)]
-        outs = [1 << s for s in range(m) if not v >> s & 1]
-        for j in range(1, d2 // 2):
-            out_sums = list(map(sum, itertools.combinations(outs, j)))
-            for in_sum in map(sum, itertools.combinations(ins, j)):
-                base = v - in_sum
-                blocked.update([base + out_sum for out_sum in out_sums])
-    return kept
+        keys = [v - s for s in map(sum, itertools.combinations([1 << p for p in bits(v)], j))]
+        if owner.keys().isdisjoint(keys):
+            owner.update(dict.fromkeys(keys, len(kept)))
+            kept.append(v)
+        elif clash is None:
+            clash = (kept[min(owner[key] for key in keys if key in owner)], v)
+    return kept, clash
+
+
+def _greedy_scan(m: int, d2: int, w: int, limit: int | None) -> list[int]:
+    """First-fit scan of all weight-w words in colex order."""
+    return _first_fit(w_masks_colex(m, w), w, d2, limit)[0]
 
 
 def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
@@ -121,14 +125,10 @@ def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
         raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
     if target < 0:
         raise ParamError(f"negative target {target}")
-    kept = _greedy_scan(m, d2, w, target)
-    if len(kept) < target:
-        raise InsufficientCode(
-            achieved=len(kept),
-            needed=target,
-            code=ConstantWeightCode(m, w, d2, tuple(kept)),
-        )
-    return ConstantWeightCode(m, w, d2, tuple(kept))
+    code = ConstantWeightCode(m, w, d2, tuple(_greedy_scan(m, d2, w, target)))
+    if code.size < target:
+        raise InsufficientCode(achieved=code.size, needed=target, code=code)
+    return code
 
 
 @functools.cache

@@ -97,6 +97,11 @@ def test_min_distance_needs_two_words():
 def test_code_invariants_reject_bad_words():
     with pytest.raises(ParamError):
         ConstantWeightCode(4, 2, 4, (mask_of((0, 1)), mask_of((0, 2))))
+    # Two close pairs, {2,3}~{2,4} and {0,1}~{0,5}: the check names the
+    # first word with an earlier close word, {2,4}, and that earlier word.
+    words = tuple(map(mask_of, ((0, 1), (2, 3), (2, 4), (0, 5))))
+    with pytest.raises(ParamError, match=r"^words 0xc and 0x14 are closer than distance 4$"):
+        ConstantWeightCode(8, 2, 4, words)
     with pytest.raises(ParamError):
         ConstantWeightCode(4, 2, 2, (mask_of((0, 1, 2)),))
     with pytest.raises(ParamError):
@@ -134,13 +139,51 @@ def pairwise_greedy_scan(m, d2, w, limit):
     return kept
 
 
-def test_ball_blocking_scan_matches_pairwise_scan():
-    for d2 in (4, 6, 8):
-        for m in range(1, 13):
+def test_first_fit_scan_matches_pairwise_scan():
+    for m in range(1, 13):
+        for d2 in (2, 4, 6, 8, 2 * m + 2):
             for w in range(1, m + 1):
                 for limit in (None, 0, 1, 5):
                     expected = pairwise_greedy_scan(m, d2, w, limit)
                     assert _greedy_scan(m, d2, w, limit) == expected, (m, d2, w, limit)
+
+
+def first_close_pair(words, d2):
+    """Pairwise reference: (a, b) with b the first word that has an earlier
+    word closer than d2 and a the first such earlier word, or None.
+    """
+    for i, b in enumerate(words):
+        for a in words[:i]:
+            if (a ^ b).bit_count() < d2:
+                return a, b
+    return None
+
+
+@given(st.integers(1, 10), st.data())
+def test_code_check_matches_pairwise_reference(m, data):
+    w = data.draw(st.integers(1, m))
+    d2 = 2 * data.draw(st.integers(1, w + 1))
+    # Up to four words of a code plus up to two arbitrary ones (repeats
+    # allowed), shuffled: both verdicts and several close pairs all occur.
+    spread = data.draw(st.permutations(_greedy_scan(m, d2, w, None)))
+    extra = data.draw(st.lists(st.sampled_from(list(w_masks_colex(m, w))), max_size=2))
+    words = data.draw(st.permutations(spread[:4] + extra))
+    pair = first_close_pair(words, d2)
+    if pair is None:
+        assert ConstantWeightCode(m, w, d2, tuple(words)).words == tuple(words)
+    else:
+        message = f"^words {pair[0]:#x} and {pair[1]:#x} are closer than distance {d2}$"
+        with pytest.raises(ParamError, match=message):
+            ConstantWeightCode(m, w, d2, tuple(words))
+
+
+def test_huge_distance_is_decided_at_once():
+    # Any two words of weight w are closer than a d2 above 2w; j is capped
+    # at w, so each word has C(w, w) = 1 key and both calls end at once.
+    with pytest.raises(InsufficientCode) as err:
+        greedy_code(8, 10**12, 2, 2)
+    assert err.value.code.words == (0b11,)
+    assert parse_code("cwc m=8 w=2 d=1000000000000 size=1\n0: 0 1\n").words == (0b11,)
 
 
 def test_best_d4_code_words_are_pinned():
