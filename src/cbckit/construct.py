@@ -71,14 +71,6 @@ def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
     return SetSystem(m, tuple(items))
 
 
-def _delete_copy(counts: Counter, mask: int) -> None:
-    if counts[mask] < 1:
-        raise AssertionError(
-            f"construction tried to delete {_format_set(mask)} with no copy left"
-        )
-    counts[mask] -= 1
-
-
 def _run_steps(counts: Counter, initial: Profile, m: int, aux_sets, full_steps: int,
                leftover: int, copies: int) -> tuple[SetSystem, ConstructionTrace]:
     """Apply a deletion construction's steps to ``counts``; return the layout and trace.
@@ -86,16 +78,22 @@ def _run_steps(counts: Counter, initial: Profile, m: int, aux_sets, full_steps: 
     Each full step deletes one copy of every one-larger superset of the
     next auxiliary set and adds ``copies`` copies of the set; a nonzero
     ``leftover`` adds a partial step that deletes only that many supersets
-    of the next set.
+    of the next set.  Every deletion must find a copy left.
     """
+    singles = [1 << x for x in range(m)]
     deletions, additions = [], []
     for step in range(full_steps + (1 if leftover else 0)):
         aux = next(aux_sets)
-        supersets = tuple(aux | (1 << x) for x in range(m) if not aux >> x & 1)
+        supersets = tuple(aux | bit for bit in singles if not aux & bit)
         if step == full_steps:
             supersets = supersets[:leftover]
         for sup in supersets:
-            _delete_copy(counts, sup)
+            left = counts[sup]
+            if left < 1:
+                raise AssertionError(
+                    f"construction tried to delete {_format_set(sup)} with no copy left"
+                )
+            counts[sup] = left - 1
         deletions.append((aux, supersets))
         if step < full_steps:
             counts[aux] += copies

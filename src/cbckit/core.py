@@ -6,6 +6,11 @@ server indices 0..m-1, so unions, containment tests and cardinalities are
 single word operations; this is what makes the exhaustive checks elsewhere
 in the package feasible.  Items form an ordered multiset (repeated subsets
 are meaningful: they are distinct items replicated the same way).
+
+The text layer (``serialize``/``parse`` and the code format that shares
+their grammar) costs O(lines) plus per-token work once for each distinct
+replica set: layouts repeat few distinct sets many times, so each one is
+rendered or decoded once per call.
 """
 
 from __future__ import annotations
@@ -60,11 +65,14 @@ class SetSystem:
         object.__setattr__(self, "items", tuple(self.items))
         if self.m < 1:
             raise ParamError(f"need at least one server, got m={self.m}")
-        for j, it in enumerate(self.items):
-            if it == 0:
-                raise ParamError(f"item {j} is stored on no server")
-            if it >> self.m:
-                raise ParamError(f"item {j} uses servers outside 0..{self.m - 1}")
+        items = self.items
+        if items and (min(items) < 1 or max(items) >> self.m):
+            # Some item is bad; walk the items only to name the first one.
+            for j, it in enumerate(items):
+                if it == 0:
+                    raise ParamError(f"item {j} is stored on no server")
+                if it >> self.m:
+                    raise ParamError(f"item {j} uses servers outside 0..{self.m - 1}")
 
     @classmethod
     def from_sets(cls, m: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
@@ -123,7 +131,7 @@ class Params:
 
 def total_storage(sys: SetSystem) -> int:
     """Total number of stored copies: sum of replica-set sizes."""
-    return sum(it.bit_count() for it in sys.items)
+    return sum(map(int.bit_count, sys.items))
 
 
 def profile(sys: SetSystem, k: int) -> Profile:
@@ -173,10 +181,25 @@ def serialize(sys: SetSystem) -> str:
 
 
 def _render_lines(head: str, masks: Iterable[int]) -> str:
-    """A header line, then ``<index>: <positions ascending>`` per mask; inverts ``_parse_lines``."""
+    """A header line, then ``<index>: <positions ascending>`` per mask; inverts ``_parse_lines``.
+
+    O(lines) plus one appended token for each distinct mask and each of
+    its not yet rendered prefixes: a mask's text is the text of the mask
+    without its top bit, then that bit.
+    """
+    tails = {0: ""}  # mask -> " <positions>"; masks are never 0
     lines = [head]
     for j, mask in enumerate(masks):
-        lines.append(f"{j}: " + " ".join(str(s) for s in bits(mask)))
+        tail = tails.get(mask)
+        if tail is None:
+            rest, new = mask, []
+            while rest not in tails:
+                new.append(rest)
+                rest ^= 1 << (rest.bit_length() - 1)
+            tail = tails[rest]
+            for sub in reversed(new):
+                tail = tails[sub] = f"{tail} {sub.bit_length() - 1}"
+        lines.append(f"{j}:{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +228,9 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
     Header ``<tag> <key>=<int> ...``, ``keys`` in order from ``m`` (the
     position count) to the line count; then ``<index>: <positions>`` per
     ``noun``, positions strictly ascending.  ASCII digits, spaces and LF
-    only.
+    only.  O(lines) plus per-token work once for each distinct line tail
+    (the text after ``:``): a tail seen before takes its earlier mask, and
+    a tail that fails raises at its first line, so errors are unchanged.
     """
     lines = text.splitlines()
     if not lines:
@@ -221,6 +246,7 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
     if len(body) != count:
         raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
     masks = []
+    decoded: dict[str, int] = {}  # line tail -> mask
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
         if not sep:
@@ -231,22 +257,25 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
             raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
         if idx != pos:
             raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
-        tokens = rest.split()
-        if not tokens:
-            raise EmptyItemSet(f"{noun} {pos} has no {part}s")
-        mask = 0
-        prev = -1
-        for tok in tokens:
-            try:
-                s = int(tok)
-            except ValueError:
-                raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
-            if not prev < s < m:
-                if not 0 <= s < m:
-                    raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
-                raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
-            prev = s
-            mask |= 1 << s
+        mask = decoded.get(rest)
+        if mask is None:
+            tokens = rest.split()
+            if not tokens:
+                raise EmptyItemSet(f"{noun} {pos} has no {part}s")
+            mask = 0
+            prev = -1
+            for tok in tokens:
+                try:
+                    s = int(tok)
+                except ValueError:
+                    raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
+                if not prev < s < m:
+                    if not 0 <= s < m:
+                        raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
+                    raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
+                prev = s
+                mask |= 1 << s
+            decoded[rest] = mask
         masks.append(mask)
     end = _ALPHABET.match(text).end()
     if end < len(text):

@@ -5,8 +5,10 @@ distance between two words equals the size of the symmetric difference of
 the underlying subsets and is always even for equal weights.  Two words are
 closer than d2 exactly when they share at least w - j positions, with
 j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
-O(size * C(w, j)) time.  A fixed-residue-sum class gives distance 4, and a
-greedy first-fit scan gives any even distance.
+O(size * C(w, j)) time.  C(w, j) may be at most ``MAX_WORD_KEYS``; a
+larger one is a ParamError, raised before any word is keyed.  A
+fixed-residue-sum class gives distance 4, and a greedy first-fit scan gives
+any even distance.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .core import _parse_lines, _render_lines, bits
 from .errors import InsufficientCode, MalformedHeader, ParamError
+
+# Cap on C(w, j), the keys ``_first_fit`` builds per word: every distance-4
+# code (C(w, 1) = w) and every weight up to 22 stays below it, while one
+# word at w = d2 = 30 would need C(30, 14), about 1.5e8.
+MAX_WORD_KEYS = 10**6
 
 
 def w_masks_colex(m: int, w: int):
@@ -88,11 +96,19 @@ def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tu
     Weight-w words sharing s positions are at distance 2(w - s), so two are
     closer than d2 exactly when they share a (w - j)-subset, with
     j = min((d2 - 1) // 2, w).  A word's keys are those C(w, j) subsets; it
-    is kept iff no kept word owns one.  O(len(words) * C(w, j)) time.
+    is kept iff no kept word owns one.  O(len(words) * C(w, j)) time;
+    raises ParamError up front when C(w, j) exceeds ``MAX_WORD_KEYS``.
     Returns the kept words and, at the first dropped word b, the pair (a, b)
     with a the first kept word closer to b than d2 (None if none dropped).
     """
     j = min((d2 - 1) // 2, w)
+    # C(w, j) = C(w, w - j); past 20 that index means w >= 42, where C(w, 20)
+    # alone is above the cap, so no huge binomial is ever computed.
+    if comb(w, min(j, w - j, 20)) > MAX_WORD_KEYS:
+        raise ParamError(
+            f"distance {d2} at weight {w} needs C({w}, {j}) keys per word, "
+            f"more than {MAX_WORD_KEYS}"
+        )
     owner: dict[int, int] = {}
     kept: list[int] = []
     clash = None

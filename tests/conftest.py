@@ -12,8 +12,22 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
+from cbckit.core import (
+    _ALPHABET,
+    SetSystem,
+    _header_int,
+    bits,
+    mask_of,
+    total_storage,
+    truncate_to_k,
+)
 from cbckit.bounds import u_value
+from cbckit.errors import (
+    EmptyItemSet,
+    MalformedHeader,
+    MalformedItemLine,
+    ServerIndexOutOfRange,
+)
 from cbckit.hall import CrowdedSubset, Deficiency, ValidityReport
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
@@ -141,6 +155,59 @@ def sdr_reference(sets: Sequence[int]) -> Union[list[int], Deficiency]:
             return Deficiency(tuple(reachable), tuple(sorted(seen)))
     server_of = {pos: s for s, pos in owner.items()}
     return [server_of[pos] for pos in range(len(sets))]
+
+
+def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part: str):
+    """Reference for core._parse_lines: the same grammar and messages, with
+    every line's tail decoded token by token, with no memo of earlier tails.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedHeader("empty input")
+    head = lines[0].split()
+    if len(head) != len(keys) + 1 or head[0] != tag:
+        raise MalformedHeader(f"bad header line {lines[0]!r}")
+    values = [_header_int(token, key) for token, key in zip(head[1:], keys)]
+    m, count = values[0], values[-1]
+    if m < 1:
+        raise MalformedHeader(f"need at least one {part}, got m={m}")
+    body = lines[1:]
+    if len(body) != count:
+        raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
+    masks = []
+    for pos, line in enumerate(body):
+        idx_str, sep, rest = line.partition(":")
+        if not sep:
+            raise MalformedItemLine(f"line {pos + 2}: missing ':'")
+        try:
+            idx = int(idx_str)
+        except ValueError:
+            raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
+        if idx != pos:
+            raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
+        tokens = rest.split()
+        if not tokens:
+            raise EmptyItemSet(f"{noun} {pos} has no {part}s")
+        mask = 0
+        prev = -1
+        for tok in tokens:
+            try:
+                s = int(tok)
+            except ValueError:
+                raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
+            if not prev < s < m:
+                if not 0 <= s < m:
+                    raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
+                raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
+            prev = s
+            mask |= 1 << s
+        masks.append(mask)
+    end = _ALPHABET.match(text).end()
+    if end < len(text):
+        line = text.count("\n", 0, end) + 1
+        error = MalformedHeader if line == 1 else MalformedItemLine
+        raise error(f"line {line}: character {text[end]!r} is not allowed")
+    return values, masks
 
 
 def chain_system(length: int) -> SetSystem:

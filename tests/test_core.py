@@ -1,9 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbckit import core, cwc
 from cbckit.core import (
     Params,
     Profile,
@@ -27,7 +29,7 @@ from cbckit.errors import (
 )
 from cbckit.hall import verify_hc2
 
-from conftest import set_systems
+from conftest import parse_reference, set_systems
 
 
 def test_total_storage_table1(table1_system):
@@ -201,6 +203,77 @@ def test_parsers_return_or_raise_format_error(text):
         except FormatError:
             continue
         assert set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz=: \n")
+
+
+# Ways to spoil one line tail (the text after ":"), given its tokens, m
+# and the good tails made so far.
+_TAIL_MUTATIONS = {
+    "doubled spaces": lambda toks, m, good: " " + "  ".join(toks),
+    "leading space": lambda toks, m, good: "  " + " ".join(toks),
+    "trailing space": lambda toks, m, good: " " + " ".join(toks) + " ",
+    "tab": lambda toks, m, good: " " + "\t".join(toks),
+    "plus": lambda toks, m, good: " +" + " ".join(toks),
+    "underscore": lambda toks, m, good: " " + " ".join(toks[:-1] + ["0_" + toks[-1]]),
+    "leading zero": lambda toks, m, good: " " + " ".join(["0" + toks[0]] + toks[1:]),
+    "out of range": lambda toks, m, good: " " + " ".join(toks + [str(m)]),
+    "descending": lambda toks, m, good: " " + " ".join(reversed(toks)),
+    "duplicate": lambda toks, m, good: " " + " ".join(toks + toks[-1:]),
+    "empty": lambda toks, m, good: "",
+    "blank": lambda toks, m, good: " ",
+    "good prefix, bad end": lambda toks, m, good: (good[-1] if good else "") + f" {m + 1}",
+}
+
+
+@st.composite
+def repeated_tail_texts(draw):
+    """A "cbc" or "cwc" text whose line tails repeat earlier tails, good or spoiled."""
+    tag = draw(st.sampled_from(["cbc", "cwc"]))
+    m = draw(st.integers(1, 12))
+    w = draw(st.integers(1, min(m, 5)))
+    tails, good = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        if tails and draw(st.booleans()):
+            tails.append(draw(st.sampled_from(tails)))
+            continue
+        size = w if tag == "cwc" else draw(st.integers(1, min(m, 5)))
+        toks = [str(s) for s in sorted(draw(st.sets(st.integers(0, m - 1), min_size=size,
+                                                    max_size=size)))]
+        spoil = draw(st.sampled_from([None, None, None, *_TAIL_MUTATIONS]))
+        if spoil is None:
+            good.append(" " + " ".join(toks))
+            tails.append(good[-1])
+        else:
+            tails.append(_TAIL_MUTATIONS[spoil](toks, m, good))
+    head = f"cbc m={m} n={len(tails)}" if tag == "cbc" else f"cwc m={m} w={w} d=2 size={len(tails)}"
+    return "\n".join([head] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
+
+
+def _parse_outcome(text):
+    """The masks parse (cbc) or parse_code (cwc) returns, or its error's class and message."""
+    try:
+        if text.startswith("cbc"):
+            return parse(text).items
+        return parse_code(text).words
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+@given(repeated_tail_texts())
+def test_parsers_match_the_token_by_token_reference(text):
+    # The parser decodes each distinct tail once; the reference decodes
+    # every line on its own, so masks, error classes and messages must agree.
+    with mock.patch.object(core, "_parse_lines", parse_reference), \
+            mock.patch.object(cwc, "_parse_lines", parse_reference):
+        expected = _parse_outcome(text)
+    assert _parse_outcome(text) == expected
+
+
+def test_repeated_tail_takes_its_first_mask_and_a_new_tail_still_fails():
+    assert parse("cbc m=4 n=3\n0: 1 3\n1: 1 3\n2: 1 3\n").items == (0b1010,) * 3
+    with pytest.raises(ServerIndexOutOfRange, match=r"^item 2: server 4 outside 0\.\.3$"):
+        parse("cbc m=4 n=3\n0: 1 3\n1: 1 3\n2: 1 3 4\n")
+    with pytest.raises(MalformedItemLine, match=r"^line 2: character '\\t' is not allowed$"):
+        parse("cbc m=4 n=2\n0: 1\t3\n1: 1\t3\n")
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbckit import cwc
 from cbckit.core import bits, mask_of
 from cbckit.cwc import (
+    MAX_WORD_KEYS,
     ConstantWeightCode,
     _greedy_scan,
     best_d4_code,
@@ -184,6 +186,35 @@ def test_huge_distance_is_decided_at_once():
         greedy_code(8, 10**12, 2, 2)
     assert err.value.code.words == (0b11,)
     assert parse_code("cwc m=8 w=2 d=1000000000000 size=1\n0: 0 1\n").words == (0b11,)
+
+
+def test_keys_per_word_are_capped_before_any_key_is_built():
+    # One word at w = d2 = 30 has C(30, 14), about 1.5e8, keys: refused at
+    # once as a header error, by the code check and by the greedy scan.
+    text = "cwc m=30 w=30 d=30 size=1\n0: " + " ".join(map(str, range(30))) + "\n"
+    message = (r"^distance 30 at weight 30 needs C\(30, 14\) keys per word, "
+               rf"more than {MAX_WORD_KEYS}$")
+    with pytest.raises(MalformedHeader, match=message):
+        parse_code(text)
+    with pytest.raises(ParamError, match=message):
+        ConstantWeightCode(30, 30, 30, ((1 << 30) - 1,))
+    with pytest.raises(ParamError, match=message):
+        greedy_code(30, 30, 30, 1)
+    # A header with astronomically many keys is refused without computing them.
+    with pytest.raises(MalformedHeader, match=r"needs C\(100000000, 49999999\) keys"):
+        parse_code("cwc m=100000000 w=100000000 d=100000000 size=0\n")
+
+
+def test_keys_cap_boundary(monkeypatch):
+    # C(5, 2) = 10 keys per word at w = 5, d2 = 6: allowed at a cap of 10.
+    word = 0b11111
+    monkeypatch.setattr(cwc, "MAX_WORD_KEYS", 10)
+    assert ConstantWeightCode(5, 5, 6, (word,)).words == (word,)
+    monkeypatch.setattr(cwc, "MAX_WORD_KEYS", 9)
+    with pytest.raises(ParamError, match=r"needs C\(5, 2\) keys per word, more than 9$"):
+        ConstantWeightCode(5, 5, 6, (word,))
+    # Every weight up to 22 stays under the real cap at every distance.
+    assert max(comb(w, j) for w in range(1, 23) for j in range(w + 1)) <= MAX_WORD_KEYS
 
 
 def test_best_d4_code_words_are_pinned():

@@ -1,8 +1,10 @@
-"""Pins of outputs that the regime table must reproduce exactly.
+"""Pins of outputs that the regime table and the text layer must reproduce exactly.
 
 The digests and messages below were captured from the code as it stood
 before ``bounds.REGIMES`` existed, when ``known_n``, ``construct_best``
-and the CLI each spelled the regimes out on their own.
+and the CLI each spelled the regimes out on their own; the design-grid
+text digest was captured when ``serialize`` still rendered every line
+token by token.
 """
 
 import argparse
@@ -15,8 +17,14 @@ import pytest
 
 from cbckit import cli
 from cbckit.bounds import known_n
-from cbckit.construct import construct_best, construct_range_a, construct_range_b, serialize_trace
-from cbckit.core import Params, serialize, total_storage
+from cbckit.construct import (
+    construct_best,
+    construct_range_a,
+    construct_range_b,
+    construct_uniform,
+    serialize_trace,
+)
+from cbckit.core import Params, parse, serialize, total_storage
 from cbckit.errors import CbcError, Unsupported
 
 
@@ -56,6 +64,34 @@ def test_known_n_and_construct_best_digest():
         count += 1
     assert count == 2126
     assert h.hexdigest() == "22bf71ca2550b67d839ac189021a74a718865b2debd87c65bbf1e25e137ee066"
+
+
+# Every constructive regime with m from 6 to 20, as (n, k, m), and three
+# uniform layouts as (k, m, c): the layouts a design pass builds, up to
+# 10,000 lines with 85 distinct sets and 6,188 lines all distinct.
+DESIGN_ROWS = [
+    (10, 3, 12), (300, 6, 6), (13, 5, 12), (10000, 4, 9), (5000, 5, 12),
+    (43, 4, 6), (200, 4, 10), (1000, 5, 12), (2000, 6, 13), (3000, 7, 14),
+    (1500, 6, 15), (6188, 7, 17), (500, 5, 16), (600, 5, 17), (700, 5, 18),
+    (4200, 6, 20),
+]
+DESIGN_UNIFORM = [(5, 8, 2), (7, 12, 4), (6, 14, 3)]
+
+
+def test_design_grid_text_digest():
+    # serialize of each design layout, 546,414 characters in all; each
+    # text parses back to its layout.
+    h = hashlib.sha256()
+    systems = [construct_best(n, k, m)[0] for n, k, m in DESIGN_ROWS]
+    systems += [construct_uniform(c, k, m) for k, m, c in DESIGN_UNIFORM]
+    size = 0
+    for system in systems:
+        text = serialize(system)
+        assert parse(text) == system
+        h.update(text.encode())
+        size += len(text)
+    assert size == 546414
+    assert h.hexdigest() == "ba71455513e54ca95d026f673f9c58b72791439b59d9f0e33dd86cb83bf47957"
 
 
 def test_deletion_construction_traces_digest():
