@@ -19,7 +19,7 @@ from cbckit.bounds import known_n
 from cbckit.construct import construct_range_b
 from cbckit.core import Params, total_storage
 from cbckit.cwc import best_d4_code
-from cbckit.errors import ParamError, Unknown
+from cbckit.errors import Unknown
 from cbckit.hall import verify_hc2
 from cbckit.oracle import settle_gap
 
@@ -65,7 +65,7 @@ def main() -> None:
             try:
                 exact = settle_gap(n, k, m, budget=args.settle_budget)
                 print(f"  n={n}: settled, N = {exact}")
-            except (Unknown, ParamError) as exc:  # budget spent, or n above the cap
+            except Unknown as exc:  # budget spent
                 print(f"  n={n}: unresolved ({exc})")
 
 

@@ -1,17 +1,18 @@
 """Exhaustive ground truth for tiny instances.
 
 Searches target storage values in increasing order.  At each target, one
-recursive walk places n items in non-decreasing mask order (masks
-ascending numerically) and stops at its first complete layout.  The walk
-keeps Hall's counting condition at batch size k as items are placed, so a
-branch dies at the first crowded server subset; the condition is
-monotone, so no prefix of a valid layout is cut, every complete layout
-reached is valid, and the first is the least valid layout at that
-storage.  ``search`` therefore returns the least valid layout at the least
-storage, with no best-so-far bookkeeping.  Intended for tiny instances
-(m <= 5 with n up to about 10 finishes in milliseconds); the node budget
-counts the item placements tried in the tree and the default refuses to
-run away.
+walk on an explicit stack places n items in non-decreasing mask order
+(masks ascending numerically) and stops at its first complete layout.
+The walk keeps Hall's counting condition at batch size k as items are
+placed, so a branch dies at the first crowded server subset; the
+condition is monotone, so no prefix of a valid layout is cut, every
+complete layout reached is valid, and the first is the least valid layout
+at that storage.  ``search_optimal`` therefore returns the least valid
+layout at the least storage, with no best-so-far bookkeeping.  Intended
+for tiny instances (m <= 5 with n up to about 10 finishes in
+milliseconds); the walk uses no Python recursion, so only the node
+budget, which counts the item placements tried in the tree, bounds a
+search, and the default refuses to run away.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from .hall import supersets_below, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
-# The walk recurses one Python frame per item, so n stays well inside the
-# default recursion limit of 1000.
-MAX_SEARCH_N = 500
 
 
 @dataclass(frozen=True)
@@ -59,65 +57,67 @@ def _search_targets(
 ) -> SearchResult | None:
     """Scan storage targets in [start, stop); None if no valid layout there.
 
-    ``place`` puts the remaining ``left`` items, masks from ``masks[lo]``
-    up, on exactly ``room`` more replicas; each mask has at most
-    min(k, m) servers.  It keeps for every server subset T with |T| < k
-    the slack |T| minus the number of placed masks inside T, and does not
+    Each walk puts n items, masks of at most min(k, m) servers in
+    non-decreasing order, on exactly ``target`` replicas.  ``stack`` holds
+    the root's suspended candidate iterator and one per placed item
+    (``path``).  The walk keeps for every server subset T with |T| < k the
+    slack |T| minus the number of placed masks inside T, and does not
     place a mask that would drive some slack below zero: adding items
-    never un-crowds a subset.  A walk that finds nothing restores every
-    slack, so the next target reuses the same state.
+    never un-crowds a subset.  An exhausted iterator gives its item's
+    slack back, so a walk that finds nothing restores every slack and the
+    next target reuses the same state.
     """
-    if n > MAX_SEARCH_N:
-        raise ParamError(
-            f"exhaustive search takes n <= {MAX_SEARCH_N} (one recursion level"
-            f" per item), got n={n}"
-        )
     max_size = min(k, m)
     masks = _candidate_masks(m, max_size)
+    weights = [mask.bit_count() for mask in masks]
     # The subsets whose slack a mask uses up, built on its first placement;
     # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
     supersets_of: list[list[int] | None] = [None] * len(masks)
     slack: dict[int, int] = {}
-    cur: list[int] = []
     nodes = 0
-
-    def place(lo: int, left: int, room: int) -> bool:
-        nonlocal nodes
-        if left == 0:
-            return room == 0
-        if room < left or room > left * max_size:
-            return False
-        for idx in range(lo, len(masks)):
-            weight = masks[idx].bit_count()
-            if room - weight < left - 1:
-                continue
-            if nodes == budget:
-                raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
-            nodes += 1
-            supersets = supersets_of[idx]
-            if supersets is None:
-                supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
-                for t in supersets:
-                    slack.setdefault(t, t.bit_count())
-            if not all(map(slack.__getitem__, supersets)):
-                continue
-            for t in supersets:
-                slack[t] -= 1
-            cur.append(masks[idx])
-            if place(idx, left - 1, room - weight):
-                return True
-            cur.pop()
-            for t in supersets:
-                slack[t] += 1
-        return False
 
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
-        if place(0, n, target):
-            system = SetSystem(m, tuple(cur))
-            if not verify_hc2(system, k).valid:
-                raise AssertionError(f"Hall-pruned walk reached an invalid layout {cur}")
-            return SearchResult(n, k, m, target, system, nodes)
+        left, room = n, target
+        stack = [iter(range(len(masks)))] if left <= room <= left * max_size else []
+        path: list[int] = []
+        while stack:
+            for idx in stack[-1]:
+                weight = weights[idx]
+                if room - weight < left - 1:
+                    continue
+                if nodes == budget:
+                    raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+                nodes += 1
+                supersets = supersets_of[idx]
+                if supersets is None:
+                    supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
+                    for t in supersets:
+                        slack.setdefault(t, t.bit_count())
+                if not all(map(slack.__getitem__, supersets)):
+                    continue
+                for t in supersets:
+                    slack[t] -= 1
+                path.append(idx)
+                left -= 1
+                room -= weight
+                if left == 0 and room == 0:
+                    items = tuple(masks[i] for i in path)
+                    system = SetSystem(m, items)
+                    if not verify_hc2(system, k).valid:
+                        raise AssertionError(f"Hall-pruned walk reached an invalid layout {items}")
+                    return SearchResult(n, k, m, target, system, nodes)
+                # room >= left holds here; a child past left * max_size is dead.
+                stack.append(iter(range(idx, len(masks)) if room <= left * max_size else ()))
+                break
+            else:
+                stack.pop()
+                if path:
+                    idx = path.pop()
+                    for t in supersets_of[idx]:
+                        slack[t] += 1
+                    left += 1
+                    room += weights[idx]
     return None
 
 
@@ -136,8 +136,7 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
     be truncated to that size without increasing storage, so the optimum
     is reachable.
     ``budget`` caps the nodes explored, one per item placement tried in
-    the search tree; BudgetExceeded is raised when it runs out.  n above
-    MAX_SEARCH_N (500) raises ParamError.
+    the search tree; BudgetExceeded is raised when it runs out.
     """
     _check_budget(budget)
     if not 1 <= k <= m:
@@ -162,8 +161,7 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     storage targets between the certified lower bound and the constructive
     upper bound; if nothing smaller exists the upper bound is exact
     (a construction achieves it).  ``budget`` counts nodes as in
-    ``search_optimal``; raises Unknown on budget exhaustion, and
-    ParamError for n above MAX_SEARCH_N (500) when a search is needed.
+    ``search_optimal``; raises Unknown on budget exhaustion.
     """
     _check_budget(budget)
     verdict = bounds.known_n(Params(n, k, m))

@@ -394,13 +394,18 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
          "simulate: need 0 <= --seed < 2**64, got -1\n"),
         (["simulate", "-", "-k", "2", "--seed", str(2**64)], INTRO_LAYOUT, 2,
          f"simulate: need 0 <= --seed < 2**64, got {2**64}\n"),
-        (["search", "-n", "1000", "-k", "1", "-m", "1"], "", 2,
-         "search: exhaustive search takes n <= 500 (one recursion level per item), got n=1000\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
     monkeypatch.chdir(tmp_path)
     assert stdin_run(monkeypatch, capsys, text, argv) == (code, "", stderr)
+
+
+def test_search_runs_a_walk_1000_items_deep(capsys):
+    code, out, err = run(capsys, "search", "-n", "1000", "-k", "1", "-m", "1", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["optimal_N"], report["nodes_explored"]) == (1000, 1000)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -6,7 +6,7 @@ from cbckit.construct import construct_best
 from cbckit.core import Params, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
-from cbckit.oracle import MAX_SEARCH_N, search_optimal, settle_gap
+from cbckit.oracle import search_optimal, settle_gap
 
 from conftest import least_valid_layout
 
@@ -141,11 +141,10 @@ def test_search_param_errors():
         settle_gap(19, 5, 6, budget=-1)
 
 
-def test_search_n_is_capped_below_the_recursion_limit():
-    assert MAX_SEARCH_N == 500
-    assert search_optimal(500, 1, 1).optimal_n_storage == 500
-    with pytest.raises(ParamError, match="n <= 500"):
-        search_optimal(501, 1, 1)
+def test_search_walks_far_deeper_than_the_recursion_limit():
+    # One placed item per level: a walk 5,000 items deep.
+    result = search_optimal(5000, 1, 1)
+    assert (result.optimal_n_storage, result.nodes_explored) == (5000, 5000)
 
 
 def test_settle_gap_pass_through():
@@ -188,3 +187,27 @@ def test_settle_gap_returns_upper_when_the_finished_search_finds_nothing(
     assert settle_gap(n, k, m, budget=budget) == upper
     with pytest.raises(Unknown):
         settle_gap(n, k, m, budget=budget - 1)
+
+
+def test_settle_gap_walks_far_deeper_than_the_recursion_limit(monkeypatch):
+    # The bracket [2998, 2999) leaves one target, reached by a walk 1,500
+    # items deep in 1,502 nodes; [2996, 2998) spends the same budget on
+    # two targets that hold no layout and gives up.
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2998, upper=2999))
+    assert settle_gap(1500, 2, 2, budget=10_000) == 2998
+    assert settle_gap(1500, 2, 2, budget=1_502) == 2998
+    with pytest.raises(Unknown, match="after 1501 nodes"):
+        settle_gap(1500, 2, 2, budget=1_501)
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2996, upper=2998))
+    with pytest.raises(Unknown):
+        settle_gap(1500, 2, 2, budget=10_000)
+
+
+@pytest.mark.parametrize("n, k, m, target, nodes", [(5, 2, 3, 9, 7), (6, 2, 4, 12, 8)])
+def test_walk_skips_branches_that_cannot_fill_a_high_target(monkeypatch, n, k, m, target, nodes):
+    # Far above the optimum, a branch whose items cannot reach the target
+    # even on min(k, m) servers each is cut before any of its nodes.
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=target, upper=target + 1))
+    assert settle_gap(n, k, m, budget=nodes) == target
+    with pytest.raises(Unknown):
+        settle_gap(n, k, m, budget=nodes - 1)
