@@ -93,21 +93,21 @@ def _verdict(result: bounds.BoundResult, built: int) -> str:
 
 def _read_layout(args) -> SetSystem:
     """The layout named by ``args.file`` (``-`` for stdin), checked against ``args.k``."""
-    if args.file == "-":
-        system = parse(sys.stdin.read())
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            system = parse(fh.read())
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"layout is not UTF-8 text: {exc}") from None
+    system = parse(text)
     _check_batch_size(system, args.k)
     return system
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
-
-
-# Regime tag by the --method name of its builder, in table order.
-_METHODS = {regime.method: regime.tag for regime in bounds.REGIMES if regime.method is not None}
 
 
 def _cmd_construct(args) -> int:
@@ -125,7 +125,7 @@ def _cmd_construct(args) -> int:
     elif method == "auto":
         system, _ = construct.construct_best(args.n, args.k, args.m)
     else:
-        system = construct.BUILDERS[_METHODS[method]](args.n, args.k, args.m)
+        system = construct.BUILDERS[method](args.n, args.k, args.m)
 
     built = total_storage(system)
     result = bounds.known_n(Params(system.n, args.k, args.m))
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="batch size")
     p.add_argument("-m", type=int, required=True, help="server count")
     p.add_argument("-c", type=int, default=None, help="replicas per item (uniform method)")
-    p.add_argument("--method", default="auto", choices=["auto", *_METHODS, "uniform"])
+    p.add_argument("--method", default="auto", choices=["auto", *construct.BUILDERS, "uniform"])
     p.add_argument("--out", default=None, help="write layout to this file instead of stdout")
     _finish(p, _cmd_construct)
 

@@ -11,7 +11,7 @@ Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
 colexicographic on the underlying subsets.  ``construct_m_plus_1`` and
 ``construct_large_n`` list their sorted part first and put their extra
-items, all on servers 0..k-1, last: ``construct_m_plus_1(2, 4)`` gives
+items, all on servers 0..k-1, last: ``construct_m_plus_1(5, 2, 4)`` gives
 masks 1, 2, 4, 8, 3.
 """
 
@@ -71,15 +71,21 @@ def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
     return SetSystem(m, tuple(items))
 
 
-def _run_steps(counts: Counter, initial: Profile, m: int, aux_sets, full_steps: int,
-               leftover: int, copies: int) -> tuple[SetSystem, ConstructionTrace]:
-    """Apply a deletion construction's steps to ``counts``; return the layout and trace.
+def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
+               copies: int) -> tuple[SetSystem, ConstructionTrace]:
+    """Run a deletion construction down to n items; return the layout and trace.
 
-    Each full step deletes one copy of every one-larger superset of the
-    next auxiliary set and adds ``copies`` copies of the set; a nonzero
-    ``leftover`` adds a partial step that deletes only that many supersets
-    of the next set.  Every deletion must find a copy left.
+    Start from ``each`` copies of every w-subset, C = each*C(m,w) items.
+    The deficit C - n splits into floor((C-n)/(m-k+1)) full steps and a
+    leftover: each full step deletes one copy of every one-larger superset
+    of the next auxiliary set and adds ``copies`` copies of the set; a
+    nonzero leftover adds a partial step that deletes only that many
+    supersets of the next set.  Every deletion must find a copy left.
     """
+    ceiling = each * comb(m, w)
+    full_steps, leftover = divmod(ceiling - n, m - k + 1)
+    counts = Counter({mask: each for mask in w_masks_colex(m, w)})
+    initial = Profile(k, tuple(ceiling if j == w else 0 for j in range(1, k + 1)))
     singles = [1 << x for x in range(m)]
     deletions, additions = [], []
     for step in range(full_steps + (1 if leftover else 0)):
@@ -113,8 +119,10 @@ def construct_trivial(n: int, k: int, m: int) -> SetSystem:
     return SetSystem(m, tuple(1 << j for j in range(n)))
 
 
-def construct_m_equals_k(n: int, k: int) -> SetSystem:
-    """k items on one server each, every further item on all k servers."""
+def construct_m_equals_k(n: int, k: int, m: int) -> SetSystem:
+    """k items on one server each, every further item on all k = m servers."""
+    if m != k:
+        raise RangeError(f"method m-equals-k needs m == k, got k={k} m={m}")
     if k < 1:
         raise ParamError(f"batch size must be positive, got k={k}")
     if n < k:
@@ -124,8 +132,10 @@ def construct_m_equals_k(n: int, k: int) -> SetSystem:
     return SetSystem(k, items)
 
 
-def construct_m_plus_1(k: int, m: int) -> SetSystem:
+def construct_m_plus_1(n: int, k: int, m: int) -> SetSystem:
     """m singleton items plus one item replicated on the first k servers."""
+    if n != m + 1:
+        raise RangeError(f"method m-plus-1 needs n == m+1, got n={n} m={m}")
     if not 2 <= k <= m:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
     items = tuple(1 << j for j in range(m)) + ((1 << k) - 1,)
@@ -165,13 +175,7 @@ def construct_range_a(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
     floor_n = comb(m, k - 2)
     if not floor_n <= n <= ceiling:
         raise RangeError(f"need {floor_n} <= n <= {ceiling}, got n={n}")
-    width = m - k + 1
-    deficit = ceiling - n
-    full_steps, leftover = divmod(deficit, width)
-
-    counts: Counter = Counter({mask: k - 1 for mask in w_masks_colex(m, k - 1)})
-    initial = Profile(k, tuple(ceiling if j == k - 1 else 0 for j in range(1, k + 1)))
-    return _run_steps(counts, initial, m, w_masks_colex(m, k - 2), full_steps, leftover, 1)
+    return _run_steps(n, k, m, k - 1, k - 1, w_masks_colex(m, k - 2), 1)
 
 
 def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTrace]:
@@ -201,12 +205,7 @@ def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
         )
     # The floor check gives deficit <= width * |code|, so the code has a
     # word for every full step and for a partial one.
-    deficit = ceiling - n
-    full_steps, leftover = divmod(deficit, width)
-
-    counts: Counter = Counter({mask: 1 for mask in w_masks_colex(m, k - 2)})
-    initial = Profile(k, tuple(ceiling if j == k - 2 else 0 for j in range(1, k + 1)))
-    return _run_steps(counts, initial, m, iter(sorted(code.words)), full_steps, leftover, 2)
+    return _run_steps(n, k, m, k - 2, 1, iter(sorted(code.words)), 2)
 
 
 def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:
@@ -240,27 +239,12 @@ def construct_uniform(c: int, k: int, m: int) -> SetSystem:
     return _system_from_counts(m, counts)
 
 
-_METHOD = {regime.tag: regime.method for regime in bounds.REGIMES}
-
-
-def _build_m_equals_k(n: int, k: int, m: int) -> SetSystem:
-    if m != k:
-        raise RangeError(f"method {_METHOD['m=k']} needs m == k, got k={k} m={m}")
-    return construct_m_equals_k(n, k)
-
-
-def _build_m_plus_1(n: int, k: int, m: int) -> SetSystem:
-    if n != m + 1:
-        raise RangeError(f"method {_METHOD['n=m+1']} needs n == m+1, got n={n} m={m}")
-    return construct_m_plus_1(k, m)
-
-
-# The builder of each constructive regime in bounds.REGIMES, by tag, all
-# called as builder(n, k, m).
+# The builder of each constructive regime in bounds.REGIMES, by its
+# --method name in table order, all called as builder(n, k, m).
 BUILDERS = {
     "trivial": construct_trivial,
-    "m=k": _build_m_equals_k,
-    "n=m+1": _build_m_plus_1,
+    "m-equals-k": construct_m_equals_k,
+    "m-plus-1": construct_m_plus_1,
     "large-n": construct_large_n,
     "range-a": lambda n, k, m: construct_range_a(n, k, m)[0],
     "range-b": lambda n, k, m: construct_range_b(n, k, m)[0],
@@ -281,10 +265,10 @@ def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResul
             f"no construction covers n={n} k={k} m={m} "
             "(middle range between n=m+1 and the code-construction floor)"
         )
-    tag = next(regime.tag for regime in bounds.REGIMES
-               if regime.method is not None and regime.value(n, k, m) is not None)
-    system = BUILDERS[tag](n, k, m)
+    regime = next(regime for regime in bounds.REGIMES
+                  if regime.method is not None and regime.value(n, k, m) is not None)
+    system = BUILDERS[regime.method](n, k, m)
     built = total_storage(system)
     if built != verdict.upper:
-        raise AssertionError(f"{tag} built N={built}, formula says {verdict.upper}")
+        raise AssertionError(f"{regime.tag} built N={built}, formula says {verdict.upper}")
     return system, verdict

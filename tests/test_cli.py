@@ -394,11 +394,34 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
          "simulate: need 0 <= --seed < 2**64, got -1\n"),
         (["simulate", "-", "-k", "2", "--seed", str(2**64)], INTRO_LAYOUT, 2,
          f"simulate: need 0 <= --seed < 2**64, got {2**64}\n"),
+        (["simulate", "-", "-k", "2"], "cbc m=3 n=1\n0: 0\n", 2,
+         "simulate: batch size 2 exceeds item count 1\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
     monkeypatch.chdir(tmp_path)
     assert stdin_run(monkeypatch, capsys, text, argv) == (code, "", stderr)
+
+
+NOT_UTF8_LAYOUT = b"cbc m=3 n=1\n0: 0\xff\n"
+NOT_UTF8_ERROR = (
+    "layout is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 16:"
+    " invalid start byte\n"
+)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("name, rest", [("verify", []), ("plan", ["0"]), ("simulate", [])])
+def test_layout_that_is_not_utf8_exits_2(monkeypatch, capsys, tmp_path, source, name, rest):
+    if source == "file":
+        path = tmp_path / "bad.cbc"
+        path.write_bytes(NOT_UTF8_LAYOUT)
+        file = str(path)
+    else:
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8_LAYOUT), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        file = "-"
+    assert run(capsys, name, file, "-k", "1", *rest) == (2, "", f"{name}: {NOT_UTF8_ERROR}")
 
 
 def test_search_runs_a_walk_1000_items_deep(capsys):

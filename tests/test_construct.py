@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from cbckit import bounds, construct
 from cbckit.bounds import known_n
 from cbckit.construct import (
     construct_best,
@@ -59,24 +60,24 @@ def test_trivial_examples():
 
 
 def test_m_equals_k_examples():
-    five = construct_m_equals_k(5, 3)
+    five = construct_m_equals_k(5, 3, 3)
     assert five.item_sets() == ((0,), (1,), (2,), (0, 1, 2), (0, 1, 2))
     assert total_storage(five) == 9
-    assert total_storage(construct_m_equals_k(3, 3)) == 3
-    six = construct_m_equals_k(6, 2)
+    assert total_storage(construct_m_equals_k(3, 3, 3)) == 3
+    six = construct_m_equals_k(6, 2, 2)
     assert total_storage(six) == 10
     assert verify_hc2(six, 2).valid
     with pytest.raises(RangeError):
-        construct_m_equals_k(2, 3)
+        construct_m_equals_k(2, 3, 3)
 
 
 def test_m_plus_1_examples():
-    seven = construct_m_plus_1(4, 6)
+    seven = construct_m_plus_1(7, 4, 6)
     assert seven.n == 7 and total_storage(seven) == 10
     assert verify_hc2(seven, 4).valid
-    smallest = construct_m_plus_1(2, 2)
+    smallest = construct_m_plus_1(3, 2, 2)
     assert smallest.item_sets() == ((0,), (1,), (0, 1))
-    eight = construct_m_plus_1(3, 5)
+    eight = construct_m_plus_1(6, 3, 5)
     assert total_storage(eight) == 8
     assert verify_hc2(eight, 3).valid
 
@@ -183,6 +184,49 @@ def test_range_b_rejects_out_of_range():
         construct_range_b(39, 5, 8)  # below the constructible floor (code size 4)
     with pytest.raises(RangeError):
         construct_range_b(10, 4, 6)
+
+
+# Every rejection of every builder in construct.BUILDERS, called by its
+# --method name as builder(n, k, m): (method, n, k, m, error, message).
+BUILDER_REJECTIONS = [
+    ("trivial", 2, 0, 3, ParamError, "need 1 <= k <= m, got k=0 m=3"),
+    ("trivial", 2, 4, 3, ParamError, "need 1 <= k <= m, got k=4 m=3"),
+    ("trivial", 4, 2, 3, RangeError, "trivial layout needs n <= m, got n=4 m=3"),
+    ("trivial", -1, 2, 3, ParamError, "negative item count n=-1"),
+    ("m-equals-k", 5, 3, 4, RangeError, "method m-equals-k needs m == k, got k=3 m=4"),
+    ("m-equals-k", 2, 0, 0, ParamError, "batch size must be positive, got k=0"),
+    ("m-equals-k", 2, 3, 3, RangeError, "need n >= k, got n=2 k=3"),
+    ("m-plus-1", 7, 3, 4, RangeError, "method m-plus-1 needs n == m+1, got n=7 m=4"),
+    ("m-plus-1", 5, 1, 4, ParamError, "need 2 <= k <= m, got k=1 m=4"),
+    ("m-plus-1", 5, 5, 4, ParamError, "need 2 <= k <= m, got k=5 m=4"),
+    ("large-n", 60, 1, 6, ParamError, "need 2 <= k <= m, got k=1 m=6"),
+    ("large-n", 60, 7, 6, ParamError, "need 2 <= k <= m, got k=7 m=6"),
+    ("large-n", 59, 4, 6, RangeError, "need n >= (k-1)*C(m,k-1) = 60, got n=59"),
+    ("range-a", 5, 2, 6, RangeError, "need m >= k >= 3, got k=2 m=6"),
+    ("range-a", 5, 7, 6, RangeError, "need m >= k >= 3, got k=7 m=6"),
+    ("range-a", 14, 4, 6, RangeError, "need 15 <= n <= 60, got n=14"),
+    ("range-a", 61, 4, 6, RangeError, "need 15 <= n <= 60, got n=61"),
+    ("range-b", 10, 4, 6, RangeError, "code-guided construction needs k >= 5, got k=4"),
+    ("range-b", 10, 6, 5, RangeError, "need m >= k, got k=6 m=5"),
+    ("range-b", 0, 5, 8, RangeError, "need 1 <= n <= C(m,k-2) = 56, got n=0"),
+    ("range-b", 57, 5, 8, RangeError, "need 1 <= n <= C(m,k-2) = 56, got n=57"),
+    ("range-b", 39, 5, 8, RangeError,
+     "n=39 below the constructible floor 40 (code of size 4)"),
+]
+
+
+def test_builders_follow_the_regime_table():
+    assert list(construct.BUILDERS) == [
+        regime.method for regime in bounds.REGIMES if regime.method is not None
+    ]
+    assert {row[0] for row in BUILDER_REJECTIONS} == set(construct.BUILDERS)
+
+
+@pytest.mark.parametrize("method, n, k, m, error, message", BUILDER_REJECTIONS)
+def test_builder_rejections(method, n, k, m, error, message):
+    with pytest.raises(error) as info:
+        construct.BUILDERS[method](n, k, m)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_uniform_examples():
