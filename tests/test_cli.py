@@ -338,8 +338,10 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
     # Exit code, stdout and stderr of verify, plan and simulate, text and
     # --json, for every k in 1..m on three layouts read from stdin, plus a
     # few bound and search runs; captured before the commands shared one
-    # layout reader and one exit table, and re-pinned when an exhausted
-    # budget began reporting the nodes explored (budget, not budget + 1).
+    # layout reader and one exit table, re-pinned when an exhausted budget
+    # began reporting the nodes explored (budget, not budget + 1), and again
+    # when search started at its counting floor (the only change: search
+    # -n 5 -k 2 -m 3 explores 7 nodes, not 63).
     layouts = [serialize(table1_system), INTRO_LAYOUT, INVALID_LAYOUT]
     h = hashlib.sha256()
     codes = {0: 0, 1: 0, 2: 0, 3: 0}
@@ -373,7 +375,7 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         codes[result[0]] += 1
         h.update(repr((argv, *result)).encode())
     assert codes == {0: 110, 1: 18, 2: 28, 3: 2}
-    assert h.hexdigest() == "8bd2fc6f3690967512c98569547ec9e5b2e194f6a43c9b6539e1ed3ea67e00cf"
+    assert h.hexdigest() == "b42620c45f0be6b93afbf6f12d3c67811122673c5023db79d0b9ff5c8c012bf1"
 
 
 @pytest.mark.parametrize(
@@ -396,6 +398,9 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
          f"simulate: need 0 <= --seed < 2**64, got {2**64}\n"),
         (["simulate", "-", "-k", "2"], "cbc m=3 n=1\n0: 0\n", 2,
          "simulate: batch size 2 exceeds item count 1\n"),
+        (["search", "-n", "3", "-k", "10", "-m", "30"], "", 2,
+         "search: search on m=30 servers needs more than 1000000 candidate masks:"
+         " 2804011 of weight at most 7\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):

@@ -1,12 +1,14 @@
+from math import comb
+
 import pytest
 
-from cbckit import bounds
-from cbckit.bounds import BoundResult, known_n, lower_bound
+from cbckit import bounds, oracle
+from cbckit.bounds import BoundResult, check_inequality, known_n, lower_bound
 from cbckit.construct import construct_best
-from cbckit.core import Params, SetSystem, serialize, total_storage
+from cbckit.core import Params, Profile, SetSystem, serialize, total_storage
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
-from cbckit.oracle import search_optimal, settle_gap
+from cbckit.oracle import search_floor, search_optimal, settle_gap
 
 from conftest import least_valid_layout
 
@@ -92,6 +94,24 @@ def test_search_set_up_does_not_scan_every_mask():
     assert verify_hc1(result.witness, 2).valid
 
 
+def test_search_refuses_too_many_candidate_masks(monkeypatch):
+    # m = 30, k = 10 would list about 5.3e7 masks; the count stops at
+    # weight 7, the first past the cap, before any mask is listed.
+    message = "more than 1000000 candidate masks: 2804011 of weight at most 7"
+    with pytest.raises(ParamError, match=message):
+        search_optimal(3, 10, 30)
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=3, upper=4))
+    with pytest.raises(ParamError, match=message):
+        settle_gap(3, 10, 30)
+
+
+def test_search_lists_masks_up_to_the_cap():
+    # (40, 5): 760,098 candidate masks, under MAX_CANDIDATE_MASKS.
+    assert sum(comb(40, w) for w in range(1, 6)) == 760_098 <= oracle.MAX_CANDIDATE_MASKS
+    result = search_optimal(3, 5, 40, budget=10)
+    assert (result.optimal_n_storage, result.nodes_explored) == (3, 5)
+
+
 def test_budget_counts_nodes_explored():
     nodes = search_optimal(8, 3, 5).nodes_explored
     assert search_optimal(8, 3, 5, budget=nodes).nodes_explored == nodes
@@ -100,16 +120,18 @@ def test_budget_counts_nodes_explored():
     assert err.value.nodes_explored == nodes - 1
 
 
-# (optimal N, nodes explored) of the Hall-pruned canonical search.
+# (optimal N, nodes explored) of the Hall-pruned canonical search, started
+# at search_floor and cut where the remaining items cannot fill the target.
 SEARCH_NODE_COUNTS = {
-    (5, 2, 3): (7, 63),
-    (6, 2, 4): (8, 193),
+    (5, 2, 3): (7, 7),
+    (6, 2, 4): (8, 9),
     (7, 3, 4): (12, 33),
-    (7, 2, 5): (9, 579),
-    (8, 2, 5): (11, 3234),
-    (8, 3, 5): (12, 318),
-    (9, 3, 5): (15, 319),
-    (10, 3, 5): (17, 5456),
+    (7, 2, 5): (9, 11),
+    (8, 2, 5): (11, 12),
+    (8, 3, 5): (12, 184),
+    (9, 3, 5): (15, 185),
+    (10, 3, 5): (17, 1754),
+    (8, 4, 5): (15, 45018),
 }
 
 
@@ -117,6 +139,56 @@ def test_search_node_counts_are_pinned():
     for (n, k, m), expected in SEARCH_NODE_COUNTS.items():
         result = search_optimal(n, k, m)
         assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
+
+
+def test_search_witness_at_8_4_5():
+    # The least valid layout at N = 15, one above the counting bound 14.
+    assert lower_bound(8, 4, 5).lower == 14
+    witness = search_optimal(8, 4, 5).witness
+    assert witness.items == (1, 2, 4, 8, 17, 22, 26, 28)
+    assert verify_hc1(witness, 4).valid and verify_hc2(witness, 4).valid
+
+
+def compositions(n, parts):
+    """Every tuple of ``parts`` non-negative integers summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, parts - 1):
+            yield (first, *rest)
+
+
+def least_profile_storage(n, k, m):
+    """Reference for search_floor: the least sum of j * A_j over profiles
+    (A_1, ..., A_k) of n items that pass check_inequality for i = 1..k-1,
+    by enumerating every profile."""
+    best = None
+    for counts in compositions(n, k):
+        storage = sum(j * a for j, a in enumerate(counts, 1))
+        if best is not None and storage >= best:
+            continue
+        profile = Profile(k, counts)
+        if all(check_inequality(profile, m, i) for i in range(1, k)):
+            best = storage
+    return best
+
+
+def test_search_floor_is_the_least_storage_of_a_counting_profile():
+    for m in range(2, 8):
+        for k in range(2, min(m, 5) + 1):
+            for n in range(1, 21):
+                assert search_floor(n, k, m) == least_profile_storage(n, k, m), (n, k, m)
+
+
+def test_search_floor_is_the_large_n_optimum_past_the_counting_range():
+    # Past (k-1)*C(m,k-1) the counting bound does not apply; the floor
+    # k*n - (k-1)*C(m,k-1) is the large-n optimum there.  At k = 1 it is n.
+    for n, k, m in [(4, 2, 3), (5, 2, 3), (13, 3, 4), (40, 3, 4), (1500, 2, 2)]:
+        verdict = known_n(Params(n, k, m))
+        assert "large-n" in verdict.source
+        assert search_floor(n, k, m) == verdict.exact
+    assert search_floor(7, 1, 3) == 7
 
 
 @pytest.mark.parametrize("n, k, m, upper", [
@@ -173,9 +245,9 @@ def test_settle_gap_budget_exhaustion():
 # the bracket finishes with no layout, so the upper bound is exact; one
 # node less and the gap stays unresolved.
 NO_HIT_SETTLE_BUDGETS = [
-    (5, 2, 3, 5, 7, 56),
-    (6, 2, 4, 6, 8, 184),
-    (8, 3, 5, 10, 12, 11_155),
+    (5, 3, 4, 6, 7, 40),
+    (6, 3, 4, 8, 9, 59),
+    (8, 3, 5, 10, 12, 125),
 ]
 
 
@@ -189,18 +261,29 @@ def test_settle_gap_returns_upper_when_the_finished_search_finds_nothing(
         settle_gap(n, k, m, budget=budget - 1)
 
 
+@pytest.mark.parametrize("n, k, m, lower, upper", [(5, 2, 3, 5, 7), (6, 2, 4, 6, 8)])
+def test_settle_gap_rules_out_targets_below_2n_minus_m_without_a_node(
+    monkeypatch, n, k, m, lower, upper
+):
+    # At k >= 2 no two items sit alone on one server, so n items need at
+    # least 2n - m replicas; the root of every lower target is cut.
+    monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=lower, upper=upper))
+    assert upper == 2 * n - m
+    assert settle_gap(n, k, m, budget=0) == upper
+
+
 def test_settle_gap_walks_far_deeper_than_the_recursion_limit(monkeypatch):
     # The bracket [2998, 2999) leaves one target, reached by a walk 1,500
-    # items deep in 1,502 nodes; [2996, 2998) spends the same budget on
-    # two targets that hold no layout and gives up.
+    # items deep in 1,502 nodes; one node less and it gives up.  The two
+    # targets of [2996, 2998) lie below 2n - m = 2998 and hold no layout,
+    # which the root cut shows without a node.
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2998, upper=2999))
     assert settle_gap(1500, 2, 2, budget=10_000) == 2998
     assert settle_gap(1500, 2, 2, budget=1_502) == 2998
     with pytest.raises(Unknown, match="after 1501 nodes"):
         settle_gap(1500, 2, 2, budget=1_501)
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2996, upper=2998))
-    with pytest.raises(Unknown):
-        settle_gap(1500, 2, 2, budget=10_000)
+    assert settle_gap(1500, 2, 2, budget=0) == 2998
 
 
 @pytest.mark.parametrize("n, k, m, target, nodes", [(5, 2, 3, 9, 7), (6, 2, 4, 12, 8)])
