@@ -5,7 +5,10 @@ The two deletion-based builders (``construct_range_a`` and
 systematically trade deleted supersets for smaller added sets, recording
 every step in a ConstructionTrace.  The trace doubles as a runtime proof
 obligation: each deletion must find a copy still present, which is exactly
-the availability argument behind the constructions' correctness.
+the availability argument behind the constructions' correctness.  The
+deletions are counted in bulk, once per distinct deleted set, and checked
+at the end of the run; since no addition refills a set that a step
+deletes, that check is the per-deletion one (see ``_run_steps``).
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Mapping
 
@@ -26,6 +30,7 @@ from . import bounds
 from .core import Params, Profile, SetSystem, bits, total_storage
 from .cwc import ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex, _greedy_scan
 from .errors import ParamError, RangeError, Unsupported
+from .hall import supersets_adding
 
 
 @dataclass(frozen=True)
@@ -81,31 +86,44 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     of the next auxiliary set and adds ``copies`` copies of the set; a
     nonzero leftover adds a partial step that deletes only that many
     supersets of the next set.  Every deletion must find a copy left.
+
+    The deletions are counted in bulk: all steps' supersets are listed
+    first (the trace holds them), counted in one pass, and subtracted
+    from the initial copies once per distinct superset.  Deletions touch
+    only w-subsets and additions only (w-1)-subsets, so no addition ever
+    refills a deleted set, and every deletion found a copy iff no
+    w-subset is deleted more than ``each`` times in all; if one is, the
+    deletions are replayed in order to name the first superset that had
+    no copy left.
     """
     ceiling = each * comb(m, w)
     full_steps, leftover = divmod(ceiling - n, m - k + 1)
-    counts = Counter({mask: each for mask in w_masks_colex(m, w)})
     initial = Profile(k, tuple(ceiling if j == w else 0 for j in range(1, k + 1)))
     singles = [1 << x for x in range(m)]
-    deletions, additions = [], []
+    deletions = []
     for step in range(full_steps + (1 if leftover else 0)):
         aux = next(aux_sets)
-        supersets = tuple(aux | bit for bit in singles if not aux & bit)
+        supersets = tuple(supersets_adding(aux, singles))
         if step == full_steps:
             supersets = supersets[:leftover]
-        for sup in supersets:
-            left = counts[sup]
-            if left < 1:
+        deletions.append((aux, supersets))
+    deleted = Counter(chain.from_iterable(sups for _, sups in deletions))
+    if max(deleted.values(), default=0) > each:
+        seen = Counter()
+        for sup in chain.from_iterable(sups for _, sups in deletions):
+            seen[sup] += 1
+            if seen[sup] > each:
                 raise AssertionError(
                     f"construction tried to delete {_format_set(sup)} with no copy left"
                 )
-            counts[sup] = left - 1
-        deletions.append((aux, supersets))
-        if step < full_steps:
-            counts[aux] += copies
-            additions.append((aux, copies))
+    counts = dict.fromkeys(w_masks_colex(m, w), each)
+    for sup, times in deleted.items():
+        counts[sup] -= times
+    additions = tuple((aux, copies) for aux, _ in deletions[:full_steps])
+    for aux, _ in additions:
+        counts[aux] = counts.get(aux, 0) + copies
     final = _system_from_counts(m, counts)
-    return final, ConstructionTrace(initial, tuple(deletions), tuple(additions), final)
+    return final, ConstructionTrace(initial, tuple(deletions), additions, final)
 
 
 def construct_trivial(n: int, k: int, m: int) -> SetSystem:

@@ -18,8 +18,12 @@ large-n layouts of (k-1)-sets stored k-1 times each, skip every size.
 Any other size is counted sparsely: only a replica set of fewer than k
 servers fits inside a subset of fewer than k servers, so each such
 distinct set is counted into its own supersets of size r, and only
-subsets that some stored set reaches are looked at.  It is the cheap
-default (the item collection may be huge, the server set is small).
+subsets that some stored set reaches are looked at.  The counting is done
+in bulk: for each stored set size s one table lists every mask of r-s
+servers, a distinct set's supersets are the table's masks disjoint from
+it (one list comprehension, ``supersets_adding``), and one ``Counter``
+counts all of a size's incidences at C level.  It is the cheap default
+(the item collection may be huge, the server set is small).
 ``verify_hc1`` independently checks the union form by running a matching
 on every k-subset of items; the two must always agree and are kept free
 of shared logic so that one can cross-validate the other.
@@ -39,6 +43,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .core import SetSystem, bits
+from .cwc import w_masks_colex
 from .errors import NoPlan, ParamError
 
 
@@ -85,24 +90,28 @@ def _check_batch_size(sys: SetSystem, k: int) -> None:
         raise ParamError(f"need 1 <= k <= m, got k={k} m={sys.m}")
 
 
-def _supersets_adding(mask: int, m: int, extra: int) -> list[int]:
-    """The server subsets over m servers that add exactly ``extra`` servers to ``mask``."""
-    if extra == 0:
-        return [mask]
-    free = [1 << s for s in range(m) if not mask >> s & 1]
-    return [mask | more for more in map(sum, itertools.combinations(free, extra))]
+def supersets_adding(mask: int, more: Sequence[int]) -> list[int]:
+    """``mask`` joined with each mask of ``more`` that shares no server with it.
+
+    With ``more`` every mask of e servers over m servers, these are the
+    server subsets over m servers that add exactly e servers to ``mask``.
+    """
+    return [mask | x for x in more if not mask & x]
 
 
-def supersets_below(mask: int, m: int, k: int) -> list[int]:
+def supersets_below(mask: int, more: Sequence[Sequence[int]]) -> list[int]:
     """Every server subset T of fewer than k servers that contains ``mask``.
 
-    Empty when ``mask`` itself has k or more servers.  These are the
-    subsets whose Hall count an item stored on ``mask`` adds to.
+    ``more[e]`` lists every mask of e servers over the m servers, for e
+    from 0 to k-1, so len(more) is k; a caller builds the table once and
+    passes it with every mask.  Empty when ``mask`` itself has k or more
+    servers.  These are the subsets whose Hall count an item stored on
+    ``mask`` adds to.
     """
     return [
         t
-        for extra in range(k - mask.bit_count())
-        for t in _supersets_adding(mask, m, extra)
+        for extra in range(len(more) - mask.bit_count())
+        for t in supersets_adding(mask, more[extra])
     ]
 
 
@@ -118,14 +127,17 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     cost of O(distinct sets).  Otherwise the size is counted sparsely: each
     distinct replica set of at most r servers adds its multiplicity to each
     of its supersets of exactly r servers, so subsets that no stored set
-    reaches are never visited.  A counted size costs its incidences:
-    summed over distinct sets v of at most r servers, min(mult(v), k)
-    times C(m-|v|, r-|v|).  On a valid layout that is at most r*C(m,r),
-    since no subset holds more than its size; a crowded layout stops after
-    the first size with a crowded subset.  Skipping sizes that no subset
-    can crowd leaves that first crowded subset unchanged.  On failure,
-    returns the first violating subset in size-then-lexicographic order
-    together with the items inside it.
+    reaches are never visited.  A counted size builds, for each stored
+    set size s, the table of all C(m, r-s) masks of r-s servers (kept for
+    this call only), and scans it once per distinct s-set in one list
+    comprehension; the incidences, summed over distinct sets v of at most
+    r servers, min(mult(v), k) times C(m-|v|, r-|v|), are then counted in
+    one C-level ``Counter``.  On a valid layout the incidences are at most
+    r*C(m,r), since no subset holds more than its size; a crowded layout
+    stops after the first size with a crowded subset.  Skipping sizes that
+    no subset can crowd leaves that first crowded subset unchanged.  On
+    failure, returns the first violating subset in size-then-lexicographic
+    order together with the items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
@@ -145,9 +157,12 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
         )
         if most <= r:
             continue
+        # more[s]: every mask of r - s servers, the servers that an s-set
+        # can add to reach size r; built only for sizes that are stored.
+        more = {s: list(w_masks_colex(m, r - s)) for s in range(1, r + 1) if by_size[s]}
         inside_counts = Counter(itertools.chain.from_iterable(
-            _supersets_adding(mask, m, r - size) * mult
-            for size in range(1, r + 1)
+            supersets_adding(mask, more[size]) * mult
+            for size in more
             for mask, mult in by_size[size]
         ))
         crowded = [t for t, count in inside_counts.items() if count > r]

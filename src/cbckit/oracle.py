@@ -105,6 +105,9 @@ def _search_targets(
 
     masks = _candidate_masks(m, max_size)
     weights = [mask.bit_count() for mask in masks]
+    # more[e]: every mask of e < k servers, the servers that supersets_below
+    # may add to a mask; the candidate cap bounds these lists too.
+    more = [list(w_masks_colex(m, e)) for e in range(k)]
     # The subsets whose slack a mask uses up, built on its first placement;
     # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
     supersets_of: list[list[int] | None] = [None] * len(masks)
@@ -126,7 +129,7 @@ def _search_targets(
                 nodes += 1
                 supersets = supersets_of[idx]
                 if supersets is None:
-                    supersets = supersets_of[idx] = supersets_below(masks[idx], m, k)
+                    supersets = supersets_of[idx] = supersets_below(masks[idx], more)
                     for t in supersets:
                         slack.setdefault(t, t.bit_count())
                 if not all(map(slack.__getitem__, supersets)):

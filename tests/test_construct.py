@@ -1,7 +1,9 @@
 from collections import Counter
-
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cbckit import bounds, construct
 from cbckit.bounds import known_n
@@ -17,10 +19,11 @@ from cbckit.construct import (
     serialize_trace,
 )
 from cbckit.core import Params, SetSystem, profile, serialize, total_storage
+from cbckit.cwc import best_d4_code, w_masks_colex
 from cbckit.errors import ParamError, RangeError, Unsupported
 from cbckit.hall import verify_hc2
 
-from conftest import assert_storage_bound
+from conftest import assert_storage_bound, run_steps_reference
 
 
 def replay(trace) -> SetSystem:
@@ -48,6 +51,49 @@ def replay(trace) -> SetSystem:
     for mask in sorted(counts):
         items.extend([mask] * counts[mask])
     return SetSystem(m, tuple(items))
+
+
+@st.composite
+def deletion_instances(draw):
+    """A range-a or range-b (n, k, m) with m <= 10, and the arguments that
+    its builder passes to _run_steps after n, k and m."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 10))
+        k = draw(st.integers(3, m))
+        n = draw(st.integers(comb(m, k - 2), (k - 1) * comb(m, k - 1)))
+        return construct_range_a, (n, k, m), (k - 1, k - 1, w_masks_colex(m, k - 2), 1)
+    m = draw(st.integers(5, 10))
+    k = draw(st.integers(5, m))
+    ceiling = comb(m, k - 2)
+    words = best_d4_code(m, k - 3).words
+    n = draw(st.integers(max(1, ceiling - (m - k + 1) * len(words)), ceiling))
+    return construct_range_b, (n, k, m), (k - 2, 1, iter(sorted(words)), 2)
+
+
+@given(deletion_instances())
+def test_run_steps_matches_the_sequential_reference(instance):
+    builder, params, steps = instance
+    assert builder(*params) == run_steps_reference(*params, *steps)
+
+
+# Auxiliary sets that delete some 3-set of 6 servers once more than its
+# copies, and the superset each construction must name.  Repeating {1,2}
+# with 3 copies overdraws {0,1,2} at the fourth step's first deletion;
+# {1,2} then {2,3} with one copy overdraw {1,2,3}, the second step's
+# second deletion.
+OVERDRAWN = [
+    (48, 4, 3, [0b110] * 4, "0,1,2"),
+    (16, 5, 1, [0b110, 0b1100], "1,2,3"),
+]
+
+
+@pytest.mark.parametrize("n, k, each, aux_sets, named", OVERDRAWN)
+def test_run_steps_names_the_first_overdrawn_superset(n, k, each, aux_sets, named):
+    message = f"construction tried to delete {named} with no copy left"
+    for run in (construct._run_steps, run_steps_reference):
+        with pytest.raises(AssertionError) as info:
+            run(n, k, 6, 3, each, iter(aux_sets), 1)
+        assert str(info.value) == message
 
 
 def test_trivial_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cbckit.construct import construct_best
 from cbckit.core import SetSystem, bits, mask_of
+from cbckit.cwc import w_masks_colex
 from cbckit.errors import NoPlan, ParamError
 from cbckit.hall import (
     CrowdedSubset,
@@ -16,6 +17,8 @@ from cbckit.hall import (
     ValidityReport,
     find_sdr,
     plan_batch,
+    supersets_adding,
+    supersets_below,
     verify_hc1,
     verify_hc2,
 )
@@ -34,6 +37,24 @@ def assert_plan_consistent(plan: RetrievalPlan, system: SetSystem, request):
     assert len(set(servers)) == len(servers)
     for item, server in plan.assignment.items():
         assert system.items[item] >> server & 1
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_supersets_match_a_filter_over_all_subsets(m):
+    # The tables as verify_hc2 and the oracle build them: more[e] lists
+    # every mask of e servers.
+    more = [list(w_masks_colex(m, e)) for e in range(m + 1)]
+    for mask in range(1 << m):
+        above = [t for t in range(1 << m) if t & mask == mask]
+        for extra in range(m + 1):
+            size = mask.bit_count() + extra
+            assert supersets_adding(mask, more[extra]) == [
+                t for t in above if t.bit_count() == size
+            ]
+        for k in range(1, m + 1):
+            assert sorted(supersets_below(mask, more[:k])) == [
+                t for t in above if t.bit_count() < k
+            ]
 
 
 def test_hc2_three_copies_invalid(three_copies):
