@@ -32,8 +32,8 @@ def main() -> None:
         "--settle-budget",
         type=int,
         default=0,
-        help="oracle budget per open instance, in search-tree nodes "
-        "(item placements tried); 0 skips settling",
+        help="oracle budget per open instance, in search nodes (profile "
+        "values and item placements tried); 0 skips settling",
     )
     args = ap.parse_args()
     if args.settle_budget < 0:

@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=oracle.DEFAULT_BUDGET,
-        help="most search-tree nodes (item placements tried) to explore",
+        help="most search nodes (profile values and item placements tried) to explore",
     )
     _finish(p, _cmd_search)
 

@@ -2,30 +2,33 @@
 
 Searches target storage values in increasing order, from the floor that
 Hall's counting condition proves (``search_floor``).  At each target, one
-walk on an explicit stack places n items in non-decreasing mask order
-(masks ascending numerically) and stops at its first complete layout.
-The walk keeps Hall's counting condition at batch size k as items are
-placed, so a branch dies at the first crowded server subset; the
-condition is monotone, so no prefix of a valid layout is cut, every
-complete layout reached is valid, and the first is the least valid layout
-at that storage.  A branch is also cut when its remaining items cannot
-fill the target: too many replicas for them, or more of them forced onto
-one server each than there are free single servers (two items on one
-server alone break Hall's condition for k >= 2).  Both cuts, like the
-floor, drop only subtrees without a valid layout, so the first layout met
-is unchanged.  ``search_optimal`` therefore returns the least valid
-layout at the least storage, with no best-so-far bookkeeping.  Intended
-for tiny instances (m <= 5 with n up to about 10 finishes in
-milliseconds); the walk uses no Python recursion, so only the node
-budget, which counts the item placements tried in the tree, bounds a
-search, and the default refuses to run away.  Listing the candidate masks
-is refused up front past ``MAX_CANDIDATE_MASKS``.
+engine lists the profiles (A_1, ..., A_k), A_j the number of items on j
+servers, that fill the target and pass the counting condition
+(``bounds.check_inequality``), most light items first, and walks each
+profile on an explicit stack.  Items are placed one weight class at a
+time, lightest class first, with masks non-decreasing within a class; the
+first item is fixed to the lowest mask of its weight, since Sym(m) is
+transitive on the j-server subsets, so some relabelling of any valid
+layout puts an item there.  The walk keeps Hall's counting condition at
+batch size k as items are placed, so a branch dies at the first crowded
+server subset; the condition is monotone, so no prefix of a valid layout
+is cut, and every complete layout reached is valid.  The first one
+reached, its masks sorted ascending, is the witness.  A profile fixes the
+replicas its items take, so no branch is cut for its room.  Intended for
+tiny instances: (10,4,6) takes about 20,000 nodes and (11,4,7) about
+107,000.  Only the node budget, which counts the values tried for
+A_1..A_{k-1} and the item placements tried, bounds a search, and the
+default refuses to run away; the walk uses no Python recursion, and the
+profile list recurses k deep.  A search over more than
+``MAX_CANDIDATE_MASKS`` candidate masks (masks of at most k servers) is
+refused up front; each weight's masks are listed the first time a
+profile uses it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -36,9 +39,9 @@ from .errors import BudgetExceeded, CbcError, ParamError, Unknown
 from .hall import supersets_below, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
-# Cap on the candidate masks (at most min(k, m) of m servers) listed before
-# the first node: (40, 5) lists 760,098, while m = 30, k = 10 would list
-# about 5.3e7.
+# Cap on the candidate masks (at most k of m servers), counted
+# before the first node: (40, 5) has 760,098, while m = 30, k = 10 would
+# have about 5.3e7.
 MAX_CANDIDATE_MASKS = 10**6
 
 
@@ -52,24 +55,6 @@ class SearchResult:
     nodes_explored: int
 
 
-def _candidate_masks(m: int, max_size: int) -> list[int]:
-    """Non-empty masks of at most ``max_size`` servers, ascending numerically.
-
-    Raises ParamError, before listing any, when there are more than
-    ``MAX_CANDIDATE_MASKS``; the count stops at the first weight past the
-    cap, so no huge binomial is computed.
-    """
-    count = 0
-    for w in range(1, max_size + 1):
-        count += comb(m, w)
-        if count > MAX_CANDIDATE_MASKS:
-            raise ParamError(
-                f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
-                f"candidate masks: {count} of weight at most {w}"
-            )
-    return list(heapq.merge(*(w_masks_colex(m, w) for w in range(1, max_size + 1))))
-
-
 def _constructive_upper(n: int, k: int, m: int) -> int | None:
     try:
         return bounds.known_n(Params(n, k, m)).upper
@@ -77,87 +62,126 @@ def _constructive_upper(n: int, k: int, m: int) -> int | None:
         return None
 
 
+def _profiles(
+    n: int, k: int, m: int, target: int, spend: Callable[[], None]
+) -> Iterator[tuple[int, ...]]:
+    """Profiles (A_1, ..., A_k) of n items on ``target`` replicas that pass
+    Hall's counting condition, most light items first.
+
+    Yields every tuple of non-negative integers with sum A_j = n,
+    sum j*A_j = target and ``bounds.check_inequality`` true at i = 1..k-1,
+    in descending lexicographic order: A_1 descending, then A_2, and so
+    on.  Each A_j's range is computed as soon as A_1..A_{j-1} are fixed:
+    the items after it sit on j+1 to k servers each, so the items and
+    replicas left bound it from both sides, and the inequality at i = j,
+    the first that A_j enters (with coefficient 1), caps it at
+    j*C(m,j) - sum_{l<j} C(m-l, j-l)*A_l.  A_k takes the items left.
+    ``spend`` is called once for every value tried for A_j with j < k.
+    The recursion is k deep, and k is small wherever the mask cap lets a
+    search run.
+    """
+    profile: list[int] = []
+
+    def extend(j: int, left: int, room: int) -> Iterator[tuple[int, ...]]:
+        if j == k:
+            if room == k * left:
+                yield (*profile, left)
+            return
+        cap = j * comb(m, j) - sum(comb(m - l, j - l) * a for l, a in enumerate(profile, 1))
+        top = min(left, (k * left - room) // (k - j), cap)
+        for a in range(top, max(0, (j + 1) * left - room) - 1, -1):
+            spend()
+            profile.append(a)
+            yield from extend(j + 1, left - a, room - j * a)
+            profile.pop()
+
+    return extend(1, n, target)
+
+
 def _search_targets(
     n: int, k: int, m: int, start: int, stop: int | None, budget: int
 ) -> SearchResult | None:
     """Scan storage targets in [start, stop); None if no valid layout there.
 
-    Each walk puts n items, masks of at most min(k, m) servers in
-    non-decreasing order, on exactly ``target`` replicas.  ``stack`` holds
-    the root's suspended candidate iterator and one per placed item
-    (``path``).  The walk keeps for every server subset T with |T| < k the
-    slack |T| minus the number of placed masks inside T, and does not
-    place a mask that would drive some slack below zero: adding items
-    never un-crowds a subset.  An exhausted iterator gives its item's
-    slack back, so a walk that finds nothing restores every slack and the
-    next target reuses the same state.  The root, and every placed item,
-    gets children only when the items left can still fill the room left.
+    Needs 1 <= k <= m.  For each profile of a target (``_profiles``), the
+    walk places item i on a mask of weights[i] servers.  ``stack`` holds
+    one suspended iterator over mask indices per item reached, and
+    ``path`` the mask index of each placed item: the first item's iterator
+    holds index 0 alone, an item of the same weight as the one before
+    resumes at that item's index, and the first item of a heavier class
+    starts at 0.
+    The walk keeps for every server subset T with |T| < k the slack |T|
+    minus the number of placed masks inside T, and does not place a mask
+    that would drive some slack below zero: adding items never un-crowds a
+    subset.  An exhausted iterator gives its item's slack back, so a walk
+    that finds nothing restores every slack and the next profile reuses
+    the same state.
     """
-    max_size = min(k, m)
-
-    def fits(left: int, room: int, free: int) -> bool:
-        # ``left`` items on one to max_size servers each fill exactly
-        # ``room`` replicas, so at least 2*left - room of them sit on one
-        # server each.  For k >= 2 no two of those share a server (that
-        # one-server subset would hold two items), and only ``free`` single
-        # servers lie above the last placed mask.
-        return left <= room <= left * max_size and (k == 1 or 2 * left - room <= free)
-
-    masks = _candidate_masks(m, max_size)
-    weights = [mask.bit_count() for mask in masks]
+    count = 0
+    for w in range(1, k + 1):
+        count += comb(m, w)
+        if count > MAX_CANDIDATE_MASKS:
+            raise ParamError(
+                f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
+                f"candidate masks: {count} of weight at most {w}"
+            )
     # more[e]: every mask of e < k servers, the servers that supersets_below
-    # may add to a mask; the candidate cap bounds these lists too.
+    # may add to a mask.
     more = [list(w_masks_colex(m, e)) for e in range(k)]
-    # The subsets whose slack a mask uses up, built on its first placement;
-    # a subset enters ``slack`` (at |T|) with the first mask that reaches it.
-    supersets_of: list[list[int] | None] = [None] * len(masks)
+    # masks[w]: every mask of w servers, ascending, listed the first time a
+    # profile has items of weight w; below[w][idx]: the subsets whose slack
+    # masks[w][idx] uses up, built on its first placement.  A subset enters
+    # ``slack`` (at |T|) with the first mask that reaches it.
+    masks: list[list[int]] = [[] for _ in range(k + 1)]
+    below: list[list[list[int] | None]] = [[] for _ in range(k + 1)]
     slack: dict[int, int] = {}
     nodes = 0
 
+    def spend() -> None:
+        nonlocal nodes
+        if nodes == budget:
+            raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+        nodes += 1
+
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
-        left, room = n, target
-        stack = [iter(range(len(masks)))] if fits(left, room, m) else []
-        path: list[int] = []
-        while stack:
-            for idx in stack[-1]:
-                weight = weights[idx]
-                if room - weight < left - 1:
-                    continue
-                if nodes == budget:
-                    raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
-                nodes += 1
-                supersets = supersets_of[idx]
-                if supersets is None:
-                    supersets = supersets_of[idx] = supersets_below(masks[idx], more)
-                    for t in supersets:
-                        slack.setdefault(t, t.bit_count())
-                if not all(map(slack.__getitem__, supersets)):
-                    continue
-                for t in supersets:
-                    slack[t] -= 1
-                path.append(idx)
-                left -= 1
-                room -= weight
-                if left == 0 and room == 0:
-                    items = tuple(masks[i] for i in path)
-                    system = SetSystem(m, items)
-                    if not verify_hc2(system, k).valid:
-                        raise AssertionError(f"Hall-pruned walk reached an invalid layout {items}")
-                    return SearchResult(n, k, m, target, system, nodes)
-                # Later masks are >= masks[idx], so a single server still
-                # free lies past its highest one (taken, if it is single).
-                free = m - masks[idx].bit_length()
-                stack.append(iter(range(idx, len(masks)) if fits(left, room, free) else ()))
-                break
-            else:
-                stack.pop()
-                if path:
-                    idx = path.pop()
-                    for t in supersets_of[idx]:
-                        slack[t] += 1
-                    left += 1
-                    room += weights[idx]
+        for profile in _profiles(n, k, m, target, spend):
+            weights = [w for w, a in enumerate(profile, 1) for _ in range(a)]
+            for w, a in enumerate(profile, 1):
+                if a and not masks[w]:
+                    masks[w] = list(w_masks_colex(m, w))
+                    below[w] = [None] * len(masks[w])
+            stack = [iter(range(1))]
+            path: list[int] = []
+            while stack:
+                weight = weights[len(path)]
+                for idx in stack[-1]:
+                    spend()
+                    subsets = below[weight][idx]
+                    if subsets is None:
+                        subsets = below[weight][idx] = supersets_below(masks[weight][idx], more)
+                        for t in subsets:
+                            slack.setdefault(t, t.bit_count())
+                    if not all(map(slack.__getitem__, subsets)):
+                        continue
+                    for t in subsets:
+                        slack[t] -= 1
+                    path.append(idx)
+                    if len(path) == n:
+                        items = tuple(sorted(masks[w][i] for w, i in zip(weights, path)))
+                        system = SetSystem(m, items)
+                        if not verify_hc2(system, k).valid:
+                            raise AssertionError(f"Hall-pruned walk reached an invalid layout {items}")
+                        return SearchResult(n, k, m, target, system, nodes)
+                    nxt = weights[len(path)]
+                    stack.append(iter(range(idx if nxt == weight else 0, len(masks[nxt]))))
+                    break
+                else:
+                    stack.pop()
+                    if path:
+                        idx = path.pop()
+                        for t in below[weights[len(path)]][idx]:
+                            slack[t] += 1
     return None
 
 
@@ -188,15 +212,15 @@ def search_floor(n: int, k: int, m: int) -> int:
 def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """True optimal storage for (n,k,m) by exhaustive Hall-pruned search.
 
-    The witness is the least valid layout (masks ascending) at that
-    storage.  Starts at ``search_floor`` and ascends; each walk drops the
-    branches whose remaining items cannot fill the target, which hold no
-    valid layout, so the witness is the one an uncut walk would meet.
-    Only masks of at most k servers are enumerated: any valid layout can
-    be truncated to that size without increasing storage, so the optimum
-    is reachable.
-    ``budget`` caps the nodes explored, one per item placement tried in
-    the search tree; BudgetExceeded is raised when it runs out.
+    Starts at ``search_floor`` and ascends.  The witness is the first valid
+    layout the engine meets at the least storage (profiles with the most
+    light items first, masks ascending within each weight class), with its
+    masks sorted ascending.  Only masks of at most k servers are
+    enumerated: any valid layout can be truncated to that size without
+    increasing storage, so the optimum is reachable.
+    ``budget`` caps the nodes explored: one per value tried for
+    A_1..A_{k-1} of a profile and one per item placement tried;
+    BudgetExceeded is raised when it runs out.
     """
     _check_budget(budget)
     if not 1 <= k <= m:
@@ -211,11 +235,12 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
 def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact N(n,k,m) for instances where the formulas leave a gap of one.
 
-    Pass-through when a regime already pins the value.  Otherwise searches
-    storage targets between the certified lower bound and the constructive
-    upper bound; if nothing smaller exists the upper bound is exact
-    (a construction achieves it).  ``budget`` counts nodes as in
-    ``search_optimal``; raises Unknown on budget exhaustion.
+    Pass-through when a regime already pins the value.  Otherwise runs the
+    engine of ``search_optimal`` on the storage targets between the
+    certified lower bound and the constructive upper bound; if nothing
+    smaller exists the upper bound is exact (a construction achieves it).
+    ``budget`` counts nodes as in ``search_optimal``; raises Unknown on
+    budget exhaustion.
     """
     _check_budget(budget)
     verdict = bounds.known_n(Params(n, k, m))

@@ -341,7 +341,9 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
     # layout reader and one exit table, re-pinned when an exhausted budget
     # began reporting the nodes explored (budget, not budget + 1), and again
     # when search started at its counting floor (the only change: search
-    # -n 5 -k 2 -m 3 explores 7 nodes, not 63).
+    # -n 5 -k 2 -m 3 explores 7 nodes, not 63), and again when search
+    # walked Hall-feasible profiles (the only change: search -n 5 -k 2 -m 3
+    # explores 8 nodes, search -n 4 -k 3 -m 4 explores 9, not 7).
     layouts = [serialize(table1_system), INTRO_LAYOUT, INVALID_LAYOUT]
     h = hashlib.sha256()
     codes = {0: 0, 1: 0, 2: 0, 3: 0}
@@ -375,7 +377,7 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         codes[result[0]] += 1
         h.update(repr((argv, *result)).encode())
     assert codes == {0: 110, 1: 18, 2: 28, 3: 2}
-    assert h.hexdigest() == "b42620c45f0be6b93afbf6f12d3c67811122673c5023db79d0b9ff5c8c012bf1"
+    assert h.hexdigest() == "59e7c088b3a4c20e4ecf272a3fcfe1a9d08bf8341cd910143812e6a669f031a7"
 
 
 @pytest.mark.parametrize(

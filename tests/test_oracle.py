@@ -88,7 +88,8 @@ def test_search_n_up_to_10_at_m_5():
 
 def test_search_set_up_does_not_scan_every_mask():
     # m = 40 has 2^40 masks; only the 820 of at most k = 2 servers are
-    # candidates, and superset lists are built on first placement.
+    # candidates, a weight's masks are listed when a profile first uses
+    # it, and superset lists are built on first placement.
     result = search_optimal(3, 2, 40, budget=1000)
     assert result.optimal_n_storage == 3
     assert verify_hc1(result.witness, 2).valid
@@ -109,7 +110,7 @@ def test_search_lists_masks_up_to_the_cap():
     # (40, 5): 760,098 candidate masks, under MAX_CANDIDATE_MASKS.
     assert sum(comb(40, w) for w in range(1, 6)) == 760_098 <= oracle.MAX_CANDIDATE_MASKS
     result = search_optimal(3, 5, 40, budget=10)
-    assert (result.optimal_n_storage, result.nodes_explored) == (3, 5)
+    assert (result.optimal_n_storage, result.nodes_explored) == (3, 9)
 
 
 def test_budget_counts_nodes_explored():
@@ -120,18 +121,19 @@ def test_budget_counts_nodes_explored():
     assert err.value.nodes_explored == nodes - 1
 
 
-# (optimal N, nodes explored) of the Hall-pruned canonical search, started
-# at search_floor and cut where the remaining items cannot fill the target.
+# (optimal N, nodes explored) of the Hall-pruned search, started at
+# search_floor: the values tried for A_1..A_{k-1} of the Hall-feasible
+# profiles, plus the item placements tried, one weight class at a time.
 SEARCH_NODE_COUNTS = {
-    (5, 2, 3): (7, 7),
-    (6, 2, 4): (8, 9),
-    (7, 3, 4): (12, 33),
-    (7, 2, 5): (9, 11),
-    (8, 2, 5): (11, 12),
-    (8, 3, 5): (12, 184),
-    (9, 3, 5): (15, 185),
-    (10, 3, 5): (17, 1754),
-    (8, 4, 5): (15, 45018),
+    (5, 2, 3): (7, 8),
+    (6, 2, 4): (8, 10),
+    (7, 3, 4): (12, 17),
+    (7, 2, 5): (9, 12),
+    (8, 2, 5): (11, 13),
+    (8, 3, 5): (12, 23),
+    (9, 3, 5): (15, 24),
+    (10, 3, 5): (17, 25),
+    (8, 4, 5): (15, 1939),
 }
 
 
@@ -139,6 +141,25 @@ def test_search_node_counts_are_pinned():
     for (n, k, m), expected in SEARCH_NODE_COUNTS.items():
         result = search_optimal(n, k, m)
         assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
+
+
+def test_search_budget_bounds_the_profile_enumeration():
+    # At (300, 6, 8) the one profile of the floor target comes after
+    # 129,457 tries of A_1..A_5, before any item is placed; each try is a
+    # node, so the budget stops the enumeration.
+    with pytest.raises(BudgetExceeded) as err:
+        search_optimal(300, 6, 8, budget=1000)
+    assert err.value.nodes_explored == 1000
+
+
+@pytest.mark.parametrize("n, k, m, expected", [(10, 4, 6, 18), (11, 4, 7, 19)])
+def test_search_settles_k4_middle_range(n, k, m, expected):
+    # No regime covers these; the search finds one and two above the
+    # counting bound.
+    assert lower_bound(n, k, m).lower in (expected - 1, expected - 2)
+    result = search_optimal(n, k, m)
+    assert result.optimal_n_storage == total_storage(result.witness) == expected
+    assert verify_hc1(result.witness, k).valid and verify_hc2(result.witness, k).valid
 
 
 def test_search_witness_at_8_4_5():
@@ -157,6 +178,28 @@ def compositions(n, parts):
     for first in range(n + 1):
         for rest in compositions(n - first, parts - 1):
             yield (first, *rest)
+
+
+def test_profiles_match_a_filter_over_all_compositions():
+    # The enumerator against brute force: every composition of n into k
+    # parts with storage target that passes check_inequality at
+    # i = 1..k-1, in descending lexicographic order (A_1 descending, then
+    # A_2, ...).
+    for k in range(2, 5):
+        for m in range(4, 7):
+            for n in range(1, 9):
+                for target in range(n, k * n + 1):
+                    expected = sorted(
+                        (
+                            counts
+                            for counts in compositions(n, k)
+                            if sum(j * a for j, a in enumerate(counts, 1)) == target
+                            and all(check_inequality(Profile(k, counts), m, i) for i in range(1, k))
+                        ),
+                        reverse=True,
+                    )
+                    got = list(oracle._profiles(n, k, m, target, lambda: None))
+                    assert got == expected, (n, k, m, target)
 
 
 def least_profile_storage(n, k, m):
@@ -244,10 +287,14 @@ def test_settle_gap_budget_exhaustion():
 # (n, k, m, forced bracket [lower, upper), least budget): the search over
 # the bracket finishes with no layout, so the upper bound is exact; one
 # node less and the gap stays unresolved.
+# The counting condition rules out every profile of the first three
+# brackets after one try of A_1; at (8, 4, 5) the walk of every profile at
+# the counting bound 14 ends with nothing.
 NO_HIT_SETTLE_BUDGETS = [
-    (5, 3, 4, 6, 7, 40),
-    (6, 3, 4, 8, 9, 59),
-    (8, 3, 5, 10, 12, 125),
+    (5, 3, 4, 6, 7, 1),
+    (6, 3, 4, 8, 9, 1),
+    (8, 3, 5, 10, 12, 1),
+    (8, 4, 5, 14, 15, 1907),
 ]
 
 
@@ -286,10 +333,11 @@ def test_settle_gap_walks_far_deeper_than_the_recursion_limit(monkeypatch):
     assert settle_gap(1500, 2, 2, budget=0) == 2998
 
 
-@pytest.mark.parametrize("n, k, m, target, nodes", [(5, 2, 3, 9, 7), (6, 2, 4, 12, 8)])
+@pytest.mark.parametrize("n, k, m, target, nodes", [(5, 2, 3, 9, 6), (6, 2, 4, 12, 7)])
 def test_walk_skips_branches_that_cannot_fill_a_high_target(monkeypatch, n, k, m, target, nodes):
-    # Far above the optimum, a branch whose items cannot reach the target
-    # even on min(k, m) servers each is cut before any of its nodes.
+    # Far above the optimum, the room left bounds A_1 from both sides: the
+    # one profile has 2n - target singletons and the rest of the items on
+    # k = 2 servers, and its walk never backtracks.
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=target, upper=target + 1))
     assert settle_gap(n, k, m, budget=nodes) == target
     with pytest.raises(Unknown):
