@@ -46,7 +46,7 @@ def main() -> None:
     print(f"k={k} m={m}: code size {code.size}, range n in [{lo}, {ceiling}]")
     open_instances = []
     for n in range(lo, ceiling + 1):
-        system, _ = construct_range_b(n, k, m)
+        system = construct_range_b(n, k, m)
         built = total_storage(system)
         verdict = known_n(Params(n, k, m))
         assert verify_hc2(system, k).valid

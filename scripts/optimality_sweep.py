@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{'n':>5} {'N':>6} {'lower':>6} {'gap':>4} {'valid':>6}  profile (A_1..A_k)")
     worst_gap = 0
     for n in range(lo, hi + 1, args.step):
-        system, _ = construct_range_a(n, k, m)
+        system = construct_range_a(n, k, m)
         built = total_storage(system)
         bound = lower_bound(n, k, m).lower
         valid = verify_hc2(system, k).valid

@@ -16,7 +16,6 @@ from .bounds import (
     u_value,
 )
 from .construct import (
-    ConstructionTrace,
     construct_best,
     construct_large_n,
     construct_m_equals_k,
@@ -25,7 +24,6 @@ from .construct import (
     construct_range_b,
     construct_trivial,
     construct_uniform,
-    serialize_trace,
 )
 from .core import (
     Params,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult",
     "ConstantWeightCode",
-    "ConstructionTrace",
     "CrowdedSubset",
     "Deficiency",
     "Params",
@@ -98,7 +95,6 @@ __all__ = [
     "search_optimal",
     "serialize",
     "serialize_code",
-    "serialize_trace",
     "settle_gap",
     "total_storage",
     "truncate_to_k",

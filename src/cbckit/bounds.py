@@ -147,12 +147,17 @@ def _range_a(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
 
 def _range_b(n: int, k: int, m: int) -> Optional[tuple[int, bool]]:
     # The built storage meets the lower bound only when the deficit's
-    # remainder is below half the modulus; otherwise it is one above.
+    # remainder is below half the modulus; otherwise it is one above.  A
+    # code with too many candidate words to build leaves the regime out.
     if k < 5 or n > comb(m, k - 2):
+        return None
+    try:
+        code = cwc.best_d4_code(m, k - 3)
+    except ParamError:
         return None
     width = m - k + 1
     gap = comb(m, k - 2) - n
-    if gap > width * cwc.best_d4_code(m, k - 3).size:
+    if gap > width * code.size:
         return None
     return n * (k - 2) - 2 * (gap // width), 2 * (gap % width) < width
 

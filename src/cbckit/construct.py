@@ -2,13 +2,13 @@
 
 The two deletion-based builders (``construct_range_a`` and
 ``construct_range_b``) start from a fully replicated collection and
-systematically trade deleted supersets for smaller added sets, recording
-every step in a ConstructionTrace.  The trace doubles as a runtime proof
-obligation: each deletion must find a copy still present, which is exactly
-the availability argument behind the constructions' correctness.  The
-deletions are counted in bulk, once per distinct deleted set, and checked
-at the end of the run; since no addition refills a set that a step
-deletes, that check is the per-deletion one (see ``_run_steps``).
+systematically trade deleted supersets for smaller added sets.  Each
+deletion must find a copy still present, which is exactly the availability
+argument behind the constructions' correctness, and the builders check it
+at run time.  The deletions are counted in bulk, once per distinct deleted
+set, and checked at the end of the run; since no addition refills a set
+that a step deletes, that check is the per-deletion one (see
+``_run_steps``).
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -21,50 +21,18 @@ masks 1, 2, 4, 8, 3.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Mapping
 
 from . import bounds
-from .core import Params, Profile, SetSystem, bits, total_storage
+from .core import Params, SetSystem, bits, total_storage
 from .cwc import ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex, _greedy_scan
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    """Replayable record of a deletion construction.
-
-    ``deletions`` holds one entry per step: the auxiliary set driving the
-    step and the supersets deleted for it, in deletion order.  ``additions``
-    holds the sets appended, with multiplicity; entry i belongs to step i
-    (a trailing deletion step without a matching addition is the partial
-    step).  Replaying deletions then additions on the initial collection
-    reproduces ``final``.
-    """
-
-    initial_profile: Profile
-    deletions: tuple[tuple[int, tuple[int, ...]], ...]
-    additions: tuple[tuple[int, int], ...]
-    final: SetSystem
-
-
 def _format_set(mask: int) -> str:
     return ",".join(str(s) for s in bits(mask))
-
-
-def serialize_trace(trace: ConstructionTrace) -> str:
-    """One construction step per line: ``del <aux-set> <superset>`` / ``add <set> x<mult>``."""
-    lines = []
-    for i, (aux, supersets) in enumerate(trace.deletions):
-        for sup in supersets:
-            lines.append(f"del {_format_set(aux)} {_format_set(sup)}")
-        if i < len(trace.additions):
-            mask, mult = trace.additions[i]
-            lines.append(f"add {_format_set(mask)} x{mult}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
@@ -77,8 +45,8 @@ def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
 
 
 def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
-               copies: int) -> tuple[SetSystem, ConstructionTrace]:
-    """Run a deletion construction down to n items; return the layout and trace.
+               copies: int) -> SetSystem:
+    """Run a deletion construction down to n items and return the layout.
 
     Start from ``each`` copies of every w-subset, C = each*C(m,w) items.
     The deficit C - n splits into floor((C-n)/(m-k+1)) full steps and a
@@ -87,30 +55,27 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     nonzero leftover adds a partial step that deletes only that many
     supersets of the next set.  Every deletion must find a copy left.
 
-    The deletions are counted in bulk: all steps' supersets are listed
-    first (the trace holds them), counted in one pass, and subtracted
-    from the initial copies once per distinct superset.  Deletions touch
-    only w-subsets and additions only (w-1)-subsets, so no addition ever
-    refills a deleted set, and every deletion found a copy iff no
-    w-subset is deleted more than ``each`` times in all; if one is, the
-    deletions are replayed in order to name the first superset that had
-    no copy left.
+    The deletions are counted in bulk: all steps' supersets are counted
+    in one pass and subtracted from the initial copies once per distinct
+    superset.  Deletions touch only w-subsets and additions only
+    (w-1)-subsets, so no addition ever refills a deleted set, and every
+    deletion found a copy iff no w-subset is deleted more than ``each``
+    times in all; if one is, the deletions are replayed in order to name
+    the first superset that had no copy left.
     """
-    ceiling = each * comb(m, w)
-    full_steps, leftover = divmod(ceiling - n, m - k + 1)
-    initial = Profile(k, tuple(ceiling if j == w else 0 for j in range(1, k + 1)))
+    full_steps, leftover = divmod(each * comb(m, w) - n, m - k + 1)
+    auxes = [next(aux_sets) for _ in range(full_steps + (1 if leftover else 0))]
     singles = [1 << x for x in range(m)]
-    deletions = []
-    for step in range(full_steps + (1 if leftover else 0)):
-        aux = next(aux_sets)
-        supersets = tuple(supersets_adding(aux, singles))
-        if step == full_steps:
-            supersets = supersets[:leftover]
-        deletions.append((aux, supersets))
-    deleted = Counter(chain.from_iterable(sups for _, sups in deletions))
+
+    def deletions():
+        for step, aux in enumerate(auxes):
+            supersets = supersets_adding(aux, singles)
+            yield from supersets if step < full_steps else supersets[:leftover]
+
+    deleted = Counter(deletions())
     if max(deleted.values(), default=0) > each:
         seen = Counter()
-        for sup in chain.from_iterable(sups for _, sups in deletions):
+        for sup in deletions():
             seen[sup] += 1
             if seen[sup] > each:
                 raise AssertionError(
@@ -119,11 +84,9 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     counts = dict.fromkeys(w_masks_colex(m, w), each)
     for sup, times in deleted.items():
         counts[sup] -= times
-    additions = tuple((aux, copies) for aux, _ in deletions[:full_steps])
-    for aux, _ in additions:
+    for aux in auxes[:full_steps]:
         counts[aux] = counts.get(aux, 0) + copies
-    final = _system_from_counts(m, counts)
-    return final, ConstructionTrace(initial, tuple(deletions), additions, final)
+    return _system_from_counts(m, counts)
 
 
 def construct_trivial(n: int, k: int, m: int) -> SetSystem:
@@ -177,7 +140,7 @@ def construct_large_n(n: int, k: int, m: int) -> SetSystem:
     return SetSystem(m, tuple(items))
 
 
-def construct_range_a(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTrace]:
+def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     """Deletion construction for C(m,k-2) <= n <= (k-1)*C(m,k-1), k >= 3.
 
     Start from k-1 copies of every (k-1)-subset.  Each full step takes the
@@ -196,7 +159,7 @@ def construct_range_a(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTr
     return _run_steps(n, k, m, k - 1, k - 1, w_masks_colex(m, k - 2), 1)
 
 
-def construct_range_b(n: int, k: int, m: int) -> tuple[SetSystem, ConstructionTrace]:
+def construct_range_b(n: int, k: int, m: int) -> SetSystem:
     """Code-guided construction below C(m,k-2) for k >= 5.
 
     Start from one copy of every (k-2)-subset.  Steps are driven by
@@ -264,8 +227,8 @@ BUILDERS = {
     "m-equals-k": construct_m_equals_k,
     "m-plus-1": construct_m_plus_1,
     "large-n": construct_large_n,
-    "range-a": lambda n, k, m: construct_range_a(n, k, m)[0],
-    "range-b": lambda n, k, m: construct_range_b(n, k, m)[0],
+    "range-a": construct_range_a,
+    "range-b": construct_range_b,
 }
 
 

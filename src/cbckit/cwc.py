@@ -8,7 +8,8 @@ j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
 O(size * C(w, j)) time.  C(w, j) may be at most ``MAX_WORD_KEYS``; a
 larger one is a ParamError, raised before any word is keyed.  A
 fixed-residue-sum class gives distance 4, and a greedy first-fit scan gives
-any even distance.
+any even distance.  ``best_d4_code`` scans all C(m, w) candidate words and
+refuses, with a ParamError, more than ``MAX_CODE_CANDIDATES`` of them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .errors import InsufficientCode, MalformedHeader, ParamError
 # code (C(w, 1) = w) and every weight up to 22 stays below it, while one
 # word at w = d2 = 30 would need C(30, 14), about 1.5e8.
 MAX_WORD_KEYS = 10**6
+
+# Cap on C(m, w), the candidate words ``best_d4_code`` lists and scans: the
+# (30, 6) code of the range-b check has 593,775, while (40, 9) would list
+# about 2.7e8.
+MAX_CODE_CANDIDATES = 10**6
 
 
 def w_masks_colex(m: int, w: int):
@@ -154,9 +160,15 @@ def best_d4_code(m: int, w: int) -> ConstantWeightCode:
     Used wherever a construction needs "as many distance-4 words of weight
     w as we can actually build"; exact-value claims downstream are tied to
     this constructible size, not to the abstract maximum.  Cached per
-    (m, w): one ``construct`` asks for the same code up to three times, and
-    the result is immutable.
+    (m, w): one ``construct`` asks for the same code up to four times, and
+    the result is immutable.  Raises ParamError, before listing any word,
+    when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
     """
+    if comb(m, w) > MAX_CODE_CANDIDATES:
+        raise ParamError(
+            f"a distance-4 code of weight {w} on {m} positions scans C({m}, {w}) "
+            f"candidate words, more than {MAX_CODE_CANDIDATES}"
+        )
     residue = graham_sloane_d4(m, w)
     greedy = _greedy_scan(m, 4, w, None)
     if len(greedy) > residue.size:

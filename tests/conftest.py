@@ -22,8 +22,7 @@ from cbckit.core import (
     truncate_to_k,
 )
 from cbckit.bounds import u_value
-from cbckit.construct import ConstructionTrace, _format_set
-from cbckit.core import Profile
+from cbckit.construct import _format_set
 from cbckit.cwc import w_masks_colex
 from cbckit.errors import (
     EmptyItemSet,
@@ -249,7 +248,7 @@ def assert_storage_bound(system: SetSystem, k: int) -> None:
 
 
 def run_steps_reference(n: int, k: int, m: int, w: int, each: int, aux_sets,
-                        copies: int) -> tuple[SetSystem, ConstructionTrace]:
+                        copies: int) -> SetSystem:
     """Sequential reference for construct._run_steps: the same deletion
     construction, one deletion at a time, each checked against the copies
     left before the next, with additions applied as their step ends.
@@ -257,9 +256,7 @@ def run_steps_reference(n: int, k: int, m: int, w: int, each: int, aux_sets,
     ceiling = each * math.comb(m, w)
     full_steps, leftover = divmod(ceiling - n, m - k + 1)
     counts = Counter({mask: each for mask in w_masks_colex(m, w)})
-    initial = Profile(k, tuple(ceiling if j == w else 0 for j in range(1, k + 1)))
     singles = [1 << x for x in range(m)]
-    deletions, additions = [], []
     for step in range(full_steps + (1 if leftover else 0)):
         aux = next(aux_sets)
         supersets = tuple(aux | bit for bit in singles if not aux & bit)
@@ -272,12 +269,9 @@ def run_steps_reference(n: int, k: int, m: int, w: int, each: int, aux_sets,
                     f"construction tried to delete {_format_set(sup)} with no copy left"
                 )
             counts[sup] = left - 1
-        deletions.append((aux, supersets))
         if step < full_steps:
             counts[aux] += copies
-            additions.append((aux, copies))
     items = []
     for mask in sorted(counts):
         items.extend([mask] * counts[mask])
-    final = SetSystem(m, tuple(items))
-    return final, ConstructionTrace(initial, tuple(deletions), tuple(additions), final)
+    return SetSystem(m, tuple(items))

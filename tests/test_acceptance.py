@@ -51,7 +51,7 @@ def criterion(number: int, description: str):
 
 def test_criterion_1_paper_example():
     with criterion(1, "worked example n=43 k=4 m=6: profile (5, 38), N=124, valid"):
-        system, _ = construct_range_a(43, 4, 6)
+        system = construct_range_a(43, 4, 6)
         assert total_storage(system) == 124
         p = profile(system, 4)
         assert p.a(2) == 5 and p.a(3) == 38 and p.a(1) == 0 and p.a(4) == 0
@@ -63,7 +63,7 @@ def test_criterion_2_deletion_range_sweep():
         for k, m in [(3, 5), (3, 6), (4, 6), (4, 7), (5, 8)]:
             ceiling = (k - 1) * comb(m, k - 1)
             for n in range(comb(m, k - 2), ceiling + 1):
-                system, _ = construct_range_a(n, k, m)
+                system = construct_range_a(n, k, m)
                 built = total_storage(system)
                 expected = n * (k - 1) - (ceiling - n) // (m - k + 1)
                 assert built == expected, (n, k, m)
@@ -84,7 +84,7 @@ def test_criterion_3_code_range_sweep():
             floor_n = n
         assert floor_n == 40  # ceiling - (m-k+1) * 4 with the size-4 code
         for n in range(floor_n, ceiling + 1):
-            system, _ = construct_range_b(n, k, m)
+            system = construct_range_b(n, k, m)
             built = total_storage(system)
             deficit = ceiling - n
             assert built == n * (k - 2) - 2 * (deficit // 4), (n,)

@@ -112,6 +112,13 @@ def test_known_n_trivial():
     assert known_n(Params(4, 3, 6)).exact == 4
 
 
+def test_known_n_leaves_out_range_b_when_its_code_is_too_large():
+    # Range-b at (5,12,40) would need the weight-9 code on 40 positions,
+    # C(40, 9) candidate words; the trivial regime answers at once.
+    result = known_n(Params(5, 12, 40))
+    assert result.exact == 5 and result.source == "trivial"
+
+
 def test_known_n_large_and_range_a_agree():
     result = known_n(Params(60, 4, 6))
     assert result.exact == 180

@@ -16,41 +16,13 @@ from cbckit.construct import (
     construct_range_b,
     construct_trivial,
     construct_uniform,
-    serialize_trace,
 )
 from cbckit.core import Params, SetSystem, profile, serialize, total_storage
-from cbckit.cwc import best_d4_code, w_masks_colex
+from cbckit.cwc import MAX_CODE_CANDIDATES, best_d4_code, w_masks_colex
 from cbckit.errors import ParamError, RangeError, Unsupported
 from cbckit.hall import verify_hc2
 
 from conftest import assert_storage_bound, run_steps_reference
-
-
-def replay(trace) -> SetSystem:
-    """Re-run a trace's steps independently of the constructor's bookkeeping."""
-    m = trace.final.m
-    k = trace.initial_profile.k
-    counts = Counter()
-    for j, count in enumerate(trace.initial_profile.counts, start=1):
-        if count:
-            size_j = [mask for mask in range(1 << m) if mask.bit_count() == j]
-            per_mask, rem = divmod(count, len(size_j))
-            assert rem == 0
-            for mask in size_j:
-                counts[mask] += per_mask
-    for i, (aux, supersets) in enumerate(trace.deletions):
-        for sup in supersets:
-            assert sup & aux == aux and sup.bit_count() == aux.bit_count() + 1
-            assert counts[sup] >= 1, "deleted a copy that was not there"
-            counts[sup] -= 1
-        if i < len(trace.additions):
-            mask, mult = trace.additions[i]
-            assert mask == aux
-            counts[mask] += mult
-    items = []
-    for mask in sorted(counts):
-        items.extend([mask] * counts[mask])
-    return SetSystem(m, tuple(items))
 
 
 @st.composite
@@ -142,21 +114,19 @@ def test_large_n_examples():
 
 
 def test_range_a_table1():
-    system, trace = construct_range_a(43, 4, 6)
+    system = construct_range_a(43, 4, 6)
     assert total_storage(system) == 124
     assert profile(system, 4).counts == (0, 5, 38, 0)
     assert verify_hc2(system, 4).valid
-    assert replay(trace) == system
 
 
 def test_range_a_zero_steps():
-    system, trace = construct_range_a(60, 4, 6)
-    assert profile(system, 4).counts == (0, 0, 60, 0)
-    assert trace.deletions == () and trace.additions == ()
+    system = construct_range_a(60, 4, 6)
+    assert system.items == tuple(mask for mask in w_masks_colex(6, 3) for _ in range(3))
 
 
 def test_range_a_full_degeneration():
-    system, _ = construct_range_a(15, 4, 6)
+    system = construct_range_a(15, 4, 6)
     assert profile(system, 4).counts == (0, 15, 0, 0)
     assert total_storage(system) == 30
     assert verify_hc2(system, 4).valid
@@ -176,11 +146,14 @@ def test_range_a_surviving_set_containment():
     # inside it (leftover copies plus added subsets) -- except the sets a
     # partial step touched, which sit one lower since that step deletes a
     # copy without adding its auxiliary subset.  Validity only needs <= k-2.
+    # The partial step's supersets are the first `leftover` one-larger
+    # supersets, in colex order, of the (full_steps+1)-th (k-2)-set.
     for n, k, m in [(43, 4, 6), (25, 4, 6), (10, 3, 5), (100, 5, 8)]:
-        system, trace = construct_range_a(n, k, m)
-        partial_hits = set()
-        if len(trace.deletions) > len(trace.additions):
-            partial_hits = set(trace.deletions[-1][1])
+        system = construct_range_a(n, k, m)
+        full_steps, leftover = divmod((k - 1) * comb(m, k - 1) - n, m - k + 1)
+        aux = list(w_masks_colex(m, k - 2))[full_steps]
+        supersets = sorted(aux | 1 << x for x in range(m) if not aux >> x & 1)
+        partial_hits = set(supersets[:leftover])
         by_mask = Counter(system.items)
         for mask, count in by_mask.items():
             if mask.bit_count() != k - 1:
@@ -195,32 +168,38 @@ def test_range_a_surviving_set_containment():
 
 
 def test_range_b_no_steps():
-    system, trace = construct_range_b(56, 5, 8)
+    system = construct_range_b(56, 5, 8)
     assert profile(system, 5).counts == (0, 0, 56, 0, 0)
     assert total_storage(system) == 168
-    assert trace.deletions == ()
+    assert system.items == tuple(w_masks_colex(8, 3))
 
 
 def test_range_b_one_full_step():
-    system, trace = construct_range_b(52, 5, 8)
+    system = construct_range_b(52, 5, 8)
     assert profile(system, 5).counts == (0, 2, 50, 0, 0)
     assert total_storage(system) == 154
     assert verify_hc2(system, 5).valid
-    aux, supersets = trace.deletions[0]
-    assert aux == 0b11  # colex-least codeword {0,1}
-    assert len(supersets) == 6
-    assert trace.additions == ((aux, 2),)
-    assert replay(trace) == system
+    # The step's codeword is the colex-least one, {0,1}: it is added twice,
+    # and all six of its 3-supersets are deleted.
+    assert system.items.count(0b11) == 2
+    assert set(w_masks_colex(8, 3)) - set(system.items) == {0b11 | 1 << x for x in range(2, 8)}
 
 
 def test_range_b_partial_step():
-    system, trace = construct_range_b(54, 5, 8)
+    system = construct_range_b(54, 5, 8)
     assert total_storage(system) == 162
     assert verify_hc2(system, 5).valid
     assert known_n(Params(54, 5, 8)).lower == 161
-    aux, supersets = trace.deletions[0]
-    assert len(supersets) == 2
-    assert trace.additions == ()
+    # A partial step only: the first two 3-supersets of {0,1} go, and
+    # nothing is added.
+    assert set(w_masks_colex(8, 3)) - set(system.items) == {0b111, 0b1011}
+    assert all(mask.bit_count() == 3 for mask in system.items)
+
+
+def test_range_b_refuses_a_code_with_too_many_candidates():
+    message = rf"C\(40, 9\) candidate words, more than {MAX_CODE_CANDIDATES}$"
+    with pytest.raises(ParamError, match=message):
+        construct_range_b(5, 12, 40)
 
 
 def test_range_b_rejects_out_of_range():
@@ -284,7 +263,7 @@ def test_uniform_examples():
     assert verify_hc2(triples, 5).valid
     twos = construct_uniform(2, 4, 6)
     assert twos.n == 15
-    assert profile(twos, 4).counts == profile(construct_range_a(15, 4, 6)[0], 4).counts
+    assert profile(twos, 4).counts == profile(construct_range_a(15, 4, 6), 4).counts
 
 
 def test_uniform_keeps_greedy_words_on_a_size_tie():
@@ -335,13 +314,3 @@ def test_best_output_always_verifies():
         assert total_storage(system) >= result.lower
         assert_storage_bound(system, k)
 
-
-def test_trace_serialization():
-    _, trace = construct_range_b(52, 5, 8)
-    text = serialize_trace(trace)
-    lines = text.splitlines()
-    assert lines[0] == "del 0,1 0,1,2"
-    assert lines[-1] == "add 0,1 x2"
-    assert len(lines) == 7
-    _, empty = construct_range_a(60, 4, 6)
-    assert serialize_trace(empty) == ""

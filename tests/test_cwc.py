@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cbckit import cwc
 from cbckit.core import bits, mask_of
 from cbckit.cwc import (
+    MAX_CODE_CANDIDATES,
     MAX_WORD_KEYS,
     ConstantWeightCode,
     _greedy_scan,
@@ -215,6 +216,19 @@ def test_keys_cap_boundary(monkeypatch):
         ConstantWeightCode(5, 5, 6, (word,))
     # Every weight up to 22 stays under the real cap at every distance.
     assert max(comb(w, j) for w in range(1, 23) for j in range(w + 1)) <= MAX_WORD_KEYS
+
+
+def test_code_candidates_cap_boundary(monkeypatch):
+    # best_d4_code(13, 4) scans C(13, 4) = 715 words: allowed at a cap of
+    # 715, refused below it.  The cache is cleared so that each call checks.
+    monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 714)
+    best_d4_code.cache_clear()
+    with pytest.raises(ParamError, match=r"scans C\(13, 4\) candidate words, more than 714$"):
+        best_d4_code(13, 4)
+    monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 715)
+    assert best_d4_code(13, 4).size > 0
+    # The (30, 6) code of the range-b check stays under the real cap.
+    assert comb(30, 6) <= MAX_CODE_CANDIDATES < comb(40, 9)
 
 
 def test_best_d4_code_words_are_pinned():

@@ -22,7 +22,6 @@ from cbckit.construct import (
     construct_range_a,
     construct_range_b,
     construct_uniform,
-    serialize_trace,
 )
 from cbckit.core import Params, parse, serialize, total_storage
 from cbckit.errors import CbcError, Unsupported
@@ -94,8 +93,8 @@ def test_design_grid_text_digest():
     assert h.hexdigest() == "ba71455513e54ca95d026f673f9c58b72791439b59d9f0e33dd86cb83bf47957"
 
 
-def test_deletion_construction_traces_digest():
-    # Both deletion constructions share one step loop; their traces (or
+def test_deletion_construction_layouts_digest():
+    # Both deletion constructions share one step loop; their layouts (or
     # errors) for 3 <= k <= m <= 9, n <= min((k-1)*C(m,k-2), 100): 3,638.
     h = hashlib.sha256()
     count = 0
@@ -104,13 +103,13 @@ def test_deletion_construction_traces_digest():
             for n in range(1, min(comb(m, k - 2) * (k - 1), 100) + 1):
                 for build in (construct_range_a, construct_range_b):
                     try:
-                        text = serialize_trace(build(n, k, m)[1])
+                        text = serialize(build(n, k, m))
                     except CbcError as exc:
                         text = f"{type(exc).__name__} {exc}"
                     h.update(text.encode())
                     count += 1
     assert count == 3638
-    assert h.hexdigest() == "251db848446e4ea57902ba8d1357cb5e0afea742fe1f233dc25384fc0f108c21"
+    assert h.hexdigest() == "cf11f5189d19557f596b44fabd6c3c294cd2aea2ca2e0d05a87aba9d21aaa333"
 
 
 FORCED = ["auto", "trivial", "m-equals-k", "m-plus-1", "large-n", "range-a", "range-b"]
