@@ -237,8 +237,10 @@ def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResul
 
     Returns the layout together with the bounds verdict for (n,k,m), whose
     ``upper`` is that regime's storage, after asserting that the built
-    storage matches it.  Raises Unsupported in the uncovered middle range
-    (m+2 < n < C(m,k-2) beyond the code range).
+    storage matches it.  Raises Unsupported where no regime with a builder
+    applies: at n = m+2, whose exact value ``known_n`` reports but no
+    builder realises, and in the uncovered middle range (m+2 < n below the
+    code range).
     """
     verdict = bounds.known_n(Params(n, k, m))
     if verdict.upper is None:

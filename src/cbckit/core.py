@@ -207,6 +207,15 @@ def _render_lines(head: str, masks: Iterable[int]) -> str:
 # str.split() or str.splitlines() quietly normalised away: a sign, "_", a
 # non-ASCII digit, CR, tab, a no-break space or a Unicode line break.
 _ALPHABET = re.compile(r"[0-9a-z=: \n]*")
+# In a line tail, a position written with a leading zero.
+_LEADING_ZERO = re.compile(" 0[0-9]")
+
+
+def _format_error(text: str, at: int, what: str):
+    """The format error for ``what`` at offset ``at`` of ``text``, naming its line."""
+    line = text.count("\n", 0, at) + 1
+    error = MalformedHeader if line == 1 else MalformedItemLine
+    return error(f"line {line}: {what}")
 
 
 def _header_int(token: str, key: str) -> int:
@@ -228,9 +237,12 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
     Header ``<tag> <key>=<int> ...``, ``keys`` in order from ``m`` (the
     position count) to the line count; then ``<index>: <positions>`` per
     ``noun``, positions strictly ascending.  ASCII digits, spaces and LF
-    only.  O(lines) plus per-token work once for each distinct line tail
-    (the text after ``:``): a tail seen before takes its earlier mask, and
-    a tail that fails raises at its first line, so errors are unchanged.
+    only, and only the canonical spelling that ``_render_lines`` writes:
+    single spaces, none at a line end, no leading zeros, a final LF.  The
+    spelling is checked last, so any other error takes priority.  O(lines)
+    plus per-token work once for each distinct line tail (the text after
+    ``:``): a tail seen before takes its earlier mask, and a tail that
+    fails raises at its first line, so errors are unchanged.
     """
     lines = text.splitlines()
     if not lines:
@@ -247,16 +259,20 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
         raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
     masks = []
     decoded: dict[str, int] = {}  # line tail -> mask
+    odd = None  # position of the first line not spelled canonically
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
         if not sep:
             raise MalformedItemLine(f"line {pos + 2}: missing ':'")
-        try:
-            idx = int(idx_str)
-        except ValueError:
-            raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
-        if idx != pos:
-            raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
+        if idx_str != str(pos):
+            try:
+                idx = int(idx_str)
+            except ValueError:
+                raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
+            if idx != pos:
+                raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
+            if odd is None:
+                odd = pos
         mask = decoded.get(rest)
         if mask is None:
             tokens = rest.split()
@@ -276,12 +292,21 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
                 prev = s
                 mask |= 1 << s
             decoded[rest] = mask
+            if odd is None and (rest[0] != " " or rest[-1] == " " or "  " in rest
+                                or " 0" in rest and _LEADING_ZERO.search(rest)):
+                odd = pos
         masks.append(mask)
     end = _ALPHABET.match(text).end()
     if end < len(text):
-        line = text.count("\n", 0, end) + 1
-        error = MalformedHeader if line == 1 else MalformedItemLine
-        raise error(f"line {line}: character {text[end]!r} is not allowed")
+        raise _format_error(text, end, f"character {text[end]!r} is not allowed")
+    header = " ".join([tag, *(f"{key}={value}" for key, value in zip(keys, values))])
+    if lines[0] != header:
+        raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
+    if odd is not None:
+        line = f"{odd}:" + "".join(f" {s}" for s in bits(masks[odd]))
+        raise MalformedItemLine(f"line {odd + 2}: expected {line!r}, got {body[odd]!r}")
+    if text[-1] != "\n":
+        raise _format_error(text, len(text), "no LF at the end of the text")
     return values, masks
 
 

@@ -161,7 +161,8 @@ def sdr_reference(sets: Sequence[int]) -> Union[list[int], Deficiency]:
 
 def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part: str):
     """Reference for core._parse_lines: the same grammar and messages, with
-    every line's tail decoded token by token, with no memo of earlier tails.
+    every line's tail decoded token by token, with no memo of earlier tails,
+    and every line compared with its canonical spelling.
     """
     lines = text.splitlines()
     if not lines:
@@ -209,6 +210,16 @@ def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part:
         line = text.count("\n", 0, end) + 1
         error = MalformedHeader if line == 1 else MalformedItemLine
         raise error(f"line {line}: character {text[end]!r} is not allowed")
+    header = f"{tag} " + " ".join(f"{key}={value}" for key, value in zip(keys, values))
+    if lines[0] != header:
+        raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
+    for pos, (line, mask) in enumerate(zip(body, masks)):
+        canonical = f"{pos}: " + " ".join(map(str, bits(mask)))
+        if line != canonical:
+            raise MalformedItemLine(f"line {pos + 2}: expected {canonical!r}, got {line!r}")
+    if not text.endswith("\n"):
+        error = MalformedHeader if len(lines) == 1 else MalformedItemLine
+        raise error(f"line {len(lines)}: no LF at the end of the text")
     return values, masks
 
 

@@ -119,6 +119,24 @@ def test_verify_malformed_exits_2(capsys, tmp_path):
     assert "outside" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cbc m=03 n=1\n00: 01\n",
+        "cbc m=3 n=1\n0:  1\n",
+        "cbc m=3 n=1\n0: 1 \n",
+        "cbc  m=3 n=1\n0: 1\n",
+        "cbc m=3 n=1\n0: 1",
+    ],
+)
+def test_verify_non_canonical_layout_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "odd.cbc"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path), "-k", "1")
+    assert code == 2
+    assert out == "" and "line " in err
+
+
 def test_verify_json(capsys, invalid_file):
     code, out, _ = run(capsys, "verify", invalid_file, "-k", "3", "--json")
     assert code == 1

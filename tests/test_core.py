@@ -17,7 +17,7 @@ from cbckit.core import (
     total_storage,
     truncate_to_k,
 )
-from cbckit.cwc import parse_code
+from cbckit.cwc import parse_code, serialize_code
 from cbckit.errors import (
     EmptyItemSet,
     FormatError,
@@ -163,6 +163,17 @@ def test_parse_names_the_line_of_the_bad_character():
         ("cbc m=3 n=1\n0: 1 1\n", "item 0: server 1 after 1, not ascending"),
         ("cbc m=3 n=1\n0: 2 1\n", "item 0: server 1 after 2, not ascending"),
         ("cbc m=3 n=1\n0: 2 3\n", "item 0: server 3 outside 0..2"),
+        # Texts int() and str.split() would read, but not as serialize writes them.
+        ("cbc m=03 n=1\n00: 01\n", "line 1: expected 'cbc m=3 n=1', got 'cbc m=03 n=1'"),
+        ("cbc  m=3 n=1\n0: 1\n", "line 1: expected 'cbc m=3 n=1', got 'cbc  m=3 n=1'"),
+        ("cbc m=3 n=1\n00: 1\n", "line 2: expected '0: 1', got '00: 1'"),
+        ("cbc m=3 n=1\n0: 01\n", "line 2: expected '0: 1', got '0: 01'"),
+        ("cbc m=3 n=1\n0:  1\n", "line 2: expected '0: 1', got '0:  1'"),
+        ("cbc m=3 n=1\n0: 1 \n", "line 2: expected '0: 1', got '0: 1 '"),
+        ("cbc m=3 n=1\n0:1\n", "line 2: expected '0: 1', got '0:1'"),
+        ("cbc m=3 n=2\n0: 1\n1: 0  2\n", "line 3: expected '1: 0 2', got '1: 0  2'"),
+        ("cbc m=3 n=1\n0: 1", "line 2: no LF at the end of the text"),
+        ("cbc m=3 n=0", "line 1: no LF at the end of the text"),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -266,6 +277,33 @@ def test_parsers_match_the_token_by_token_reference(text):
             mock.patch.object(cwc, "_parse_lines", parse_reference):
         expected = _parse_outcome(text)
     assert _parse_outcome(text) == expected
+
+
+@st.composite
+def edited_canonical_texts(draw):
+    """A serialized layout or code, then up to two one-character edits."""
+    if draw(st.booleans()):
+        text = serialize(draw(set_systems()))
+    else:
+        m = draw(st.integers(1, 9))
+        text = serialize_code(cwc.best_d4_code(m, draw(st.integers(1, m))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(" 0\n:")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@given(st.one_of(st.text(), near_format_texts(), repeated_tail_texts(), edited_canonical_texts()))
+def test_accepted_texts_are_canonical(text):
+    for parser, render in ((parse, serialize), (parse_code, serialize_code)):
+        try:
+            value = parser(text)
+        except FormatError:
+            continue
+        assert render(value) == text
 
 
 def test_repeated_tail_takes_its_first_mask_and_a_new_tail_still_fails():
