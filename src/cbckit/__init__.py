@@ -42,8 +42,6 @@ from .cwc import (
     graham_sloane_d4,
     greedy_code,
     min_distance,
-    parse_code,
-    serialize_code,
 )
 from .hall import (
     CrowdedSubset,
@@ -89,12 +87,10 @@ __all__ = [
     "lower_bound",
     "min_distance",
     "parse",
-    "parse_code",
     "plan_batch",
     "profile",
     "search_optimal",
     "serialize",
-    "serialize_code",
     "settle_gap",
     "total_storage",
     "truncate_to_k",

@@ -7,10 +7,9 @@ single word operations; this is what makes the exhaustive checks elsewhere
 in the package feasible.  Items form an ordered multiset (repeated subsets
 are meaningful: they are distinct items replicated the same way).
 
-The text layer (``serialize``/``parse`` and the code format that shares
-their grammar) costs O(lines) plus per-token work once for each distinct
-replica set: layouts repeat few distinct sets many times, so each one is
-rendered or decoded once per call.
+The text layer (``serialize``/``parse``, the "cbc" format) costs O(lines)
+plus per-token work once for each distinct replica set: layouts repeat few
+distinct sets many times, so each one is rendered or decoded once per call.
 """
 
 from __future__ import annotations
@@ -170,26 +169,18 @@ def truncate_to_k(sys: SetSystem, k: int) -> SetSystem:
 
 
 def serialize(sys: SetSystem) -> str:
-    """Render a layout in the "cbc" text format.
+    """Render a layout in the "cbc" text format; inverts ``parse``.
 
     Header ``cbc m=<m> n=<n>``, then one line per item:
     ``<item-index>: <server indices ascending>``.  UTF-8, LF endings,
     zero-based server indices.  Output is canonical: byte-identical for
-    equal systems.
+    equal systems.  O(lines) plus one appended token for each distinct
+    mask and each of its not yet rendered prefixes: a mask's text is the
+    text of the mask without its top bit, then that bit.
     """
-    return _render_lines(f"cbc m={sys.m} n={sys.n}", sys.items)
-
-
-def _render_lines(head: str, masks: Iterable[int]) -> str:
-    """A header line, then ``<index>: <positions ascending>`` per mask; inverts ``_parse_lines``.
-
-    O(lines) plus one appended token for each distinct mask and each of
-    its not yet rendered prefixes: a mask's text is the text of the mask
-    without its top bit, then that bit.
-    """
-    tails = {0: ""}  # mask -> " <positions>"; masks are never 0
-    lines = [head]
-    for j, mask in enumerate(masks):
+    tails = {0: ""}  # mask -> " <servers>"; masks are never 0
+    lines = [f"cbc m={sys.m} n={sys.n}"]
+    for j, mask in enumerate(sys.items):
         tail = tails.get(mask)
         if tail is None:
             rest, new = mask, []
@@ -207,7 +198,7 @@ def _render_lines(head: str, masks: Iterable[int]) -> str:
 # str.split() or str.splitlines() quietly normalised away: a sign, "_", a
 # non-ASCII digit, CR, tab, a no-break space or a Unicode line break.
 _ALPHABET = re.compile(r"[0-9a-z=: \n]*")
-# In a line tail, a position written with a leading zero.
+# In a line tail, a server index written with a leading zero.
 _LEADING_ZERO = re.compile(" 0[0-9]")
 
 
@@ -231,33 +222,32 @@ def _header_int(token: str, key: str) -> int:
     return value
 
 
-def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: str):
-    """Header values and line masks of a "cbc" or "cwc" text, the one grammar of both.
+def parse(text: str) -> SetSystem:
+    """Parse the "cbc" text format back into a SetSystem.
 
-    Header ``<tag> <key>=<int> ...``, ``keys`` in order from ``m`` (the
-    position count) to the line count; then ``<index>: <positions>`` per
-    ``noun``, positions strictly ascending.  ASCII digits, spaces and LF
-    only, and only the canonical spelling that ``_render_lines`` writes:
-    single spaces, none at a line end, no leading zeros, a final LF.  The
-    spelling is checked last, so any other error takes priority.  O(lines)
-    plus per-token work once for each distinct line tail (the text after
-    ``:``): a tail seen before takes its earlier mask, and a tail that
-    fails raises at its first line, so errors are unchanged.
+    ASCII digits, spaces and LF only, and only the canonical spelling that
+    ``serialize`` writes: single spaces, none at a line end, no leading
+    zeros, a final LF.  The spelling is checked last, so any other error
+    takes priority.  Raises MalformedHeader / MalformedItemLine /
+    ServerIndexOutOfRange / EmptyItemSet on malformed input.  Round-trips:
+    parse(serialize(s)) == s.  O(lines) plus per-token work once for each
+    distinct line tail (the text after ``:``): a tail seen before takes its
+    earlier mask, and a tail that fails raises at its first line, so errors
+    are unchanged.
     """
     lines = text.splitlines()
     if not lines:
         raise MalformedHeader("empty input")
     head = lines[0].split()
-    if len(head) != len(keys) + 1 or head[0] != tag:
+    if len(head) != 3 or head[0] != "cbc":
         raise MalformedHeader(f"bad header line {lines[0]!r}")
-    values = [_header_int(token, key) for token, key in zip(head[1:], keys)]
-    m, count = values[0], values[-1]
+    m, n = _header_int(head[1], "m"), _header_int(head[2], "n")
     if m < 1:
-        raise MalformedHeader(f"need at least one {part}, got m={m}")
+        raise MalformedHeader(f"need at least one server, got m={m}")
     body = lines[1:]
-    if len(body) != count:
-        raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
-    masks = []
+    if len(body) != n:
+        raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
+    items = []
     decoded: dict[str, int] = {}  # line tail -> mask
     odd = None  # position of the first line not spelled canonically
     for pos, line in enumerate(body):
@@ -268,53 +258,43 @@ def _parse_lines(text: str, tag: str, keys: tuple[str, ...], noun: str, part: st
             try:
                 idx = int(idx_str)
             except ValueError:
-                raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
+                raise MalformedItemLine(f"line {pos + 2}: bad item index {idx_str!r}") from None
             if idx != pos:
-                raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
+                raise MalformedItemLine(f"line {pos + 2}: expected item {pos}, got {idx}")
             if odd is None:
                 odd = pos
         mask = decoded.get(rest)
         if mask is None:
             tokens = rest.split()
             if not tokens:
-                raise EmptyItemSet(f"{noun} {pos} has no {part}s")
+                raise EmptyItemSet(f"item {pos} has no servers")
             mask = 0
             prev = -1
             for tok in tokens:
                 try:
                     s = int(tok)
                 except ValueError:
-                    raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
+                    raise MalformedItemLine(f"item {pos}: bad server index {tok!r}") from None
                 if not prev < s < m:
                     if not 0 <= s < m:
-                        raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
-                    raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
+                        raise ServerIndexOutOfRange(f"item {pos}: server {s} outside 0..{m - 1}")
+                    raise MalformedItemLine(f"item {pos}: server {s} after {prev}, not ascending")
                 prev = s
                 mask |= 1 << s
             decoded[rest] = mask
             if odd is None and (rest[0] != " " or rest[-1] == " " or "  " in rest
                                 or " 0" in rest and _LEADING_ZERO.search(rest)):
                 odd = pos
-        masks.append(mask)
+        items.append(mask)
     end = _ALPHABET.match(text).end()
     if end < len(text):
         raise _format_error(text, end, f"character {text[end]!r} is not allowed")
-    header = " ".join([tag, *(f"{key}={value}" for key, value in zip(keys, values))])
+    header = f"cbc m={m} n={n}"
     if lines[0] != header:
         raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
     if odd is not None:
-        line = f"{odd}:" + "".join(f" {s}" for s in bits(masks[odd]))
+        line = f"{odd}:" + "".join(f" {s}" for s in bits(items[odd]))
         raise MalformedItemLine(f"line {odd + 2}: expected {line!r}, got {body[odd]!r}")
     if text[-1] != "\n":
         raise _format_error(text, len(text), "no LF at the end of the text")
-    return values, masks
-
-
-def parse(text: str) -> SetSystem:
-    """Parse the "cbc" text format back into a SetSystem.
-
-    Raises MalformedHeader / MalformedItemLine / ServerIndexOutOfRange /
-    EmptyItemSet on malformed input.  Round-trips: parse(serialize(s)) == s.
-    """
-    (m, _), items = _parse_lines(text, "cbc", ("m", "n"), "item", "server")
     return SetSystem(m, tuple(items))

@@ -8,8 +8,11 @@ j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
 O(size * C(w, j)) time.  C(w, j) may be at most ``MAX_WORD_KEYS``; a
 larger one is a ParamError, raised before any word is keyed.  A
 fixed-residue-sum class gives distance 4, and a greedy first-fit scan gives
-any even distance.  ``best_d4_code`` scans all C(m, w) candidate words and
-refuses, with a ParamError, more than ``MAX_CODE_CANDIDATES`` of them.
+any even distance.  A construction that lists all C(m, w) candidate words
+(the residue classes, and a greedy scan with no target) refuses, with a
+ParamError, more than ``MAX_CODE_CANDIDATES`` of them before listing any.
+Codes are a tool of the range-b and uniform constructions only; they have
+no text format of their own.
 """
 
 from __future__ import annotations
@@ -19,17 +22,16 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .core import _parse_lines, _render_lines, bits
-from .errors import InsufficientCode, MalformedHeader, ParamError
+from .core import bits
+from .errors import InsufficientCode, ParamError
 
 # Cap on C(w, j), the keys ``_first_fit`` builds per word: every distance-4
 # code (C(w, 1) = w) and every weight up to 22 stays below it, while one
 # word at w = d2 = 30 would need C(30, 14), about 1.5e8.
 MAX_WORD_KEYS = 10**6
 
-# Cap on C(m, w), the candidate words ``best_d4_code`` lists and scans: the
-# (30, 6) code of the range-b check has 593,775, while (40, 9) would list
-# about 2.7e8.
+# Cap on C(m, w), the candidate words a full scan lists: the (30, 6) code
+# of the range-b check has 593,775, while (40, 9) would list about 2.7e8.
 MAX_CODE_CANDIDATES = 10**6
 
 
@@ -79,6 +81,20 @@ class ConstantWeightCode:
         return len(self.words)
 
 
+def _every_word(m: int, w: int, d2: int):
+    """All C(m, w) weight-w words, colex order, for a code at distance d2.
+
+    Raises ParamError, before listing any, when C(m, w) exceeds
+    ``MAX_CODE_CANDIDATES``.
+    """
+    if comb(m, w) > MAX_CODE_CANDIDATES:
+        raise ParamError(
+            f"a distance-{d2} code of weight {w} on {m} positions scans C({m}, {w}) "
+            f"candidate words, more than {MAX_CODE_CANDIDATES}"
+        )
+    return w_masks_colex(m, w)
+
+
 def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
     """Distance-4 code: the largest class of w-subsets with a fixed element-sum mod m.
 
@@ -90,7 +106,7 @@ def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
     if not 1 <= w <= m:
         raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
     classes: dict[int, list[int]] = {r: [] for r in range(m)}
-    for mask in w_masks_colex(m, w):
+    for mask in _every_word(m, w, 4):
         classes[sum(bits(mask)) % m].append(mask)
     best = max(range(m), key=lambda r: (len(classes[r]), -r))
     return ConstantWeightCode(m, w, 4, tuple(classes[best]))
@@ -131,8 +147,9 @@ def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tu
 
 
 def _greedy_scan(m: int, d2: int, w: int, limit: int | None) -> list[int]:
-    """First-fit scan of all weight-w words in colex order."""
-    return _first_fit(w_masks_colex(m, w), w, d2, limit)[0]
+    """First-fit scan of weight-w words in colex order; a full scan (no ``limit``) is capped."""
+    words = w_masks_colex(m, w) if limit is not None else _every_word(m, w, d2)
+    return _first_fit(words, w, d2, limit)[0]
 
 
 def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
@@ -164,11 +181,6 @@ def best_d4_code(m: int, w: int) -> ConstantWeightCode:
     the result is immutable.  Raises ParamError, before listing any word,
     when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
     """
-    if comb(m, w) > MAX_CODE_CANDIDATES:
-        raise ParamError(
-            f"a distance-4 code of weight {w} on {m} positions scans C({m}, {w}) "
-            f"candidate words, more than {MAX_CODE_CANDIDATES}"
-        )
     residue = graham_sloane_d4(m, w)
     greedy = _greedy_scan(m, 4, w, None)
     if len(greedy) > residue.size:
@@ -182,16 +194,3 @@ def min_distance(code: ConstantWeightCode) -> int:
         raise ParamError("min_distance needs at least two words")
     return min((a ^ b).bit_count() for a, b in itertools.combinations(code.words, 2))
 
-
-def serialize_code(code: ConstantWeightCode) -> str:
-    """Render a code in the "cwc" text format (same line shape as layouts)."""
-    return _render_lines(f"cwc m={code.m} w={code.w} d={code.d2} size={code.size}", code.words)
-
-
-def parse_code(text: str) -> ConstantWeightCode:
-    """Parse the "cwc" text format; words that break the header raise MalformedHeader."""
-    (m, w, d2, _), words = _parse_lines(text, "cwc", ("m", "w", "d", "size"), "word", "position")
-    try:
-        return ConstantWeightCode(m, w, d2, tuple(words))
-    except ParamError as exc:
-        raise MalformedHeader(str(exc)) from None

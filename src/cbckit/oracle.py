@@ -103,10 +103,10 @@ def _search_targets(
 ) -> SearchResult | None:
     """Scan storage targets in [start, stop); None if no valid layout there.
 
-    Needs 1 <= k <= m.  For each profile of a target (``_profiles``), the
-    walk places item i on a mask of weights[i] servers.  ``stack`` holds
-    one suspended iterator over mask indices per item reached, and
-    ``path`` the mask index of each placed item: the first item's iterator
+    Needs 1 <= k <= m, within ``_check_masks``.  For each profile of a
+    target (``_profiles``), the walk places item i on a mask of weights[i]
+    servers.  ``stack`` holds one suspended iterator over mask indices per
+    item reached, and ``path`` the mask index of each placed item: the first item's iterator
     holds index 0 alone, an item of the same weight as the one before
     resumes at that item's index, and the first item of a heavier class
     starts at 0.
@@ -117,14 +117,6 @@ def _search_targets(
     that finds nothing restores every slack and the next profile reuses
     the same state.
     """
-    count = 0
-    for w in range(1, k + 1):
-        count += comb(m, w)
-        if count > MAX_CANDIDATE_MASKS:
-            raise ParamError(
-                f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
-                f"candidate masks: {count} of weight at most {w}"
-            )
     # more[e]: every mask of e < k servers, the servers that supersets_below
     # may add to a mask.
     more = [list(w_masks_colex(m, e)) for e in range(k)]
@@ -190,6 +182,17 @@ def _check_budget(budget: int) -> None:
         raise ParamError(f"need budget >= 0, got budget={budget}")
 
 
+def _check_masks(k: int, m: int) -> None:
+    count = 0
+    for w in range(1, k + 1):
+        count += comb(m, w)
+        if count > MAX_CANDIDATE_MASKS:
+            raise ParamError(
+                f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
+                f"candidate masks: {count} of weight at most {w}"
+            )
+
+
 def search_floor(n: int, k: int, m: int) -> int:
     """The storage at which ``search_optimal`` starts: a lower bound on N.
 
@@ -220,13 +223,17 @@ def search_optimal(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> Sear
     increasing storage, so the optimum is reachable.
     ``budget`` caps the nodes explored: one per value tried for
     A_1..A_{k-1} of a profile and one per item placement tried;
-    BudgetExceeded is raised when it runs out.
+    BudgetExceeded is raised when it runs out, and at once, with no node
+    explored, when ``budget`` is below n: a layout costs n placements.
     """
     _check_budget(budget)
     if not 1 <= k <= m:
         raise ParamError(f"need 1 <= k <= m, got k={k} m={m}")
     if n < 1:
         raise ParamError(f"need n >= 1, got n={n}")
+    _check_masks(k, m)
+    if budget < n:
+        raise BudgetExceeded(0, best_upper=_constructive_upper(n, k, m))
     result = _search_targets(n, k, m, search_floor(n, k, m), None, budget)
     assert result is not None  # a fully replicated layout is valid at N = k*n
     return result
@@ -250,6 +257,7 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ParamError(
             f"n={n} k={k} m={m} has no constructive upper bound to settle against"
         )
+    _check_masks(k, m)
     try:
         result = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
     except BudgetExceeded as exc:

@@ -159,24 +159,23 @@ def sdr_reference(sets: Sequence[int]) -> Union[list[int], Deficiency]:
     return [server_of[pos] for pos in range(len(sets))]
 
 
-def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part: str):
-    """Reference for core._parse_lines: the same grammar and messages, with
-    every line's tail decoded token by token, with no memo of earlier tails,
-    and every line compared with its canonical spelling.
+def parse_reference(text: str) -> SetSystem:
+    """Reference for core.parse: the same grammar and messages, with every
+    line's tail decoded token by token, with no memo of earlier tails, and
+    every line compared with its canonical spelling.
     """
     lines = text.splitlines()
     if not lines:
         raise MalformedHeader("empty input")
     head = lines[0].split()
-    if len(head) != len(keys) + 1 or head[0] != tag:
+    if len(head) != 3 or head[0] != "cbc":
         raise MalformedHeader(f"bad header line {lines[0]!r}")
-    values = [_header_int(token, key) for token, key in zip(head[1:], keys)]
-    m, count = values[0], values[-1]
+    m, n = _header_int(head[1], "m"), _header_int(head[2], "n")
     if m < 1:
-        raise MalformedHeader(f"need at least one {part}, got m={m}")
+        raise MalformedHeader(f"need at least one server, got m={m}")
     body = lines[1:]
-    if len(body) != count:
-        raise MalformedHeader(f"header says {keys[-1]}={count} but found {len(body)} {noun} lines")
+    if len(body) != n:
+        raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
     masks = []
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
@@ -185,23 +184,23 @@ def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part:
         try:
             idx = int(idx_str)
         except ValueError:
-            raise MalformedItemLine(f"line {pos + 2}: bad {noun} index {idx_str!r}") from None
+            raise MalformedItemLine(f"line {pos + 2}: bad item index {idx_str!r}") from None
         if idx != pos:
-            raise MalformedItemLine(f"line {pos + 2}: expected {noun} {pos}, got {idx}")
+            raise MalformedItemLine(f"line {pos + 2}: expected item {pos}, got {idx}")
         tokens = rest.split()
         if not tokens:
-            raise EmptyItemSet(f"{noun} {pos} has no {part}s")
+            raise EmptyItemSet(f"item {pos} has no servers")
         mask = 0
         prev = -1
         for tok in tokens:
             try:
                 s = int(tok)
             except ValueError:
-                raise MalformedItemLine(f"{noun} {pos}: bad {part} index {tok!r}") from None
+                raise MalformedItemLine(f"item {pos}: bad server index {tok!r}") from None
             if not prev < s < m:
                 if not 0 <= s < m:
-                    raise ServerIndexOutOfRange(f"{noun} {pos}: {part} {s} outside 0..{m - 1}")
-                raise MalformedItemLine(f"{noun} {pos}: {part} {s} after {prev}, not ascending")
+                    raise ServerIndexOutOfRange(f"item {pos}: server {s} outside 0..{m - 1}")
+                raise MalformedItemLine(f"item {pos}: server {s} after {prev}, not ascending")
             prev = s
             mask |= 1 << s
         masks.append(mask)
@@ -210,7 +209,7 @@ def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part:
         line = text.count("\n", 0, end) + 1
         error = MalformedHeader if line == 1 else MalformedItemLine
         raise error(f"line {line}: character {text[end]!r} is not allowed")
-    header = f"{tag} " + " ".join(f"{key}={value}" for key, value in zip(keys, values))
+    header = f"cbc m={m} n={n}"
     if lines[0] != header:
         raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
     for pos, (line, mask) in enumerate(zip(body, masks)):
@@ -220,7 +219,7 @@ def parse_reference(text: str, tag: str, keys: tuple[str, ...], noun: str, part:
     if not text.endswith("\n"):
         error = MalformedHeader if len(lines) == 1 else MalformedItemLine
         raise error(f"line {len(lines)}: no LF at the end of the text")
-    return values, masks
+    return SetSystem(m, tuple(masks))
 
 
 def chain_system(length: int) -> SetSystem:

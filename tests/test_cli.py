@@ -361,7 +361,9 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
     # when search started at its counting floor (the only change: search
     # -n 5 -k 2 -m 3 explores 7 nodes, not 63), and again when search
     # walked Hall-feasible profiles (the only change: search -n 5 -k 2 -m 3
-    # explores 8 nodes, search -n 4 -k 3 -m 4 explores 9, not 7).
+    # explores 8 nodes, search -n 4 -k 3 -m 4 explores 9, not 7), and again
+    # when search refused a budget below n before its first node (the only
+    # change: search -n 5 -k 2 -m 3 --budget 3 reports 0 nodes, not 3).
     layouts = [serialize(table1_system), INTRO_LAYOUT, INVALID_LAYOUT]
     h = hashlib.sha256()
     codes = {0: 0, 1: 0, 2: 0, 3: 0}
@@ -395,7 +397,7 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         codes[result[0]] += 1
         h.update(repr((argv, *result)).encode())
     assert codes == {0: 110, 1: 18, 2: 28, 3: 2}
-    assert h.hexdigest() == "59e7c088b3a4c20e4ecf272a3fcfe1a9d08bf8341cd910143812e6a669f031a7"
+    assert h.hexdigest() == "2543cc0cd3bb89e76732c6ef8033127a63bbe0858210ff0d9c74f84303e7886a"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,9 @@
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cbckit import core, cwc
 from cbckit.core import (
     Params,
     Profile,
@@ -17,7 +15,6 @@ from cbckit.core import (
     total_storage,
     truncate_to_k,
 )
-from cbckit.cwc import parse_code, serialize_code
 from cbckit.errors import (
     EmptyItemSet,
     FormatError,
@@ -184,14 +181,12 @@ def test_parse_error_messages(text, message):
 
 # Near-canonical texts: small headers and lines, then a few characters
 # inserted or dropped (no digits are inserted, so every number stays small).
-_NASTY = "\n\r\t :=+-_ cbwmndsizex\u00a0\u2028\u0661\x00\x85\ufeff"
+_NASTY = "\n\r\t :=+-_ cbmnx\u00a0\u2028\u0661\x00\x85\ufeff"
 
 
 @st.composite
 def near_format_texts(draw):
-    tag, keys = draw(st.sampled_from([("cbc", ("m", "n")), ("cwc", ("m", "w", "d", "size"))]))
-    values = draw(st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys)))
-    lines = [" ".join([tag] + [f"{key}={v}" for key, v in zip(keys, values)])]
+    lines = [f"cbc m={draw(st.integers(0, 9))} n={draw(st.integers(0, 9))}"]
     for j in range(draw(st.integers(0, 4))):
         positions = draw(st.lists(st.integers(0, 9), max_size=4))
         lines.append(f"{j}: " + " ".join(map(str, positions)))
@@ -208,12 +203,11 @@ def near_format_texts(draw):
 
 @given(st.one_of(st.text(), near_format_texts()))
 def test_parsers_return_or_raise_format_error(text):
-    for parser in (parse, parse_code):
-        try:
-            parser(text)
-        except FormatError:
-            continue
-        assert set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz=: \n")
+    try:
+        parse(text)
+    except FormatError:
+        return
+    assert set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz=: \n")
 
 
 # Ways to spoil one line tail (the text after ":"), given its tokens, m
@@ -237,16 +231,14 @@ _TAIL_MUTATIONS = {
 
 @st.composite
 def repeated_tail_texts(draw):
-    """A "cbc" or "cwc" text whose line tails repeat earlier tails, good or spoiled."""
-    tag = draw(st.sampled_from(["cbc", "cwc"]))
+    """A "cbc" text whose line tails repeat earlier tails, good or spoiled."""
     m = draw(st.integers(1, 12))
-    w = draw(st.integers(1, min(m, 5)))
     tails, good = [], []
     for _ in range(draw(st.integers(0, 12))):
         if tails and draw(st.booleans()):
             tails.append(draw(st.sampled_from(tails)))
             continue
-        size = w if tag == "cwc" else draw(st.integers(1, min(m, 5)))
+        size = draw(st.integers(1, min(m, 5)))
         toks = [str(s) for s in sorted(draw(st.sets(st.integers(0, m - 1), min_size=size,
                                                     max_size=size)))]
         spoil = draw(st.sampled_from([None, None, None, *_TAIL_MUTATIONS]))
@@ -255,16 +247,13 @@ def repeated_tail_texts(draw):
             tails.append(good[-1])
         else:
             tails.append(_TAIL_MUTATIONS[spoil](toks, m, good))
-    head = f"cbc m={m} n={len(tails)}" if tag == "cbc" else f"cwc m={m} w={w} d=2 size={len(tails)}"
-    return "\n".join([head] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
+    return "\n".join([f"cbc m={m} n={len(tails)}"] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
 
 
-def _parse_outcome(text):
-    """The masks parse (cbc) or parse_code (cwc) returns, or its error's class and message."""
+def _parse_outcome(parser, text):
+    """The layout ``parser`` returns, or its error's class and message."""
     try:
-        if text.startswith("cbc"):
-            return parse(text).items
-        return parse_code(text).words
+        return parser(text)
     except FormatError as exc:
         return type(exc), str(exc)
 
@@ -273,20 +262,13 @@ def _parse_outcome(text):
 def test_parsers_match_the_token_by_token_reference(text):
     # The parser decodes each distinct tail once; the reference decodes
     # every line on its own, so masks, error classes and messages must agree.
-    with mock.patch.object(core, "_parse_lines", parse_reference), \
-            mock.patch.object(cwc, "_parse_lines", parse_reference):
-        expected = _parse_outcome(text)
-    assert _parse_outcome(text) == expected
+    assert _parse_outcome(parse, text) == _parse_outcome(parse_reference, text)
 
 
 @st.composite
 def edited_canonical_texts(draw):
-    """A serialized layout or code, then up to two one-character edits."""
-    if draw(st.booleans()):
-        text = serialize(draw(set_systems()))
-    else:
-        m = draw(st.integers(1, 9))
-        text = serialize_code(cwc.best_d4_code(m, draw(st.integers(1, m))))
+    """A serialized layout, then up to two one-character edits."""
+    text = serialize(draw(set_systems()))
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
@@ -298,12 +280,11 @@ def edited_canonical_texts(draw):
 
 @given(st.one_of(st.text(), near_format_texts(), repeated_tail_texts(), edited_canonical_texts()))
 def test_accepted_texts_are_canonical(text):
-    for parser, render in ((parse, serialize), (parse_code, serialize_code)):
-        try:
-            value = parser(text)
-        except FormatError:
-            continue
-        assert render(value) == text
+    try:
+        system = parse(text)
+    except FormatError:
+        return
+    assert serialize(system) == text
 
 
 def test_repeated_tail_takes_its_first_mask_and_a_new_tail_still_fails():
@@ -314,15 +295,11 @@ def test_repeated_tail_takes_its_first_mask_and_a_new_tail_still_fails():
         parse("cbc m=4 n=2\n0: 1\t3\n1: 1\t3\n")
 
 
-@pytest.mark.parametrize(
-    "parser, text",
-    [(parse, "cbc m=100000000 n=0\n"), (parse_code, "cwc m=100000000 w=1 d=2 size=0\n")],
-)
-def test_range_check_memory_does_not_grow_with_m(parser, text):
+def test_range_check_memory_does_not_grow_with_m():
     # Checking masks against m must not build an m-bit mask.
     tracemalloc.start()
     try:
-        parser(text)
+        parse("cbc m=100000000 n=0\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,17 +17,10 @@ from cbckit.cwc import (
     graham_sloane_d4,
     greedy_code,
     min_distance,
-    parse_code,
-    serialize_code,
     w_masks_colex,
 )
-from cbckit.errors import (
-    FormatError,
-    InsufficientCode,
-    MalformedHeader,
-    MalformedItemLine,
-    ParamError,
-)
+from cbckit.construct import construct_uniform
+from cbckit.errors import InsufficientCode, ParamError
 
 
 def words_as_sets(code):
@@ -109,6 +102,8 @@ def test_code_invariants_reject_bad_words():
         ConstantWeightCode(4, 2, 2, (mask_of((0, 1, 2)),))
     with pytest.raises(ParamError):
         ConstantWeightCode(4, 2, 3, (mask_of((0, 1)),))
+    with pytest.raises(ParamError, match=r"^need 1 <= w <= m, got w=0 m=0$"):
+        ConstantWeightCode(0, 0, 4, ())
 
 
 def test_residue_bound_and_distance_sweep():
@@ -186,24 +181,22 @@ def test_huge_distance_is_decided_at_once():
     with pytest.raises(InsufficientCode) as err:
         greedy_code(8, 10**12, 2, 2)
     assert err.value.code.words == (0b11,)
-    assert parse_code("cwc m=8 w=2 d=1000000000000 size=1\n0: 0 1\n").words == (0b11,)
+    assert ConstantWeightCode(8, 2, 10**12, (0b11,)).words == (0b11,)
 
 
 def test_keys_per_word_are_capped_before_any_key_is_built():
     # One word at w = d2 = 30 has C(30, 14), about 1.5e8, keys: refused at
-    # once as a header error, by the code check and by the greedy scan.
-    text = "cwc m=30 w=30 d=30 size=1\n0: " + " ".join(map(str, range(30))) + "\n"
+    # once by the code check and by the greedy scan.
     message = (r"^distance 30 at weight 30 needs C\(30, 14\) keys per word, "
                rf"more than {MAX_WORD_KEYS}$")
-    with pytest.raises(MalformedHeader, match=message):
-        parse_code(text)
     with pytest.raises(ParamError, match=message):
         ConstantWeightCode(30, 30, 30, ((1 << 30) - 1,))
     with pytest.raises(ParamError, match=message):
         greedy_code(30, 30, 30, 1)
-    # A header with astronomically many keys is refused without computing them.
-    with pytest.raises(MalformedHeader, match=r"needs C\(100000000, 49999999\) keys"):
-        parse_code("cwc m=100000000 w=100000000 d=100000000 size=0\n")
+    # A code with astronomically many keys per word is refused without
+    # computing them.
+    with pytest.raises(ParamError, match=r"needs C\(100000000, 49999999\) keys"):
+        ConstantWeightCode(10**8, 10**8, 10**8, ())
 
 
 def test_keys_cap_boundary(monkeypatch):
@@ -229,6 +222,27 @@ def test_code_candidates_cap_boundary(monkeypatch):
     assert best_d4_code(13, 4).size > 0
     # The (30, 6) code of the range-b check stays under the real cap.
     assert comb(30, 6) <= MAX_CODE_CANDIDATES < comb(40, 9)
+
+
+def test_uniform_code_candidates_cap_boundary(monkeypatch):
+    # construct_uniform(2, 5, 8) scans all C(8, 2) = 28 words for its
+    # distance-4 code: allowed at a cap of 28, refused below it.
+    monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 27)
+    with pytest.raises(ParamError, match=r"scans C\(8, 2\) candidate words, more than 27$"):
+        construct_uniform(2, 5, 8)
+    monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 28)
+    assert construct_uniform(2, 5, 8).n > 0
+
+
+def test_full_scans_are_refused_before_listing_any_word():
+    # C(40, 10), about 8.5e8, and C(60, 30), about 1.2e17, candidate words:
+    # both refused at once, with no word listed.
+    message = (r"^a distance-20 code of weight 10 on 40 positions scans C\(40, 10\) "
+               rf"candidate words, more than {MAX_CODE_CANDIDATES}$")
+    with pytest.raises(ParamError, match=message):
+        construct_uniform(10, 21, 40)
+    with pytest.raises(ParamError, match=r"^a distance-4 code of weight 30 on 60 positions scans"):
+        graham_sloane_d4(60, 30)
 
 
 def test_best_d4_code_words_are_pinned():
@@ -276,79 +290,6 @@ def test_asymptotic_spot_check_weight_two():
     for m in (32, 64):
         size = graham_sloane_d4(m, 2).size
         assert abs(size / (m / 2) - 1) <= 0.2
-
-
-def test_code_serialization_round_trip():
-    code = graham_sloane_d4(8, 2)
-    text = serialize_code(code)
-    assert text.startswith("cwc m=8 w=2 d=4 size=4\n")
-    assert parse_code(text) == code
-
-
-def test_code_serialization_golden():
-    code = greedy_code(8, 4, 2, 4)
-    assert serialize_code(code) == (
-        "cwc m=8 w=2 d=4 size=4\n0: 0 1\n1: 2 3\n2: 4 5\n3: 6 7\n"
-    )
-
-
-def test_parse_code_errors():
-    with pytest.raises(MalformedHeader):
-        parse_code("cbc m=3 n=1\n0: 0\n")
-    with pytest.raises(MalformedHeader):
-        parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "cwc m=8 w=2 d=3 size=1\n0: 0 1\n",  # odd distance
-        "cwc m=8 w=2 d=4 size=2\n0: 0 1\n1: 0 2\n",  # words at distance 2
-        "cwc m=8 w=3 d=4 size=1\n0: 0 1\n",  # word of the wrong weight
-        "cwc m=0 w=0 d=4 size=0\n",  # no positions
-    ],
-)
-def test_parse_code_raises_malformed_header_for_a_broken_header(text):
-    with pytest.raises(MalformedHeader):
-        parse_code(text)
-
-
-def test_parse_code_error_messages():
-    with pytest.raises(MalformedHeader, match=r"^distance must be even and >= 2, got 3$"):
-        parse_code("cwc m=8 w=2 d=3 size=1\n0: 0 1\n")
-    with pytest.raises(MalformedHeader, match=r"^header says size=2 but found 1 word lines$"):
-        parse_code("cwc m=8 w=2 d=4 size=2\n0: 0 1\n")
-    with pytest.raises(FormatError, match=r"^word 0: position 8 outside 0..7$"):
-        parse_code("cwc m=8 w=2 d=4 size=1\n0: 0 8\n")
-    with pytest.raises(MalformedItemLine, match=r"^word 0: position 1 after 1, not ascending$"):
-        parse_code("cwc m=8 w=2 d=4 size=1\n0: 1 1\n")
-    with pytest.raises(MalformedItemLine, match=r"^word 0: position 0 after 1, not ascending$"):
-        parse_code("cwc m=8 w=2 d=4 size=1\n0: 1 0\n")
-
-
-# The cwc spelling of each non-canonical text in test_core.NON_CANONICAL.
-NON_CANONICAL = {
-    "plus sign": ("cwc m=+8 w=2 d=4 size=1\n0: 0 1\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"),
-    "underscore": ("cwc m=12 w=2 d=4 size=1\n0: 0 1_0\n", "cwc m=12 w=2 d=4 size=1\n0: 0 10\n"),
-    "arabic-indic digit": (
-        "cwc m=8 w=2 d=4 size=1\n0: 0 \u0661\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
-    ),
-    "crlf": ("cwc m=8 w=2 d=4 size=1\r\n0: 0 1\r\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"),
-    "no-break space": (
-        "cwc m=8 w=2 d=4 size=1\n0: 0\u00a01\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
-    ),
-    "line separator": (
-        "cwc m=8 w=2 d=4 size=1\u20280: 0 1\n", "cwc m=8 w=2 d=4 size=1\n0: 0 1\n"
-    ),
-}
-
-
-@pytest.mark.parametrize("case", NON_CANONICAL)
-def test_parse_code_rejects_non_canonical_characters(case):
-    text, canonical = NON_CANONICAL[case]
-    parse_code(canonical)
-    with pytest.raises(FormatError, match="is not allowed"):
-        parse_code(text)
 
 
 @pytest.mark.parametrize("m, w", [(8, 2), (9, 4), (16, 3)])

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -243,6 +244,30 @@ def test_budget_exceeded_carries_upper_bound(n, k, m, upper):
     with pytest.raises(BudgetExceeded) as err:
         search_optimal(n, k, m, budget=0)
     assert err.value.best_upper == upper
+
+
+def test_budget_below_n_is_spent_before_the_first_node():
+    # A layout of n items costs at least n placements, so a budget below n
+    # is refused at once: no node is explored and no n-entry list is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            search_optimal(10**7, 2, 3, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.nodes_explored == 0
+    assert peak < 1_000_000
+    # At (1000, 1, 1) a search costs exactly n nodes.
+    assert search_optimal(1000, 1, 1, budget=1000).nodes_explored == 1000
+    with pytest.raises(BudgetExceeded) as err:
+        search_optimal(1000, 1, 1, budget=999)
+    assert err.value.nodes_explored == 0
+    # The parameter and mask-cap checks keep priority.
+    with pytest.raises(ParamError):
+        search_optimal(3, 4, 3, budget=0)
+    with pytest.raises(ParamError, match="candidate masks"):
+        search_optimal(3, 10, 30, budget=0)
 
 
 def test_search_param_errors():
