@@ -8,7 +8,9 @@ argument behind the constructions' correctness, and the builders check it
 at run time.  The deletions are counted in bulk, once per distinct deleted
 set, and checked at the end of the run; since no addition refills a set
 that a step deletes, that check is the per-deletion one (see
-``_run_steps``).
+``_run_steps``).  Every builder of ``BUILDERS`` refuses, with a
+ParamError raised after its own parameter checks and before it lists
+anything, a layout whose n*m exceeds ``MAX_LAYOUT_BITS``.
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -30,9 +32,23 @@ from .cwc import ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_col
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
 
+# Cap on n*m, the bits of the layout a builder of ``BUILDERS`` lists (one
+# m-bit mask per item): the largest layout built in the repo, (42499, 7,
+# 24), has about 1.02e6.
+MAX_LAYOUT_BITS = 10**7
+
 
 def _format_set(mask: int) -> str:
     return ",".join(str(s) for s in bits(mask))
+
+
+def _check_size(n: int, m: int) -> None:
+    """Raise ParamError, before a builder lists anything, when n*m exceeds ``MAX_LAYOUT_BITS``."""
+    if n * m > MAX_LAYOUT_BITS:
+        raise ParamError(
+            f"a layout of n={n} items on m={m} servers has n*m = {n * m} bits, "
+            f"more than {MAX_LAYOUT_BITS}"
+        )
 
 
 def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
@@ -97,6 +113,7 @@ def construct_trivial(n: int, k: int, m: int) -> SetSystem:
         raise RangeError(f"trivial layout needs n <= m, got n={n} m={m}")
     if n < 0:
         raise ParamError(f"negative item count n={n}")
+    _check_size(n, m)
     return SetSystem(m, tuple(1 << j for j in range(n)))
 
 
@@ -108,6 +125,7 @@ def construct_m_equals_k(n: int, k: int, m: int) -> SetSystem:
         raise ParamError(f"batch size must be positive, got k={k}")
     if n < k:
         raise RangeError(f"need n >= k, got n={n} k={k}")
+    _check_size(n, m)
     full = (1 << k) - 1
     items = tuple(1 << j for j in range(k)) + (full,) * (n - k)
     return SetSystem(k, items)
@@ -119,6 +137,7 @@ def construct_m_plus_1(n: int, k: int, m: int) -> SetSystem:
         raise RangeError(f"method m-plus-1 needs n == m+1, got n={n} m={m}")
     if not 2 <= k <= m:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
+    _check_size(n, m)
     items = tuple(1 << j for j in range(m)) + ((1 << k) - 1,)
     return SetSystem(m, items)
 
@@ -133,6 +152,7 @@ def construct_large_n(n: int, k: int, m: int) -> SetSystem:
     grouped = (k - 1) * comb(m, k - 1)
     if n < grouped:
         raise RangeError(f"need n >= (k-1)*C(m,k-1) = {grouped}, got n={n}")
+    _check_size(n, m)
     items: list[int] = []
     for mask in w_masks_colex(m, k - 1):
         items.extend([mask] * (k - 1))
@@ -156,6 +176,7 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     floor_n = comb(m, k - 2)
     if not floor_n <= n <= ceiling:
         raise RangeError(f"need {floor_n} <= n <= {ceiling}, got n={n}")
+    _check_size(n, m)
     return _run_steps(n, k, m, k - 1, k - 1, w_masks_colex(m, k - 2), 1)
 
 
@@ -177,6 +198,7 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
     ceiling = comb(m, k - 2)
     if not 1 <= n <= ceiling:
         raise RangeError(f"need 1 <= n <= C(m,k-2) = {ceiling}, got n={n}")
+    _check_size(n, m)
     code = best_d4_code(m, k - 3)
     width = m - k + 1
     if n < ceiling - width * code.size:

@@ -105,10 +105,10 @@ def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
     """
     if not 1 <= w <= m:
         raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
-    classes: dict[int, list[int]] = {r: [] for r in range(m)}
+    classes: dict[int, list[int]] = {}
     for mask in _every_word(m, w, 4):
-        classes[sum(bits(mask)) % m].append(mask)
-    best = max(range(m), key=lambda r: (len(classes[r]), -r))
+        classes.setdefault(sum(bits(mask)) % m, []).append(mask)
+    best = max(classes, key=lambda r: (len(classes[r]), -r))
     return ConstantWeightCode(m, w, 4, tuple(classes[best]))
 
 

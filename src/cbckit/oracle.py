@@ -1,33 +1,34 @@
 """Exhaustive ground truth for tiny instances.
 
 Searches target storage values in increasing order, from the floor that
-Hall's counting condition proves (``search_floor``).  At each target, one
-engine lists the profiles (A_1, ..., A_k), A_j the number of items on j
-servers, that fill the target and pass the counting condition
+Hall's counting condition proves (``search_floor``).  At each target,
+one engine lists the profiles (A_1, ..., A_k), A_j the number of items
+on j servers, that fill the target and pass the counting condition
 (``bounds.check_inequality``), most light items first, and walks each
-profile on an explicit stack.  Items are placed one weight class at a
-time, lightest class first, with masks non-decreasing within a class; the
-first item is fixed to the lowest mask of its weight, since Sym(m) is
-transitive on the j-server subsets, so some relabelling of any valid
-layout puts an item there.  The walk keeps Hall's counting condition at
-batch size k as items are placed, so a branch dies at the first crowded
-server subset; the condition is monotone, so no prefix of a valid layout
-is cut, and every complete layout reached is valid.  The first one
-reached, its masks sorted ascending, is the witness.  A profile fixes the
-replicas its items take, so no branch is cut for its room.  Intended for
-tiny instances: (10,4,6) takes about 20,000 nodes and (11,4,7) about
-107,000.  Only the node budget, which counts the values tried for
-A_1..A_{k-1} and the item placements tried, bounds a search, and the
-default refuses to run away; the walk uses no Python recursion, and the
-profile list recurses k deep.  A search over more than
-``MAX_CANDIDATE_MASKS`` candidate masks (masks of at most k servers) is
-refused up front; each weight's masks are listed the first time a
-profile uses it.
+profile with one mask index per placed item.  Items are placed one
+weight class at a time, lightest class first, with masks non-decreasing
+within a class; the first item is fixed to the lowest mask of its
+weight, since Sym(m) is transitive on the j-server subsets, so some
+relabelling of any valid layout puts an item there.  The walk keeps
+Hall's counting condition at batch size k as items are placed, so a
+branch dies at the first crowded server subset; the condition is
+monotone, so no prefix of a valid layout is cut, and every complete
+layout reached is valid.  The first one reached, its masks sorted
+ascending, is the witness.  A profile fixes the replicas its items take,
+so no branch is cut for its room.  Intended for tiny instances: (10,4,6)
+takes about 20,000 nodes and (11,4,7) about 107,000.  Only the node
+budget, which counts the values tried for A_1..A_{k-1} and the item
+placements tried, bounds a search, and the default refuses to run away;
+the walk uses no Python recursion, and the profile list recurses k deep.
+A search over more than ``MAX_CANDIDATE_MASKS`` candidate masks (masks
+of at most k servers) is refused up front; each weight's masks are
+listed the first time a profile uses it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import comb
@@ -104,18 +105,17 @@ def _search_targets(
     """Scan storage targets in [start, stop); None if no valid layout there.
 
     Needs 1 <= k <= m, within ``_check_masks``.  For each profile of a
-    target (``_profiles``), the walk places item i on a mask of weights[i]
-    servers.  ``stack`` holds one suspended iterator over mask indices per
-    item reached, and ``path`` the mask index of each placed item: the first item's iterator
-    holds index 0 alone, an item of the same weight as the one before
-    resumes at that item's index, and the first item of a heavier class
-    starts at 0.
-    The walk keeps for every server subset T with |T| < k the slack |T|
-    minus the number of placed masks inside T, and does not place a mask
-    that would drive some slack below zero: adding items never un-crowds a
-    subset.  An exhausted iterator gives its item's slack back, so a walk
-    that finds nothing restores every slack and the next profile reuses
-    the same state.
+    target (``_profiles``), item i goes on a mask of bisect_right(ends, i)
+    servers, ``ends`` being the profile's prefix sums, and ``path`` holds
+    the mask index of each placed item, the walk's only per-item state.  The first item tries index 0 alone, an item of the
+    same weight as the one before starts at that item's index, the first
+    item of a heavier class at 0, and a popped item's place is tried again
+    from one past its index.  The walk keeps for every server subset T
+    with |T| < k the slack |T| minus the number of placed masks inside T,
+    and does not place a mask that would drive some slack below zero:
+    adding items never un-crowds a subset.  A popped item gives its slack
+    back, so a walk that finds nothing restores every slack for the next
+    profile.
     """
     # more[e]: every mask of e < k servers, the servers that supersets_below
     # may add to a mask.
@@ -138,16 +138,16 @@ def _search_targets(
     targets = range(start, stop) if stop is not None else itertools.count(start)
     for target in targets:
         for profile in _profiles(n, k, m, target, spend):
-            weights = [w for w, a in enumerate(profile, 1) for _ in range(a)]
+            ends = list(itertools.accumulate(profile, initial=0))
             for w, a in enumerate(profile, 1):
                 if a and not masks[w]:
                     masks[w] = list(w_masks_colex(m, w))
                     below[w] = [None] * len(masks[w])
-            stack = [iter(range(1))]
             path: list[int] = []
-            while stack:
-                weight = weights[len(path)]
-                for idx in stack[-1]:
+            idx = 0
+            while True:
+                weight = bisect_right(ends, len(path))
+                for idx in range(idx, len(masks[weight]) if path else 1):
                     spend()
                     subsets = below[weight][idx]
                     if subsets is None:
@@ -160,20 +160,20 @@ def _search_targets(
                         slack[t] -= 1
                     path.append(idx)
                     if len(path) == n:
-                        items = tuple(sorted(masks[w][i] for w, i in zip(weights, path)))
+                        items = tuple(sorted(masks[bisect_right(ends, i)][j] for i, j in enumerate(path)))
                         system = SetSystem(m, items)
                         if not verify_hc2(system, k).valid:
                             raise AssertionError(f"Hall-pruned walk reached an invalid layout {items}")
                         return SearchResult(n, k, m, target, system, nodes)
-                    nxt = weights[len(path)]
-                    stack.append(iter(range(idx if nxt == weight else 0, len(masks[nxt]))))
+                    if bisect_right(ends, len(path)) != weight:
+                        idx = 0
                     break
                 else:
-                    stack.pop()
-                    if path:
-                        idx = path.pop()
-                        for t in below[weights[len(path)]][idx]:
-                            slack[t] += 1
+                    if not path:
+                        break
+                    for t in below[bisect_right(ends, len(path) - 1)][path[-1]]:
+                        slack[t] += 1
+                    idx = path.pop() + 1
     return None
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,35 @@ def test_construct_unsupported_exits_2(capsys):
 def test_construct_out_of_range_exits_2(capsys):
     code, _, err = run(capsys, "construct", "-n", "4", "-k", "2", "-m", "3", "--method", "trivial")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["-n", str(2**64), "-k", "5", "-m", "7"],
+    ["-n", str(2**64), "-k", "5", "-m", "7", "--method", "large-n"],
+    ["-n", str(10**18), "-k", "5", "-m", "40"],
+])
+def test_construct_with_a_huge_n_exits_2(capsys, argv):
+    # A layout has one m-bit mask per item; past construct.MAX_LAYOUT_BITS
+    # of them the build is refused before any list is made.
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("bits, more than 10000000\n")
+
+
+def test_bound_with_a_huge_m_answers_at_once(capsys):
+    # known_n's range-b check builds the residue-class code of weight k-3;
+    # it lists no class per server, so m = 10^6 costs no memory in m, and
+    # m = 2^64 answers too.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "bound", "-n", "5", "-k", "6", "-m", str(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "exact N = 5 (source: trivial)" in out
+    assert peak < 2 * 2**20
+    code, out, _ = run(capsys, "bound", "-n", "5", "-k", "6", "-m", str(2**64))
+    assert code == 0 and "exact N = 5 (source: trivial)" in out
 
 
 def test_construct_uniform_method(capsys):

@@ -211,6 +211,10 @@ def test_range_b_rejects_out_of_range():
         construct_range_b(10, 4, 6)
 
 
+def _too_big(n, m):
+    return f"a layout of n={n} items on m={m} servers has n*m = {n * m} bits, more than 10000000"
+
+
 # Every rejection of every builder in construct.BUILDERS, called by its
 # --method name as builder(n, k, m): (method, n, k, m, error, message).
 BUILDER_REJECTIONS = [
@@ -237,6 +241,13 @@ BUILDER_REJECTIONS = [
     ("range-b", 57, 5, 8, RangeError, "need 1 <= n <= C(m,k-2) = 56, got n=57"),
     ("range-b", 39, 5, 8, RangeError,
      "n=39 below the constructible floor 40 (code of size 4)"),
+    # Past MAX_LAYOUT_BITS, after the parameter checks and before a list.
+    ("trivial", 10**6, 3, 2**64, ParamError, _too_big(10**6, 2**64)),
+    ("m-equals-k", 2 * 10**6 + 1, 5, 5, ParamError, _too_big(2 * 10**6 + 1, 5)),
+    ("m-plus-1", 2**64 + 1, 2, 2**64, ParamError, _too_big(2**64 + 1, 2**64)),
+    ("large-n", 2**64, 5, 7, ParamError, _too_big(2**64, 7)),
+    ("range-a", comb(30, 6), 8, 30, ParamError, _too_big(comb(30, 6), 30)),
+    ("range-b", comb(30, 6), 8, 30, ParamError, _too_big(comb(30, 6), 30)),
 ]
 
 
@@ -299,6 +310,21 @@ def test_best_dispatch():
     assert total_storage(system) == 1
     system, result = construct_best(54, 5, 8)
     assert total_storage(system) == 162 and result.upper == 162
+
+
+def test_best_refuses_a_layout_past_the_cap(monkeypatch):
+    # bound answers (2^64, 5, 7) from the large-n closed form; the layout
+    # would have 2^64 lines, so its build is refused before any list.
+    assert known_n(Params(2**64, 5, 7)).exact == 5 * 2**64 - 4 * comb(7, 4)
+    with pytest.raises(ParamError) as info:
+        construct_best(2**64, 5, 7)
+    assert str(info.value) == _too_big(2**64, 7)
+    # The cap holds n*m itself: (43, 4, 6) builds at n*m = 258 and not below.
+    monkeypatch.setattr(construct, "MAX_LAYOUT_BITS", 258)
+    assert total_storage(construct_best(43, 4, 6)[0]) == 124
+    monkeypatch.setattr(construct, "MAX_LAYOUT_BITS", 257)
+    with pytest.raises(ParamError, match="n\\*m = 258 bits, more than 257$"):
+        construct_best(43, 4, 6)
 
 
 def test_best_unsupported_middle_range():

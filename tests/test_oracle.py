@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -144,6 +145,68 @@ def test_search_node_counts_are_pinned():
         assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
 
 
+def _search_record(n, k, m, budget):
+    try:
+        result = search_optimal(n, k, m, budget=budget)
+    except BudgetExceeded as exc:
+        return f"{n},{k},{m} budget {budget}: spent at {exc.nodes_explored}"
+    witness = list(result.witness.items)
+    return f"{n},{k},{m} budget {budget}: N={result.optimal_n_storage} {witness} {result.nodes_explored}"
+
+
+def _settle_record(n):
+    try:
+        return f"{n}: {settle_gap(n, 5, 6, budget=20_000)}"
+    except Unknown as exc:
+        return f"{n}: {exc}"
+
+
+SMALL_GRID = [(n, k, m) for m in range(1, 7) for k in range(1, m + 1) for n in range(1, 16)]
+K4_M7_ROW = [(n, 4, 7) for n in range(5, 30)]
+
+# SHA-256 of each group's records, one line per call: the optimum, the
+# witness masks and the nodes explored, or the nodes at which the budget
+# ran out; for settle_gap, the value or the Unknown message.
+WALK_DIGESTS = {
+    "small grid, budget 50":
+        "5401599d67d20564cfab4c42c4d182bd115f341b7aa860836b3ffd3f07db6b80",
+    "small grid, budget 3000":
+        "b5c5adf4ed9e777cc225539a458d81edc4e5c61392c68a25dfddd4334b16a6cd",
+    "small grid, budget 200000":
+        "a58d086e3a71d21ace8ac52136bcf0ce2b306acbc906749203c7f8164a269433",
+    "(5..29,4,7), budget 10":
+        "d0aad26ca892e4625680c48eb55f6187f2be8479865cd3d0967c45c2f2062f44",
+    "(5..29,4,7), budget 100":
+        "7d1da9955d575da49c3fd001987f2a95a494c2f7e534d76fdf567168631f042c",
+    "(5..29,4,7), budget 10000":
+        "5349c96dc108491f4a7f0540809911368276dceef2bbd010dec42316863a9516",
+    "settle_gap (5,6) one apart":
+        "c7fd44317a0d343dac100fc0ac33fb38fa5b30d555a86473451c7d81c7c685c4",
+}
+
+
+def _walk_groups():
+    for budget in (50, 3000, 200_000):
+        yield f"small grid, budget {budget}", [_search_record(*c, budget) for c in SMALL_GRID]
+    for budget in (10, 100, 10_000):
+        yield f"(5..29,4,7), budget {budget}", [_search_record(*c, budget) for c in K4_M7_ROW]
+    verdicts = [known_n(Params(n, 5, 6)) for n in range(1, 25)]
+    one_apart = [n for n, v in enumerate(verdicts, 1) if v.exact is None and v.upper]
+    yield "settle_gap (5,6) one apart", [_settle_record(n) for n in one_apart]
+
+
+def test_search_walk_is_pinned_byte_for_byte():
+    # Every (n,k,m) with m <= 6 and n <= 15 and the row (5..29, 4, 7), at
+    # three budgets each (1,020 calls), and settle_gap on the one-apart
+    # (5, 6) instances (n = 15, 17, 19): optimum, witness and node count,
+    # byte for byte.
+    digests = {
+        name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for name, lines in _walk_groups()
+    }
+    assert digests == WALK_DIGESTS
+
+
 def test_search_budget_bounds_the_profile_enumeration():
     # At (300, 6, 8) the one profile of the floor target comes after
     # 129,457 tries of A_1..A_5, before any item is placed; each try is a
@@ -268,6 +331,22 @@ def test_budget_below_n_is_spent_before_the_first_node():
         search_optimal(3, 4, 3, budget=0)
     with pytest.raises(ParamError, match="candidate masks"):
         search_optimal(3, 10, 30, budget=0)
+
+
+def test_walk_keeps_one_mask_index_per_placed_item():
+    # The walk's only per-item state is its path of mask indices: spending
+    # a budget of 10^5 placements on (10^5, 2, 3) stays below 2 MiB, where
+    # an n-entry weight list and a suspended iterator per placed item took
+    # about 6.9 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            search_optimal(10**5, 2, 3, budget=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.nodes_explored == 10**5
+    assert peak < 2 * 2**20
 
 
 def test_search_param_errors():
