@@ -8,9 +8,11 @@ argument behind the constructions' correctness, and the builders check it
 at run time.  The deletions are counted in bulk, once per distinct deleted
 set, and checked at the end of the run; since no addition refills a set
 that a step deletes, that check is the per-deletion one (see
-``_run_steps``).  Every builder of ``BUILDERS`` refuses, with a
-ParamError raised after its own parameter checks and before it lists
-anything, a layout whose n*m exceeds ``MAX_LAYOUT_BITS``.
+``_run_steps``), which then reads the items off the colex list of the
+starting sets.  Every builder refuses, with a ParamError raised after its
+own parameter checks and before it lists anything, more than
+``MAX_LAYOUT_BITS`` bits: n*m for a layout, m*C(m, c) for the candidate
+words of ``construct_uniform``, whose n follows from its code.
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -22,13 +24,14 @@ masks 1, 2, 4, 8, 3.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from math import comb
-from typing import Mapping
 
 from . import bounds
 from .core import Params, SetSystem, bits, total_storage
-from .cwc import ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex, _greedy_scan
+from .cwc import (ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex,
+                  _every_word, _first_fit)
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
 
@@ -51,15 +54,6 @@ def _check_size(n: int, m: int) -> None:
         )
 
 
-def _system_from_counts(m: int, counts: Mapping[int, int]) -> SetSystem:
-    items: list[int] = []
-    for mask in sorted(counts):
-        if counts[mask] < 0:
-            raise AssertionError(f"negative multiplicity for {mask:#x}")
-        items.extend([mask] * counts[mask])
-    return SetSystem(m, tuple(items))
-
-
 def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
                copies: int) -> SetSystem:
     """Run a deletion construction down to n items and return the layout.
@@ -71,13 +65,14 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     nonzero leftover adds a partial step that deletes only that many
     supersets of the next set.  Every deletion must find a copy left.
 
-    The deletions are counted in bulk: all steps' supersets are counted
-    in one pass and subtracted from the initial copies once per distinct
-    superset.  Deletions touch only w-subsets and additions only
-    (w-1)-subsets, so no addition ever refills a deleted set, and every
-    deletion found a copy iff no w-subset is deleted more than ``each``
-    times in all; if one is, the deletions are replayed in order to name
-    the first superset that had no copy left.
+    All steps' supersets are counted in one pass.  Deletions touch only
+    w-subsets and additions only (w-1)-subsets, so no addition ever
+    refills a deleted set, and every deletion found a copy iff no w-subset
+    is deleted more than ``each`` times in all; if one is, the deletions
+    are replayed in order to name the first superset that had no copy
+    left.  Copy c of a w-subset survives iff it was deleted at most each-c
+    times: one ``compress`` pass per copy over the colex list of
+    w-subsets, then one ``sorted`` merges in the added sets.
     """
     full_steps, leftover = divmod(each * comb(m, w) - n, m - k + 1)
     auxes = [next(aux_sets) for _ in range(full_steps + (1 if leftover else 0))]
@@ -97,12 +92,12 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
                 raise AssertionError(
                     f"construction tried to delete {_format_set(sup)} with no copy left"
                 )
-    counts = dict.fromkeys(w_masks_colex(m, w), each)
-    for sup, times in deleted.items():
-        counts[sup] -= times
-    for aux in auxes[:full_steps]:
-        counts[aux] = counts.get(aux, 0) + copies
-    return _system_from_counts(m, counts)
+    subsets = list(w_masks_colex(m, w))
+    times = list(map(deleted.get, subsets, itertools.repeat(0)))
+    items = auxes[:full_steps] * copies
+    for copy in range(1, each + 1):
+        items += itertools.compress(subsets, map((each - copy).__ge__, times))
+    return SetSystem(m, tuple(sorted(items)))
 
 
 def construct_trivial(n: int, k: int, m: int) -> SetSystem:
@@ -216,8 +211,13 @@ def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:
     # construction sometimes beats it, and the larger code wins.  A size tie
     # keeps greedy, where best_d4_code keeps the residue class, and the two
     # word lists then differ (at (m, w) = (8, 2), for one), so this choice
-    # stays separate from best_d4_code's.
-    greedy = _greedy_scan(m, d2, w, None)
+    # stays separate from best_d4_code's.  Both list all C(m, w) words: their
+    # count is capped first, then their bits.
+    candidates = _every_word(m, w, d2)
+    if m * comb(m, w) > MAX_LAYOUT_BITS:
+        raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {w}) candidate words "
+                         f"of {m} bits, {m * comb(m, w)} bits, more than {MAX_LAYOUT_BITS}")
+    greedy, _ = _first_fit(candidates, w, d2, None)
     if d2 == 4:
         residue = graham_sloane_d4(m, w)
         if residue.size > len(greedy):
@@ -238,8 +238,7 @@ def construct_uniform(c: int, k: int, m: int) -> SetSystem:
         )
     copies = k - c - 1
     code = _uniform_code(m, c, 2 * copies)
-    counts = Counter({word: copies for word in code.words})
-    return _system_from_counts(m, counts)
+    return SetSystem(m, tuple(sorted(code.words * copies)))
 
 
 # The builder of each constructive regime in bounds.REGIMES, by its

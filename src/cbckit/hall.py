@@ -18,7 +18,8 @@ large-n layouts of (k-1)-sets stored k-1 times each, skip every size.
 Any other size is counted sparsely: only a replica set of fewer than k
 servers fits inside a subset of fewer than k servers, so each such
 distinct set is counted into its own supersets of size r, and only
-subsets that some stored set reaches are looked at.  The counting is done
+subsets that some stored set reaches are looked at.  The distinct sets are
+kept in flat per-size int lists, with no container per set, and counted
 in bulk: for each stored set size s one table lists every mask of r-s
 servers, a distinct set's supersets are the table's masks disjoint from
 it (one list comprehension, ``supersets_adding``), and one ``Counter``
@@ -119,42 +120,42 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     """Check the counting form of the restricted Hall condition.
 
     Valid iff every server subset T with |T| <= k-1 contains at most |T|
-    replica sets.  Checked one subset size r at a time, with each distinct
-    replica set's multiplicity capped at k.  First a bound: T holds at
-    most C(r, s) distinct sets of s servers, so at most the sum over s <= r
-    of the C(r, s) largest multiplicities among sets of s servers; when
-    that is at most r, no r-subset is crowded and size r is skipped, at a
-    cost of O(distinct sets).  Otherwise the size is counted sparsely: each
-    distinct replica set of at most r servers adds its multiplicity to each
-    of its supersets of exactly r servers, so subsets that no stored set
-    reaches are never visited.  A counted size builds, for each stored
-    set size s, the table of all C(m, r-s) masks of r-s servers (kept for
-    this call only), and scans it once per distinct s-set in one list
-    comprehension; the incidences, summed over distinct sets v of at most
-    r servers, min(mult(v), k) times C(m-|v|, r-|v|), are then counted in
-    one C-level ``Counter``.  On a valid layout the incidences are at most
-    r*C(m,r), since no subset holds more than its size; a crowded layout
-    stops after the first size with a crowded subset.  Skipping sizes that
-    no subset can crowd leaves that first crowded subset unchanged.  On
-    failure, returns the first violating subset in size-then-lexicographic
-    order together with the items inside it.
+    replica sets.  Checked one subset size r at a time, from flat lists per
+    set size s of the distinct masks and their multiplicities capped at k.
+    First a bound: T holds at most C(r, s) distinct sets of s servers, so at
+    most the sum over s <= r of the C(r, s) largest multiplicities among
+    sets of s servers; when that is at most r, no r-subset is crowded and
+    size r is skipped, at a cost of O(distinct sets).  Otherwise the size is
+    counted sparsely: each distinct replica set of at most r servers adds
+    its multiplicity to each of its supersets of exactly r servers, so
+    subsets that no stored set reaches are never visited.  A counted size
+    builds, for each stored set size s, the table of all C(m, r-s) masks of
+    r-s servers (kept for this call only), and scans it once per distinct
+    s-set in one list comprehension; the incidences, summed over distinct
+    sets v of at most r servers, min(mult(v), k) times C(m-|v|, r-|v|), are
+    then counted in one C-level ``Counter``.  On a valid layout the
+    incidences are at most r*C(m,r), since no subset holds more than its
+    size; a crowded layout stops after the first size with a crowded subset.
+    Skipping sizes that no subset can crowd leaves that first crowded subset
+    unchanged.  On failure, returns the first violating subset in
+    size-then-lexicographic order together with the items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
-    # by_size[s]: the distinct stored sets of s servers, largest
-    # multiplicity first (capping keeps that order).
-    by_size: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for mask, mult in Counter(sys.items).most_common():
-        if mask.bit_count() < k:
-            # k copies already crowd every subset of fewer than k servers,
-            # so further copies cannot change which subsets are crowded.
-            by_size[mask.bit_count()].append((mask, min(mult, k)))
+    # by_size[s], mults[s]: the distinct stored sets of s servers and their
+    # multiplicities; k copies already crowd any subset of fewer than k servers.
+    by_size: list[list[int]] = [[] for _ in range(k)]
+    mults: list[list[int]] = [[] for _ in range(k)]
+    for mask, mult in Counter(sys.items).items():
+        size = mask.bit_count()
+        if size < k:
+            by_size[size].append(mask)
+            mults[size].append(mult if mult < k else k)
+    largest = [sorted(size_mults, reverse=True) for size_mults in mults]
     for r in range(1, k):
         # An r-subset contains at most C(r, s) distinct sets of s servers, so
         # it holds at most `most` items; if that is <= r, none is crowded.
-        most = sum(
-            mult for s in range(1, r + 1) for _, mult in by_size[s][:comb(r, s)]
-        )
+        most = sum(sum(largest[s][:comb(r, s)]) for s in range(1, r + 1))
         if most <= r:
             continue
         # more[s]: every mask of r - s servers, the servers that an s-set
@@ -163,7 +164,7 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
         inside_counts = Counter(itertools.chain.from_iterable(
             supersets_adding(mask, more[size]) * mult
             for size in more
-            for mask, mult in by_size[size]
+            for mask, mult in zip(by_size[size], mults[size])
         ))
         crowded = [t for t, count in inside_counts.items() if count > r]
         if crowded:

@@ -121,6 +121,16 @@ def test_construct_uniform_method(capsys):
     assert system.n == 8 and total_storage(system) == 16
 
 
+def test_construct_uniform_past_the_layout_cap_exits_2(capsys):
+    # Its code would scan C(20000, 1) words of 20000 bits, 4e8 bits in all:
+    # refused before any word is listed.
+    code, out, err = run(
+        capsys, "construct", "-k", "3", "-m", "20000", "-c", "1", "--method", "uniform"
+    )
+    assert code == 2 and out == ""
+    assert err.endswith("400000000 bits, more than 10000000\n")
+
+
 def test_construct_json(capsys):
     code, out, _ = run(capsys, "construct", "-n", "43", "-k", "4", "-m", "6", "--json")
     assert code == 0

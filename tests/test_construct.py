@@ -287,6 +287,20 @@ def test_uniform_keeps_greedy_words_on_a_size_tie():
     )
 
 
+def test_uniform_layout_cap_boundary(monkeypatch):
+    # construct_uniform(2, 5, 8) lists all C(8, 2) = 28 candidate words of
+    # 8 bits, 224 bits: built at a cap of 224, refused below it.
+    monkeypatch.setattr(construct, "MAX_LAYOUT_BITS", 223)
+    with pytest.raises(ParamError) as info:
+        construct_uniform(2, 5, 8)
+    assert str(info.value) == (
+        "a uniform layout on m=8 servers lists C(8, 2) candidate words of 8 bits, "
+        "224 bits, more than 223"
+    )
+    monkeypatch.setattr(construct, "MAX_LAYOUT_BITS", 224)
+    assert total_storage(construct_uniform(2, 5, 8)) == 16
+
+
 def test_uniform_is_exactly_uniform():
     for c, k, m in [(2, 5, 8), (3, 5, 9), (2, 4, 6), (3, 6, 9)]:
         system = construct_uniform(c, k, m)

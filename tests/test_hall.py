@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -244,6 +245,52 @@ def test_hc2_range_b_with_one_extra_copy(n, k, m):
     report = verify_hc2(crowded, k)
     assert not report.valid
     assert report == hc2_reference(crowded, k)
+
+
+@given(st.data())
+def test_hc2_caps_multiplicities_like_the_reference(data):
+    # Distinct replica sets stored up to 2k times each, past the k copies
+    # that verify_hc2 keeps of any one set, in any item order.
+    m = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, m))
+    masks = data.draw(st.lists(st.integers(1, (1 << m) - 1), max_size=6, unique=True))
+    items = [mask for mask in masks for _ in range(data.draw(st.integers(1, 2 * k)))]
+    system = SetSystem(m, tuple(data.draw(st.permutations(items))))
+    assert verify_hc2(system, k) == hc2_reference(system, k)
+
+
+@pytest.fixture(scope="module")
+def largest_layout():
+    system, _ = construct_best(42499, 7, 24)
+    return system
+
+
+def test_hc2_on_the_largest_layout_holds_no_container_per_set(largest_layout):
+    # 42,499 distinct 5-sets, each size skipped by the counting bound: the
+    # per-size lists of masks and multiplicities stay under 3 MiB.
+    tracemalloc.start()
+    try:
+        report = verify_hc2(largest_layout, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 3 * 2**20
+
+
+def test_hc2_counts_the_largest_layout_with_one_extra_copy(largest_layout):
+    # One more copy of the last 5-set lifts the bound at r = 6 to 7 items,
+    # so that size is counted, and a 6-subset holds the set twice and its
+    # five other 5-subsets.  The reference is too slow at m = 24; the
+    # witness items are recounted from the layout.
+    system = SetSystem(24, largest_layout.items + (largest_layout.items[-1],))
+    report = verify_hc2(system, 7)
+    assert not report.valid
+    servers = report.witness.servers
+    assert len(servers) == 6
+    mask = mask_of(servers)
+    inside = tuple(j for j, it in enumerate(system.items) if it & ~mask == 0)
+    assert inside == report.witness.items and len(inside) > 6
 
 
 def uniform_family(m: int, w: int) -> tuple[int, ...]:
