@@ -28,7 +28,6 @@ from .construct import (
 from .core import (
     Params,
     Profile,
-    Rational,
     SetSystem,
     parse,
     profile,
@@ -64,7 +63,6 @@ __all__ = [
     "Deficiency",
     "Params",
     "Profile",
-    "Rational",
     "RetrievalPlan",
     "SearchResult",
     "SetSystem",

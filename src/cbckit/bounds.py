@@ -30,7 +30,7 @@ from math import comb, isqrt
 from typing import Callable, Optional
 
 from . import cwc
-from .core import Params, Profile, Rational
+from .core import Params, Profile
 from .errors import ParamError, RangeError
 
 
@@ -59,7 +59,7 @@ class BoundResult:
             raise ParamError(f"upper {self.upper} below {hi}")
 
 
-def u_value(m: int, k: int, c: int) -> Rational:
+def u_value(m: int, k: int, c: int) -> Fraction:
     """The threshold (k-1)*C(m,c)/C(k-1,c); strictly increasing in c."""
     if not (1 <= c <= k - 1 <= m - 1):
         raise ParamError(f"need 1 <= c <= k-1 <= m-1, got m={m} k={k} c={c}")
@@ -81,7 +81,7 @@ def check_inequality(p: Profile, m: int, i: int) -> bool:
     return lhs <= i * comb(m, i)
 
 
-def b_value(n: int, k: int, m: int, c: int) -> Rational:
+def b_value(n: int, k: int, m: int, c: int) -> Fraction:
     """Unfloored counting bound n*c - (k-c)*(U(m,k,c) - n)/(m-k+1)."""
     if not (1 <= c <= k - 1):
         raise ParamError(f"need 1 <= c <= k-1, got c={c} k={k}")
@@ -113,11 +113,11 @@ def lower_bound(n: int, k: int, m: int) -> BoundResult:
             "formula applies there instead"
         )
     c = next(c for c in range(1, k) if n <= u_value(m, k, c))
-    value = n * c - math.floor(Fraction(k - c) * (u_value(m, k, c) - n) / (m - k + 1))
     b_all = [b_value(n, k, m, i) for i in range(1, k)]
     if max(b_all) != b_all[c - 1]:
         raise AssertionError(f"b(n,k,m,.) not maximal at c={c} for n={n} k={k} m={m}")
-    return BoundResult(lower=value, source="counting-bound", chosen_c=c)
+    # n*c - floor(x) = ceil(n*c - x), exactly, in Fraction.
+    return BoundResult(lower=math.ceil(b_all[c - 1]), source="counting-bound", chosen_c=c)
 
 
 def _ceil_sqrt(x: int) -> int:

@@ -41,10 +41,6 @@ from .hall import supersets_adding
 MAX_LAYOUT_BITS = 10**7
 
 
-def _format_set(mask: int) -> str:
-    return ",".join(str(s) for s in bits(mask))
-
-
 def _check_size(n: int, m: int) -> None:
     """Raise ParamError, before a builder lists anything, when n*m exceeds ``MAX_LAYOUT_BITS``."""
     if n * m > MAX_LAYOUT_BITS:
@@ -89,9 +85,8 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
         for sup in deletions():
             seen[sup] += 1
             if seen[sup] > each:
-                raise AssertionError(
-                    f"construction tried to delete {_format_set(sup)} with no copy left"
-                )
+                servers = ",".join(map(str, bits(sup)))
+                raise AssertionError(f"construction tried to delete {servers} with no copy left")
     subsets = list(w_masks_colex(m, w))
     times = list(map(deleted.get, subsets, itertools.repeat(0)))
     items = auxes[:full_steps] * copies

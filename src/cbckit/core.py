@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -27,11 +26,6 @@ from .errors import (
     ParamError,
     ServerIndexOutOfRange,
 )
-
-# Exact fraction type used by the bounds module; threshold values such as
-# (k-1)*C(m,c)/C(k-1,c) are generally not integers and must never be
-# rounded implicitly.
-Rational = Fraction
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -146,12 +146,6 @@ def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tu
     return kept, clash
 
 
-def _greedy_scan(m: int, d2: int, w: int, limit: int | None) -> list[int]:
-    """First-fit scan of weight-w words in colex order; a full scan (no ``limit``) is capped."""
-    words = w_masks_colex(m, w) if limit is not None else _every_word(m, w, d2)
-    return _first_fit(words, w, d2, limit)[0]
-
-
 def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
     """First-fit code: scan w-subsets in colex order, keep words at distance >= d2.
 
@@ -164,7 +158,8 @@ def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
         raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
     if target < 0:
         raise ParamError(f"negative target {target}")
-    code = ConstantWeightCode(m, w, d2, tuple(_greedy_scan(m, d2, w, target)))
+    words, _ = _first_fit(w_masks_colex(m, w), w, d2, target)
+    code = ConstantWeightCode(m, w, d2, tuple(words))
     if code.size < target:
         raise InsufficientCode(achieved=code.size, needed=target, code=code)
     return code
@@ -182,7 +177,7 @@ def best_d4_code(m: int, w: int) -> ConstantWeightCode:
     when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
     """
     residue = graham_sloane_d4(m, w)
-    greedy = _greedy_scan(m, 4, w, None)
+    greedy, _ = _first_fit(_every_word(m, w, 4), w, 4, None)
     if len(greedy) > residue.size:
         return ConstantWeightCode(m, w, 4, tuple(greedy))
     return residue

@@ -9,7 +9,8 @@ equivalent forms:
 * counting form: every subset of at most k-1 servers contains at most
   that many whole replica sets.
 
-``verify_hc2`` checks the counting form one subset size r at a time.  It
+``verify_hc2`` checks the counting form one subset size r at a time, for
+r below min(k, n): a crowded subset holds more items than servers.  It
 first applies the paper's counting argument: an r-subset contains at most
 C(r, s) distinct stored sets of s servers, so when even the largest
 multiplicities that many sets could have sum to at most r, no r-subset is
@@ -100,67 +101,64 @@ def supersets_adding(mask: int, more: Sequence[int]) -> list[int]:
     return [mask | x for x in more if not mask & x]
 
 
-def supersets_below(mask: int, more: Sequence[Sequence[int]]) -> list[int]:
-    """Every server subset T of fewer than k servers that contains ``mask``.
-
-    ``more[e]`` lists every mask of e servers over the m servers, for e
-    from 0 to k-1, so len(more) is k; a caller builds the table once and
-    passes it with every mask.  Empty when ``mask`` itself has k or more
-    servers.  These are the subsets whose Hall count an item stored on
-    ``mask`` adds to.
-    """
-    return [
-        t
-        for extra in range(len(more) - mask.bit_count())
-        for t in supersets_adding(mask, more[extra])
-    ]
-
-
 def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     """Check the counting form of the restricted Hall condition.
 
     Valid iff every server subset T with |T| <= k-1 contains at most |T|
-    replica sets.  Checked one subset size r at a time, from flat lists per
-    set size s of the distinct masks and their multiplicities capped at k.
-    First a bound: T holds at most C(r, s) distinct sets of s servers, so at
-    most the sum over s <= r of the C(r, s) largest multiplicities among
-    sets of s servers; when that is at most r, no r-subset is crowded and
-    size r is skipped, at a cost of O(distinct sets).  Otherwise the size is
+    replica sets.  A crowded T holds more than |T| of the n items, so only
+    sizes r below width = min(k, n) are checked, one at a time, from flat
+    lists per set size s < width of the distinct masks and their
+    multiplicities capped at width.  First a bound: T holds at most C(r, s)
+    distinct sets of s servers, so at most the sum over stored sizes s <= r
+    of the C(r, s) largest multiplicities among sets of s servers; when
+    that is at most r, no r-subset is crowded and size r is skipped.
+    Running sums of those multiplicities, kept as far as C(width-1, s),
+    make a skipped size cost O(stored sizes), so the work is bounded by the
+    layout and min(k, n), not by k.  Otherwise the size is
     counted sparsely: each distinct replica set of at most r servers adds
     its multiplicity to each of its supersets of exactly r servers, so
     subsets that no stored set reaches are never visited.  A counted size
     builds, for each stored set size s, the table of all C(m, r-s) masks of
     r-s servers (kept for this call only), and scans it once per distinct
     s-set in one list comprehension; the incidences, summed over distinct
-    sets v of at most r servers, min(mult(v), k) times C(m-|v|, r-|v|), are
-    then counted in one C-level ``Counter``.  On a valid layout the
-    incidences are at most r*C(m,r), since no subset holds more than its
-    size; a crowded layout stops after the first size with a crowded subset.
-    Skipping sizes that no subset can crowd leaves that first crowded subset
-    unchanged.  On failure, returns the first violating subset in
-    size-then-lexicographic order together with the items inside it.
+    sets v of at most r servers, min(mult(v), width) times
+    C(m-|v|, r-|v|), are then counted in one C-level ``Counter``.  On a
+    valid layout the incidences are at most r*C(m,r), since no subset holds
+    more than its size; a crowded layout stops after the first size with a
+    crowded subset.  Skipping sizes that no subset can crowd leaves that
+    first crowded subset unchanged.  On failure, returns the first violating
+    subset in size-then-lexicographic order together with the items inside
+    it.
     """
     _check_batch_size(sys, k)
     m = sys.m
+    width = min(k, sys.n)
     # by_size[s], mults[s]: the distinct stored sets of s servers and their
-    # multiplicities; k copies already crowd any subset of fewer than k servers.
-    by_size: list[list[int]] = [[] for _ in range(k)]
-    mults: list[list[int]] = [[] for _ in range(k)]
+    # multiplicities; width copies already crowd any subset of fewer than
+    # width servers.
+    by_size: list[list[int]] = [[] for _ in range(width)]
+    mults: list[list[int]] = [[] for _ in range(width)]
     for mask, mult in Counter(sys.items).items():
         size = mask.bit_count()
-        if size < k:
+        if size < width:
             by_size[size].append(mask)
-            mults[size].append(mult if mult < k else k)
-    largest = [sorted(size_mults, reverse=True) for size_mults in mults]
-    for r in range(1, k):
+            mults[size].append(mult if mult < width else width)
+    # most[s][i]: the sum of the i largest multiplicities of stored s-sets,
+    # for i up to C(width-1, s), the most s-sets any subset checked holds.
+    most = {
+        s: list(itertools.accumulate(
+            sorted(mults[s], reverse=True)[:comb(width - 1, s)], initial=0))
+        for s in range(1, width) if by_size[s]
+    }
+    for r in range(1, width):
         # An r-subset contains at most C(r, s) distinct sets of s servers, so
-        # it holds at most `most` items; if that is <= r, none is crowded.
-        most = sum(sum(largest[s][:comb(r, s)]) for s in range(1, r + 1))
-        if most <= r:
+        # it holds at most `bound` items; if that is <= r, none is crowded.
+        bound = sum(sums[min(comb(r, s), len(sums) - 1)] for s, sums in most.items() if s <= r)
+        if bound <= r:
             continue
         # more[s]: every mask of r - s servers, the servers that an s-set
         # can add to reach size r; built only for sizes that are stored.
-        more = {s: list(w_masks_colex(m, r - s)) for s in range(1, r + 1) if by_size[s]}
+        more = {s: list(w_masks_colex(m, r - s)) for s in most if s <= r}
         inside_counts = Counter(itertools.chain.from_iterable(
             supersets_adding(mask, more[size]) * mult
             for size in more
@@ -168,10 +166,9 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
         ))
         crowded = [t for t, count in inside_counts.items() if count > r]
         if crowded:
-            servers = min(tuple(bits(t)) for t in crowded)
-            mask = sum(1 << s for s in servers)
+            mask = min(crowded, key=lambda t: tuple(bits(t)))
             inside = tuple(j for j, it in enumerate(sys.items) if it & ~mask == 0)
-            return ValidityReport(False, CrowdedSubset(servers, inside))
+            return ValidityReport(False, CrowdedSubset(tuple(bits(mask)), inside))
     return ValidityReport(True)
 
 

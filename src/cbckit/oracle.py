@@ -21,8 +21,9 @@ budget, which counts the values tried for A_1..A_{k-1} and the item
 placements tried, bounds a search, and the default refuses to run away;
 the walk uses no Python recursion, and the profile list recurses k deep.
 A search over more than ``MAX_CANDIDATE_MASKS`` candidate masks (masks
-of at most k servers) is refused up front; each weight's masks are
-listed the first time a profile uses it.
+of at most k servers), each counted as its ceil(m/64) 64-bit words, is
+refused up front; each weight's masks are listed the first time a
+profile uses it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from . import bounds
 from .core import Params, SetSystem
 from .cwc import w_masks_colex
 from .errors import BudgetExceeded, CbcError, ParamError, Unknown
-from .hall import supersets_below, verify_hc2
+from .hall import supersets_adding, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
-# Cap on the candidate masks (at most k of m servers), counted
-# before the first node: (40, 5) has 760,098, while m = 30, k = 10 would
-# have about 5.3e7.
+# Cap on the candidate masks (at most k of m servers), each counted as its
+# ceil(m/64) 64-bit words, before the first node: (40, 5) has 760,098,
+# while m = 30, k = 10 would have about 5.3e7, and k = 1 stops at m = 8000.
 MAX_CANDIDATE_MASKS = 10**6
 
 
@@ -117,13 +118,14 @@ def _search_targets(
     back, so a walk that finds nothing restores every slack for the next
     profile.
     """
-    # more[e]: every mask of e < k servers, the servers that supersets_below
-    # may add to a mask.
+    # more[e]: every mask of e < k servers, the servers that a placed mask's
+    # below-list may add to it.
     more = [list(w_masks_colex(m, e)) for e in range(k)]
     # masks[w]: every mask of w servers, ascending, listed the first time a
-    # profile has items of weight w; below[w][idx]: the subsets whose slack
-    # masks[w][idx] uses up, built on its first placement.  A subset enters
-    # ``slack`` (at |T|) with the first mask that reaches it.
+    # profile has items of weight w; below[w][idx]: the subsets of fewer than
+    # k servers that contain masks[w][idx], whose slack it uses up, built on
+    # its first placement.  A subset enters ``slack`` (at |T|) with the
+    # first mask that reaches it.
     masks: list[list[int]] = [[] for _ in range(k + 1)]
     below: list[list[list[int] | None]] = [[] for _ in range(k + 1)]
     slack: dict[int, int] = {}
@@ -151,7 +153,10 @@ def _search_targets(
                     spend()
                     subsets = below[weight][idx]
                     if subsets is None:
-                        subsets = below[weight][idx] = supersets_below(masks[weight][idx], more)
+                        mask = masks[weight][idx]
+                        subsets = below[weight][idx] = [
+                            t for e in range(k - weight) for t in supersets_adding(mask, more[e])
+                        ]
                         for t in subsets:
                             slack.setdefault(t, t.bit_count())
                     if not all(map(slack.__getitem__, subsets)):
@@ -183,13 +188,16 @@ def _check_budget(budget: int) -> None:
 
 
 def _check_masks(k: int, m: int) -> None:
+    words = -(-m // 64)  # 64-bit words per mask: 1 up to m = 64
+    unit = "candidate masks" if words == 1 else (
+        f"64-bit words of candidate masks ({words} per mask)")
     count = 0
     for w in range(1, k + 1):
-        count += comb(m, w)
+        count += comb(m, w) * words
         if count > MAX_CANDIDATE_MASKS:
             raise ParamError(
                 f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
-                f"candidate masks: {count} of weight at most {w}"
+                f"{unit}: {count} of weight at most {w}"
             )
 
 

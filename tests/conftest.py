@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, count, product
@@ -12,17 +13,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from cbckit.core import (
-    _ALPHABET,
-    SetSystem,
-    _header_int,
-    bits,
-    mask_of,
-    total_storage,
-    truncate_to_k,
-)
+from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
 from cbckit.bounds import u_value
-from cbckit.construct import _format_set
 from cbckit.cwc import w_masks_colex
 from cbckit.errors import (
     EmptyItemSet,
@@ -159,6 +151,25 @@ def sdr_reference(sets: Sequence[int]) -> Union[list[int], Deficiency]:
     return [server_of[pos] for pos in range(len(sets))]
 
 
+# The characters a canonical "cbc" text may use; the parser's own pattern
+# is spelt again here so that a fault in it shows against this one.
+_CBC_ALPHABET = re.compile(r"[0-9a-z=: \n]*")
+
+
+def _header_value(token: str, key: str) -> int:
+    """The non-negative integer of a ``key=<int>`` header token."""
+    prefix = key + "="
+    if not token.startswith(prefix):
+        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}")
+    try:
+        value = int(token[len(prefix):])
+    except ValueError:
+        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}") from None
+    if value < 0:
+        raise MalformedHeader(f"{key} must be non-negative, got {value}")
+    return value
+
+
 def parse_reference(text: str) -> SetSystem:
     """Reference for core.parse: the same grammar and messages, with every
     line's tail decoded token by token, with no memo of earlier tails, and
@@ -170,7 +181,7 @@ def parse_reference(text: str) -> SetSystem:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "cbc":
         raise MalformedHeader(f"bad header line {lines[0]!r}")
-    m, n = _header_int(head[1], "m"), _header_int(head[2], "n")
+    m, n = _header_value(head[1], "m"), _header_value(head[2], "n")
     if m < 1:
         raise MalformedHeader(f"need at least one server, got m={m}")
     body = lines[1:]
@@ -204,7 +215,7 @@ def parse_reference(text: str) -> SetSystem:
             prev = s
             mask |= 1 << s
         masks.append(mask)
-    end = _ALPHABET.match(text).end()
+    end = _CBC_ALPHABET.match(text).end()
     if end < len(text):
         line = text.count("\n", 0, end) + 1
         error = MalformedHeader if line == 1 else MalformedItemLine
@@ -275,9 +286,8 @@ def run_steps_reference(n: int, k: int, m: int, w: int, each: int, aux_sets,
         for sup in supersets:
             left = counts[sup]
             if left < 1:
-                raise AssertionError(
-                    f"construction tried to delete {_format_set(sup)} with no copy left"
-                )
+                servers = ",".join(str(s) for s in bits(sup))
+                raise AssertionError(f"construction tried to delete {servers} with no copy left")
             counts[sup] = left - 1
         if step < full_steps:
             counts[aux] += copies

@@ -463,11 +463,22 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         (["search", "-n", "3", "-k", "10", "-m", "30"], "", 2,
          "search: search on m=30 servers needs more than 1000000 candidate masks:"
          " 2804011 of weight at most 7\n"),
+        (["search", "-n", "1", "-k", "1", "-m", "1000000"], "", 2,
+         "search: search on m=1000000 servers needs more than 1000000 64-bit words of"
+         " candidate masks (15625 per mask): 15625000000 of weight at most 1\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
     monkeypatch.chdir(tmp_path)
     assert stdin_run(monkeypatch, capsys, text, argv) == (code, "", stderr)
+
+
+def test_verify_one_item_at_a_batch_size_of_100000(monkeypatch, capsys):
+    # No subset of 1 to 99,999 servers can hold more items than servers
+    # when there is one item, so none is visited.
+    text = "cbc m=100000 n=1\n0: 0\n"
+    assert stdin_run(monkeypatch, capsys, text, ["verify", "-", "-k", "100000"]) == (
+        0, "valid CBC for k=100000, N=1\n", "")
 
 
 NOT_UTF8_LAYOUT = b"cbc m=3 n=1\n0: 0\xff\n"

@@ -12,7 +12,7 @@ from cbckit.cwc import (
     MAX_CODE_CANDIDATES,
     MAX_WORD_KEYS,
     ConstantWeightCode,
-    _greedy_scan,
+    _first_fit,
     best_d4_code,
     graham_sloane_d4,
     greedy_code,
@@ -143,7 +143,8 @@ def test_first_fit_scan_matches_pairwise_scan():
             for w in range(1, m + 1):
                 for limit in (None, 0, 1, 5):
                     expected = pairwise_greedy_scan(m, d2, w, limit)
-                    assert _greedy_scan(m, d2, w, limit) == expected, (m, d2, w, limit)
+                    kept, _ = _first_fit(w_masks_colex(m, w), w, d2, limit)
+                    assert kept == expected, (m, d2, w, limit)
 
 
 def first_close_pair(words, d2):
@@ -163,7 +164,7 @@ def test_code_check_matches_pairwise_reference(m, data):
     d2 = 2 * data.draw(st.integers(1, w + 1))
     # Up to four words of a code plus up to two arbitrary ones (repeats
     # allowed), shuffled: both verdicts and several close pairs all occur.
-    spread = data.draw(st.permutations(_greedy_scan(m, d2, w, None)))
+    spread = data.draw(st.permutations(_first_fit(w_masks_colex(m, w), w, d2, None)[0]))
     extra = data.draw(st.lists(st.sampled_from(list(w_masks_colex(m, w))), max_size=2))
     words = data.draw(st.permutations(spread[:4] + extra))
     pair = first_close_pair(words, d2)
@@ -296,7 +297,7 @@ def test_asymptotic_spot_check_weight_two():
 def test_residue_and_greedy_codes_tie_with_different_words(m, w):
     # best_d4_code breaks a size tie towards the residue class, while
     # construct_uniform's code keeps greedy: the two choices differ.
-    greedy = tuple(_greedy_scan(m, 4, w, None))
+    greedy = tuple(_first_fit(w_masks_colex(m, w), w, 4, None)[0])
     residue = graham_sloane_d4(m, w)
     assert len(greedy) == residue.size
     assert greedy != residue.words

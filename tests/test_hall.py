@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
@@ -19,7 +20,6 @@ from cbckit.hall import (
     find_sdr,
     plan_batch,
     supersets_adding,
-    supersets_below,
     verify_hc1,
     verify_hc2,
 )
@@ -51,10 +51,6 @@ def test_supersets_match_a_filter_over_all_subsets(m):
             size = mask.bit_count() + extra
             assert supersets_adding(mask, more[extra]) == [
                 t for t in above if t.bit_count() == size
-            ]
-        for k in range(1, m + 1):
-            assert sorted(supersets_below(mask, more[:k])) == [
-                t for t in above if t.bit_count() < k
             ]
 
 
@@ -257,6 +253,32 @@ def test_hc2_caps_multiplicities_like_the_reference(data):
     items = [mask for mask in masks for _ in range(data.draw(st.integers(1, 2 * k)))]
     system = SetSystem(m, tuple(data.draw(st.permutations(items))))
     assert verify_hc2(system, k) == hc2_reference(system, k)
+
+
+@given(st.data())
+def test_hc2_matches_the_reference_with_fewer_items_than_k(data):
+    # n < k: only subsets of fewer than n servers can be crowded, so the
+    # check stops below min(k, n); repeated sets still crowd small subsets.
+    m = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(2, m))
+    pool = data.draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=4))
+    items = data.draw(st.lists(st.sampled_from(pool), max_size=k - 1))
+    system = SetSystem(m, tuple(items))
+    assert verify_hc2(system, k) == hc2_reference(system, k)
+
+
+@pytest.mark.parametrize("items, valid", [((1,), True), ((1, 1, 1), False)])
+def test_hc2_work_is_bounded_by_the_layout_not_by_k(items, valid):
+    # k = m = 10^5 on one or three items: every subset size from n up to
+    # k-1 is uncrowdable, so none is visited.  Walking them all once took
+    # 69 s at k = 2000.
+    k = m = 10**5
+    start = time.perf_counter()
+    report = verify_hc2(SetSystem(m, items), k)
+    assert time.perf_counter() - start < 1.0
+    assert report.valid is valid
+    if not valid:
+        assert report.witness == CrowdedSubset((0,), (0, 1, 2))
 
 
 @pytest.fixture(scope="module")

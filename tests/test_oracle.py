@@ -115,6 +115,37 @@ def test_search_lists_masks_up_to_the_cap():
     assert (result.optimal_n_storage, result.nodes_explored) == (3, 9)
 
 
+def test_search_counts_each_candidate_mask_by_its_words():
+    # A mask of m servers is ceil(m/64) 64-bit words: at k = 1 the m masks
+    # of m = 10^6 servers would take m^2 bits, about 58 GiB once listed.
+    # The refusal comes before any mask is listed; the bare check runs first
+    # so that a search that lists them is never started.
+    message = (
+        r"^search on m=1000000 servers needs more than 1000000 64-bit words of "
+        r"candidate masks \(15625 per mask\): 15625000000 of weight at most 1$"
+    )
+    with pytest.raises(ParamError, match=message):
+        oracle._check_masks(1, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParamError, match=message):
+            search_optimal(1, 1, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The boundary at k = 1: 8000 masks of 125 words each make exactly
+    # 10^6 words, 8001 masks of 126 words each are past the cap.
+    assert search_optimal(1, 1, 8000).optimal_n_storage == 1
+    with pytest.raises(ParamError, match="1008126 of weight at most 1$"):
+        search_optimal(1, 1, 8001)
+    # Up to m = 64 a mask is one word and the count is the number of masks.
+    assert sum(comb(64, w) for w in range(1, 5)) == 679_120
+    assert search_optimal(1, 4, 64).optimal_n_storage == 1
+    with pytest.raises(ParamError, match="1000000 candidate masks: 8303632 of weight at most 5$"):
+        search_optimal(1, 5, 64)
+
+
 def test_budget_counts_nodes_explored():
     nodes = search_optimal(8, 3, 5).nodes_explored
     assert search_optimal(8, 3, 5, budget=nodes).nodes_explored == nodes
