@@ -82,12 +82,17 @@ def check_inequality(p: Profile, m: int, i: int) -> bool:
 
 
 def b_value(n: int, k: int, m: int, c: int) -> Fraction:
-    """Unfloored counting bound n*c - (k-c)*(U(m,k,c) - n)/(m-k+1)."""
+    """Unfloored counting bound n*c - (k-c)*(U(m,k,c) - n)/(m-k+1).
+
+    With U = (k-1)*C(m,c)/C(k-1,c), over the one denominator
+    C(k-1,c)*(m-k+1), so the value is a single Fraction of integers.
+    """
     if not (1 <= c <= k - 1):
         raise ParamError(f"need 1 <= c <= k-1, got c={c} k={k}")
     if m <= k - 1:
         raise ParamError(f"need m >= k, got m={m} k={k}")
-    return n * c - Fraction(k - c) * (u_value(m, k, c) - n) / (m - k + 1)
+    d, width = comb(k - 1, c), m - k + 1
+    return Fraction(n * c * d * width - (k - c) * ((k - 1) * comb(m, c) - n * d), d * width)
 
 
 def _check_params(n: int, k: int, m: int) -> None:

@@ -4,6 +4,14 @@ Subcommands: construct | verify | bound | plan | simulate | search.
 Exit codes: 0 ok, 1 semantic failure (invalid layout, unplannable batch),
 2 usage or parse error, 3 search budget exhausted.
 
+Dispatch: when the first argument names a subcommand, ``main`` hands the
+rest straight to that subcommand's own parser, and any argument it leaves
+over is reported by the top-level parser as "unrecognized arguments", as
+argparse itself does.  Every other argument list (none, ``-h``, an unknown
+word, ``--``) goes through the top-level parser.  Both routes run the same
+parsers, so they print and exit alike; the direct one skips the top-level
+pass that only picks the subcommand.
+
 The simulate command must reproduce bit-exactly across implementations,
 so its batch sampler is pinned down completely: a splitmix-style 64-bit
 generator (constants below, documented in the README) drives a partial
@@ -295,6 +303,10 @@ def _finish(p: argparse.ArgumentParser, func) -> None:
     p.set_defaults(func=func)
 
 
+# Subcommand name -> its parser, filled by _build_parser.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -346,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _finish(p, _cmd_search)
 
+    _COMMANDS.update(sub.choices)
     return parser
 
 
@@ -360,7 +373,16 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except (CbcError, OSError) as exc:

@@ -29,16 +29,11 @@ from collections import Counter
 from math import comb
 
 from . import bounds
-from .core import Params, SetSystem, bits, total_storage
+from .core import MAX_LAYOUT_BITS, Params, SetSystem, bits, total_storage
 from .cwc import (ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex,
                   _every_word, _first_fit)
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
-
-# Cap on n*m, the bits of the layout a builder of ``BUILDERS`` lists (one
-# m-bit mask per item): the largest layout built in the repo, (42499, 7,
-# 24), has about 1.02e6.
-MAX_LAYOUT_BITS = 10**7
 
 
 def _check_size(n: int, m: int) -> None:

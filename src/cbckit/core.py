@@ -28,6 +28,12 @@ from .errors import (
 )
 
 
+# Cap on n*m, the bits of a layout's masks (one m-bit mask per item), for
+# the builders in ``construct`` and for ``parse``: the largest layout built
+# in the repo, (42499, 7, 24), has about 1.02e6.
+MAX_LAYOUT_BITS = 10**7
+
+
 def mask_of(indices: Iterable[int]) -> int:
     """Bit mask with the given server indices set."""
     mask = 0
@@ -222,12 +228,13 @@ def parse(text: str) -> SetSystem:
     ASCII digits, spaces and LF only, and only the canonical spelling that
     ``serialize`` writes: single spaces, none at a line end, no leading
     zeros, a final LF.  The spelling is checked last, so any other error
-    takes priority.  Raises MalformedHeader / MalformedItemLine /
-    ServerIndexOutOfRange / EmptyItemSet on malformed input.  Round-trips:
-    parse(serialize(s)) == s.  O(lines) plus per-token work once for each
-    distinct line tail (the text after ``:``): a tail seen before takes its
-    earlier mask, and a tail that fails raises at its first line, so errors
-    are unchanged.
+    takes priority.  A header whose n*m exceeds ``MAX_LAYOUT_BITS`` is
+    refused before any item line is decoded.  Raises MalformedHeader /
+    MalformedItemLine / ServerIndexOutOfRange / EmptyItemSet on malformed
+    input.  Round-trips: parse(serialize(s)) == s.  O(lines) plus
+    per-token work once for each distinct line tail (the text after
+    ``:``): a tail seen before takes its earlier mask, and a tail that
+    fails raises at its first line, so errors are unchanged.
     """
     lines = text.splitlines()
     if not lines:
@@ -238,6 +245,9 @@ def parse(text: str) -> SetSystem:
     m, n = _header_int(head[1], "m"), _header_int(head[2], "n")
     if m < 1:
         raise MalformedHeader(f"need at least one server, got m={m}")
+    if n * m > MAX_LAYOUT_BITS:
+        raise MalformedHeader(f"a layout of n={n} items on m={m} servers has n*m = {n * m} "
+                              f"bits, more than {MAX_LAYOUT_BITS}")
     body = lines[1:]
     if len(body) != n:
         raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")

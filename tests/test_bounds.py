@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -196,6 +197,35 @@ def test_b_unimodal_on_grid():
             ceiling = (k - 1) * comb(m, k - 1)
             for n in range(1, ceiling + 1):
                 lower_bound(n, k, m)
+
+
+def textbook_bound(n, k, m, c):
+    """n*c - (k-c)*(U - n)/(m-k+1), U = (k-1)*C(m,c)/C(k-1,c), step by step."""
+    u = Fraction(k - 1) * comb(m, c) / comb(k - 1, c)
+    return n * c - Fraction(k - c) * (u - n) / (m - k + 1)
+
+
+def test_counting_bound_matches_the_textbook_formula():
+    # Every m < 26, 2 <= k <= min(m, 9), n at a stride of 7 up to
+    # min(ceiling, 300), each n on either side of a threshold U(m,k,c) and
+    # the ceiling (k-1)*C(m,k-1) itself: b_value for every c, and the
+    # least c with n <= U with N >= n*c - floor((k-c)*(U-n)/(m-k+1)).
+    checked = 0
+    for m in range(2, 26):
+        for k in range(2, min(m, 9) + 1):
+            ceiling = (k - 1) * comb(m, k - 1)
+            thresholds = [Fraction(k - 1) * comb(m, c) / comb(k - 1, c) for c in range(1, k)]
+            ns = set(range(1, min(ceiling, 300) + 1, 7)) | {ceiling}
+            ns |= {math.floor(u) + d for u in thresholds for d in (0, 1)}
+            for n in sorted(x for x in ns if 1 <= x <= ceiling):
+                b = [textbook_bound(n, k, m, c) for c in range(1, k)]
+                assert [b_value(n, k, m, c) for c in range(1, k)] == b, (n, k, m)
+                c = next(c for c in range(1, k) if n <= thresholds[c - 1])
+                lower = n * c - math.floor((k - c) * (thresholds[c - 1] - n) / (m - k + 1))
+                result = lower_bound(n, k, m)
+                assert (result.lower, result.chosen_c) == (lower, c), (n, k, m)
+                checked += 1
+    assert checked > 5000
 
 
 def test_regime_overlap_consistency():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -8,12 +9,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cbckit
 from cbckit import cli
 from cbckit.cli import SplitMix64, main, sample_batch
 from cbckit.core import parse, serialize, total_storage
-from cbckit.errors import Unknown
+from cbckit.errors import CbcError, Unknown
 
 from conftest import chain_system
 
@@ -481,6 +484,13 @@ def test_verify_one_item_at_a_batch_size_of_100000(monkeypatch, capsys):
         0, "valid CBC for k=100000, N=1\n", "")
 
 
+def test_verify_a_layout_past_the_layout_cap_exits_2(monkeypatch, capsys):
+    text = "cbc m=100000000 n=1\n0: 99999999\n"
+    assert stdin_run(monkeypatch, capsys, text, ["verify", "-", "-k", "1"]) == (
+        2, "", "verify: a layout of n=1 items on m=100000000 servers has n*m = 100000000"
+        " bits, more than 10000000\n")
+
+
 NOT_UTF8_LAYOUT = b"cbc m=3 n=1\n0: 0\xff\n"
 NOT_UTF8_ERROR = (
     "layout is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 16:"
@@ -561,3 +571,134 @@ def test_k_above_m_exits_2_on_a_layout_with_more_items_than_servers(capsys, tabl
                  ["plan", table1_file, "-k", "7", "0"]):
         command = argv[0]
         assert run(capsys, *argv) == (2, "", f"{command}: need 1 <= k <= m, got k=7 m=6\n")
+
+
+def reference_main(argv):
+    """Every call through the top-level parser, then ``args.func`` with
+    ``cli.main``'s exception mapping: what ``cli.main`` must match."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (CbcError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return next(code for types, code in cli._EXIT_CODES if isinstance(exc, types))
+
+
+GRAMMAR_LAYOUTS = {"intro.cbc": INTRO_LAYOUT, "crowded.cbc": "cbc m=3 n=2\n0: 0\n1: 0\n",
+                   "huge.cbc": "cbc m=100000000 n=1\n0: 99999999\n"}
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    """A directory holding GRAMMAR_LAYOUTS: valid, invalid for k >= 2 and
+    past the layout cap."""
+    root = tmp_path_factory.mktemp("grammar")
+    for name, text in GRAMMAR_LAYOUTS.items():
+        (root / name).write_text(text)
+    return root
+
+
+def outcome(entry, argv, cwd):
+    """(exit code, stdout, stderr) of ``entry(argv)`` run in ``cwd`` with
+    INTRO_LAYOUT on stdin; argparse's SystemExit gives the exit code, and
+    any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, home = sys.stdin, os.getcwd()
+    try:
+        sys.stdin = io.StringIO(INTRO_LAYOUT)
+        os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = entry(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("construct", "verify", "bound", "plan", "simulate", "search")
+VALUES = [str(v) for v in (-1, *range(9), 12, 2**64)]
+# --batches and --budget bound a run's work, so they draw only small values.
+SMALL_VALUES = VALUES[:-1]
+NOISE = [["-h"], ["--help"], ["--"], ["--bogus"], ["bogus"], ["-x", "1"], ["7"]]
+
+
+def flag(*spellings, values=VALUES):
+    return st.tuples(st.sampled_from(spellings), st.sampled_from(values)).map(list)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Argument lists from the CLI grammar: a command with its flags in any
+    order, one of them sometimes dropped, plus abbreviations, help, ``--``
+    and stray words; or no command at all."""
+    head = draw(st.sampled_from([*COMMANDS, "bogus", "sear", "-h", "--help", "--", "--json",
+                                 None]))
+    if head is None:
+        return []
+    file = st.sampled_from([*GRAMMAR_LAYOUTS, "-", "missing.cbc"]).map(lambda f: [f])
+    json_flag = st.sampled_from([["--json"], ["--jso"], ["--js"]])
+    nkm = [flag("-n"), flag("-k"), flag("-m")]
+    # Half of the batch sizes and items come from 0..3, near the three-item layouts.
+    fits = st.one_of(st.sampled_from(VALUES[1:5]), st.sampled_from(VALUES))
+    layout_k = st.tuples(st.just("-k"), fits).map(list)
+    items = st.lists(fits, min_size=1, max_size=3)  # after the file: both are positional
+    required, optional = {
+        "construct": ([flag("-k"), flag("-m")],
+                      [flag("-n"), flag("-c"), json_flag,
+                       flag("--method", "--meth",
+                            values=["auto", *cli.construct.BUILDERS, "uniform", "bogus"])]),
+        "verify": ([file, layout_k], [json_flag]),
+        "bound": (nkm, [json_flag]),
+        "plan": ([st.tuples(file, items).map(lambda pair: pair[0] + pair[1]), layout_k],
+                 [json_flag]),
+        "simulate": ([file, layout_k],
+                     [json_flag, flag("--batches", "--bat", values=SMALL_VALUES),
+                      flag("--seed", "--se", values=VALUES)]),
+        "search": (nkm, [json_flag]),
+    }.get(head, ([], [json_flag]))
+    pieces = [draw(p) for p in required]
+    if pieces and draw(st.integers(0, 3)) == 0:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    pieces += [draw(p) for p in draw(st.lists(st.sampled_from(optional), max_size=3))]
+    if draw(st.integers(0, 2)) == 0:
+        pieces.append(draw(st.sampled_from(NOISE)))
+    pieces = draw(st.permutations(pieces))
+    if head == "search":
+        # Last, so that it wins over any budget before it.
+        pieces.append(draw(flag("--budget", "--bud", values=SMALL_VALUES)))
+    return [head, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=300)
+@given(argv=cli_argvs())
+@example(argv=["verify", "crowded.cbc", "-k", "2"])
+@example(argv=["plan", "crowded.cbc", "0", "1", "-k", "2", "--json"])
+@example(argv=["simulate", "-", "-k", "3", "--bat", "2", "--se", "18446744073709551615"])
+@example(argv=["construct", "-n", "7", "-k", "3", "-m", "4", "--meth", "m-plus-1"])
+@example(argv=["search", "-n", "5", "-k", "2", "-m", "3", "--bud", "4"])
+@example(argv=["search", "-n", "5", "-k", "2", "-m", "3", "--", "--budget", "4"])
+@example(argv=["bound", "-n", "5", "-k", "2", "-m", "3", "--bogus", "7"])
+@example(argv=[])
+def test_dispatch_matches_the_top_level_parser(grammar_dir, argv):
+    # cli.main hands a call that starts with a command word straight to
+    # that command's parser; everything it prints and returns must be what
+    # the top-level parser gives, and every argument list must end with an
+    # exit code of 0-3 and no exception but argparse's SystemExit.
+    got = outcome(main, argv, grammar_dir)
+    assert got == outcome(reference_main, argv, grammar_dir)
+    assert got[0] in (0, 1, 2, 3)
+
+
+def test_main_reads_sys_argv_and_reports_leftover_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cbckit", "bound", "-n", "43", "-k", "4", "-m", "6"])
+    assert main() == 0
+    assert capsys.readouterr().out == "n=43 k=4 m=6\nexact N = 124 (source: range-a)\n"
+    with pytest.raises(SystemExit) as exit_:
+        main(["search", "-n", "5", "-k", "2", "-m", "3", "--bogus", "x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cbckit [-h] {construct,verify,bound,plan,simulate,search}")
+    assert err.endswith("cbckit: error: unrecognized arguments: --bogus x\n")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbckit.core import (
+    MAX_LAYOUT_BITS,
     Params,
     Profile,
     SetSystem,
@@ -304,6 +305,23 @@ def test_range_check_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_parse_refuses_a_header_past_the_layout_cap():
+    # One item on 10^8 servers would decode a 10^8-bit mask; the header
+    # alone refuses it.  n*m at the cap itself still parses.
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeader, match="n\\*m = 100000000 bits, more than 10000000"):
+            parse("cbc m=100000000 n=1\n0: 99999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert MAX_LAYOUT_BITS == 10**7
+    assert parse(f"cbc m={MAX_LAYOUT_BITS} n=1\n0: 0\n").items == (1,)
+    with pytest.raises(MalformedHeader):
+        parse(f"cbc m={MAX_LAYOUT_BITS // 2 + 1} n=2\n0: 0\n1: 0\n")
 
 
 def test_set_system_invariants():
