@@ -105,7 +105,8 @@ def _read_layout(args) -> SetSystem:
         if args.file == "-":
             text = sys.stdin.read()
         else:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            # newline="": a CR reaches parse, which refuses it, as on stdin.
+            with open(args.file, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"layout is not UTF-8 text: {exc}") from None
@@ -140,7 +141,7 @@ def _cmd_construct(args) -> int:
     verdict = _verdict(result, built)
     text = serialize(system)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     if args.json:
         _emit_json(

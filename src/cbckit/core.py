@@ -7,9 +7,13 @@ single word operations; this is what makes the exhaustive checks elsewhere
 in the package feasible.  Items form an ordered multiset (repeated subsets
 are meaningful: they are distinct items replicated the same way).
 
-The text layer (``serialize``/``parse``, the "cbc" format) costs O(lines)
-plus per-token work once for each distinct replica set: layouts repeat few
-distinct sets many times, so each one is rendered or decoded once per call.
+The text layer (``serialize``/``parse``, the "cbc" format) writes a
+set's text as the text of the set without its top server, then that
+server.  ``serialize`` costs O(lines) plus one token per newly rendered
+prefix.  ``parse`` costs O(lines) plus, for each new line tail, one token
+when its head (all but its last token) was decoded before, else each of
+its tokens, looked up in a table of the spellings seen.  Only text not in
+the canonical spelling is decoded token by token with int().
 """
 
 from __future__ import annotations
@@ -198,8 +202,6 @@ def serialize(sys: SetSystem) -> str:
 # str.split() or str.splitlines() quietly normalised away: a sign, "_", a
 # non-ASCII digit, CR, tab, a no-break space or a Unicode line break.
 _ALPHABET = re.compile(r"[0-9a-z=: \n]*")
-# In a line tail, a server index written with a leading zero.
-_LEADING_ZERO = re.compile(" 0[0-9]")
 
 
 def _format_error(text: str, at: int, what: str):
@@ -222,6 +224,50 @@ def _header_int(token: str, key: str) -> int:
     return value
 
 
+def _decode_canonical(tail: str, decoded: dict[str, int], spelled: dict[str, int],
+                      m: int) -> int | None:
+    """The mask of ``tail`` if it is spelled as ``serialize`` writes it, else None.
+
+    ``tail`` is its head (all but its last token) plus that token.  A head
+    in ``decoded`` gives its mask, and only the last token is decoded; a
+    new head is decoded from the left with the tail and then recorded.  So
+    ``decoded`` gains at most two strings per line, and a long line costs
+    time and memory linear in its length.  A token is taken only if it is
+    the canonical spelling of an index below m and above every index
+    before it; ``spelled`` maps the tokens taken so far to their indices.
+    """
+    head, sp, last = tail.rpartition(" ")
+    if not sp:
+        return None
+    mask = decoded.get(head)
+    if mask is None:
+        first, *tokens = tail.split(" ")
+        if first:
+            return None
+        mask = 0
+    else:
+        tokens = (last,)
+    top = mask.bit_length() - 1
+    for tok in tokens:
+        s = spelled.get(tok)
+        if s is None:
+            try:
+                s = int(tok)
+            except ValueError:
+                return None
+            if not 0 <= s < m or str(s) != tok:
+                return None
+            spelled[tok] = s
+        if s <= top:
+            return None
+        top = s
+        mask |= 1 << s
+    if len(tokens) > 1:
+        decoded[head] = mask ^ 1 << top
+    decoded[tail] = mask
+    return mask
+
+
 def parse(text: str) -> SetSystem:
     """Parse the "cbc" text format back into a SetSystem.
 
@@ -231,10 +277,13 @@ def parse(text: str) -> SetSystem:
     takes priority.  A header whose n*m exceeds ``MAX_LAYOUT_BITS`` is
     refused before any item line is decoded.  Raises MalformedHeader /
     MalformedItemLine / ServerIndexOutOfRange / EmptyItemSet on malformed
-    input.  Round-trips: parse(serialize(s)) == s.  O(lines) plus
-    per-token work once for each distinct line tail (the text after
-    ``:``): a tail seen before takes its earlier mask, and a tail that
-    fails raises at its first line, so errors are unchanged.
+    input.  Round-trips: parse(serialize(s)) == s.  O(lines) plus, for
+    each new line tail (the text after ``:``), one token when its head was
+    decoded before, else each of its tokens: as ``serialize`` writes it, a
+    tail is its head plus one token.  A tail seen before takes its earlier
+    mask.  Only a tail not spelled canonically is decoded token by token
+    with int(); that loop raises the tail's first error, so errors are
+    unchanged.
     """
     lines = text.splitlines()
     if not lines:
@@ -252,7 +301,8 @@ def parse(text: str) -> SetSystem:
     if len(body) != n:
         raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
     items = []
-    decoded: dict[str, int] = {}  # line tail -> mask
+    decoded: dict[str, int] = {}  # canonical line tail, or head of one -> mask
+    spelled: dict[str, int] = {}  # canonical server index token -> index
     odd = None  # position of the first line not spelled canonically
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
@@ -269,6 +319,10 @@ def parse(text: str) -> SetSystem:
                 odd = pos
         mask = decoded.get(rest)
         if mask is None:
+            mask = _decode_canonical(rest, decoded, spelled, m)
+        if mask is None:
+            # Not spelled canonically, or not a set at all: decode token by
+            # token, raising the tail's first error.
             tokens = rest.split()
             if not tokens:
                 raise EmptyItemSet(f"item {pos} has no servers")
@@ -285,9 +339,7 @@ def parse(text: str) -> SetSystem:
                     raise MalformedItemLine(f"item {pos}: server {s} after {prev}, not ascending")
                 prev = s
                 mask |= 1 << s
-            decoded[rest] = mask
-            if odd is None and (rest[0] != " " or rest[-1] == " " or "  " in rest
-                                or " 0" in rest and _LEADING_ZERO.search(rest)):
+            if odd is None:
                 odd = pos
         items.append(mask)
     end = _ALPHABET.match(text).end()

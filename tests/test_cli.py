@@ -512,6 +512,16 @@ def test_layout_that_is_not_utf8_exits_2(monkeypatch, capsys, tmp_path, source, 
     assert run(capsys, name, file, "-k", "1", *rest) == (2, "", f"{name}: {NOT_UTF8_ERROR}")
 
 
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+@pytest.mark.parametrize("name, rest", [("verify", []), ("plan", ["0"]), ("simulate", [])])
+def test_layout_file_with_cr_line_endings_exits_2(capsys, tmp_path, ending, name, rest):
+    # The file is read as it is, so a CR reaches parse, as it does on stdin.
+    path = tmp_path / "crlf.cbc"
+    path.write_bytes(f"cbc m=3 n=1{ending}0: 1{ending}".encode())
+    assert run(capsys, name, str(path), "-k", "1", *rest) == (
+        2, "", f"{name}: line 1: character '\\r' is not allowed\n")
+
+
 def test_search_runs_a_walk_1000_items_deep(capsys):
     code, out, err = run(capsys, "search", "-n", "1000", "-k", "1", "-m", "1", "--json")
     assert (code, err) == (0, "")

@@ -212,21 +212,33 @@ def test_parsers_return_or_raise_format_error(text):
 
 
 # Ways to spoil one line tail (the text after ":"), given its tokens, m
-# and the good tails made so far.
+# and the good and spoiled tails made so far.  The last five build on an
+# earlier tail, whose prefixes the parser may have decoded already; a good
+# tail extended by a higher index is still good.
 _TAIL_MUTATIONS = {
-    "doubled spaces": lambda toks, m, good: " " + "  ".join(toks),
-    "leading space": lambda toks, m, good: "  " + " ".join(toks),
-    "trailing space": lambda toks, m, good: " " + " ".join(toks) + " ",
-    "tab": lambda toks, m, good: " " + "\t".join(toks),
-    "plus": lambda toks, m, good: " +" + " ".join(toks),
-    "underscore": lambda toks, m, good: " " + " ".join(toks[:-1] + ["0_" + toks[-1]]),
-    "leading zero": lambda toks, m, good: " " + " ".join(["0" + toks[0]] + toks[1:]),
-    "out of range": lambda toks, m, good: " " + " ".join(toks + [str(m)]),
-    "descending": lambda toks, m, good: " " + " ".join(reversed(toks)),
-    "duplicate": lambda toks, m, good: " " + " ".join(toks + toks[-1:]),
-    "empty": lambda toks, m, good: "",
-    "blank": lambda toks, m, good: " ",
-    "good prefix, bad end": lambda toks, m, good: (good[-1] if good else "") + f" {m + 1}",
+    "doubled spaces": lambda toks, m, good, spoiled: " " + "  ".join(toks),
+    "leading space": lambda toks, m, good, spoiled: "  " + " ".join(toks),
+    "no leading space": lambda toks, m, good, spoiled: " ".join(toks),
+    "trailing space": lambda toks, m, good, spoiled: " " + " ".join(toks) + " ",
+    "tab": lambda toks, m, good, spoiled: " " + "\t".join(toks),
+    "plus": lambda toks, m, good, spoiled: " +" + " ".join(toks),
+    "underscore": lambda toks, m, good, spoiled: " " + " ".join(toks[:-1] + ["0_" + toks[-1]]),
+    "leading zero": lambda toks, m, good, spoiled: " " + " ".join(["0" + toks[0]] + toks[1:]),
+    "out of range": lambda toks, m, good, spoiled: " " + " ".join(toks + [str(m)]),
+    "descending": lambda toks, m, good, spoiled: " " + " ".join(reversed(toks)),
+    "duplicate": lambda toks, m, good, spoiled: " " + " ".join(toks + toks[-1:]),
+    "empty": lambda toks, m, good, spoiled: "",
+    "blank": lambda toks, m, good, spoiled: " ",
+    "good prefix, bad end": lambda toks, m, good, spoiled: (good[-1] if good else "") + f" {m + 1}",
+    "good tail, higher end": lambda toks, m, good, spoiled: (
+        good[-1] + f" {int(good[-1].rpartition(' ')[2]) + 1}" if good else " " + " ".join(toks)),
+    "good tail, equal end": lambda toks, m, good, spoiled: (
+        good[-1] + " " + good[-1].rpartition(" ")[2] if good else " " + " ".join(toks)),
+    "good tail, lower end": lambda toks, m, good, spoiled: (good[-1] if good else " 1") + " 0",
+    "spoiled tail, good end": lambda toks, m, good, spoiled: (
+        (spoiled[-1] if spoiled else " 0" + toks[0]) + f" {m - 1}"),
+    "proper prefix of a good tail": lambda toks, m, good, spoiled: (
+        good[-1].rpartition(" ")[0] if good else ""),
 }
 
 
@@ -234,7 +246,7 @@ _TAIL_MUTATIONS = {
 def repeated_tail_texts(draw):
     """A "cbc" text whose line tails repeat earlier tails, good or spoiled."""
     m = draw(st.integers(1, 12))
-    tails, good = [], []
+    tails, good, spoiled = [], [], []
     for _ in range(draw(st.integers(0, 12))):
         if tails and draw(st.booleans()):
             tails.append(draw(st.sampled_from(tails)))
@@ -247,7 +259,8 @@ def repeated_tail_texts(draw):
             good.append(" " + " ".join(toks))
             tails.append(good[-1])
         else:
-            tails.append(_TAIL_MUTATIONS[spoil](toks, m, good))
+            spoiled.append(_TAIL_MUTATIONS[spoil](toks, m, good, spoiled))
+            tails.append(spoiled[-1])
     return "\n".join([f"cbc m={m} n={len(tails)}"] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
 
 
@@ -305,6 +318,33 @@ def test_range_check_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_parse_memory_does_not_grow_with_m():
+    # The one mask takes 1.25 MB; a table of all 10^7 index spellings
+    # would take hundreds of MB.
+    tracemalloc.start()
+    try:
+        items = parse(f"cbc m={MAX_LAYOUT_BITS} n=1\n0: {MAX_LAYOUT_BITS - 1}\n").items
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert items == (1 << (MAX_LAYOUT_BITS - 1),)
+    assert peak < 8 * 2**20
+
+
+def test_parse_memory_is_linear_in_a_long_line():
+    # One line of 4,000 indices (19 kB): a memo of all 3,999 of its
+    # proper prefixes would hold about 37 MB.
+    line = " ".join(map(str, range(4000)))
+    tracemalloc.start()
+    try:
+        items = parse(f"cbc m=4000 n=1\n0: {line}\n").items
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert items == ((1 << 4000) - 1,)
+    assert peak < 4 * 2**20
 
 
 def test_parse_refuses_a_header_past_the_layout_cap():
