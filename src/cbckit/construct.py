@@ -5,14 +5,15 @@ The two deletion-based builders (``construct_range_a`` and
 systematically trade deleted supersets for smaller added sets.  Each
 deletion must find a copy still present, which is exactly the availability
 argument behind the constructions' correctness, and the builders check it
-at run time.  The deletions are counted in bulk, once per distinct deleted
-set, and checked at the end of the run; since no addition refills a set
-that a step deletes, that check is the per-deletion one (see
-``_run_steps``), which then reads the items off the colex list of the
-starting sets.  Every builder refuses, with a ParamError raised after its
-own parameter checks and before it lists anything, more than
-``MAX_LAYOUT_BITS`` bits: n*m for a layout, m*C(m, c) for the candidate
-words of ``construct_uniform``, whose n follows from its code.
+at run time.  The deletions are counted in bulk, one list comprehension
+over the full steps' auxiliary sets per added server, and checked at the
+end of the run; since no addition refills a set that a step deletes, that
+check is the per-deletion one (see ``_run_steps``), which then reads the
+items off the colex list of the starting sets.  Every builder refuses,
+with a ParamError raised after its own parameter checks and before it
+lists anything, more than ``MAX_LAYOUT_BITS`` bits: n*m for a layout,
+m*C(m, c) for the candidate words of ``construct_uniform``, whose n
+follows from its code.
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -56,14 +57,17 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     nonzero leftover adds a partial step that deletes only that many
     supersets of the next set.  Every deletion must find a copy left.
 
-    All steps' supersets are counted in one pass.  Deletions touch only
-    w-subsets and additions only (w-1)-subsets, so no addition ever
-    refills a deleted set, and every deletion found a copy iff no w-subset
-    is deleted more than ``each`` times in all; if one is, the deletions
-    are replayed in order to name the first superset that had no copy
-    left.  Copy c of a w-subset survives iff it was deleted at most each-c
-    times: one ``compress`` pass per copy over the colex list of
-    w-subsets, then one ``sorted`` merges in the added sets.
+    All steps' supersets are counted in one ``Counter``: for each server x,
+    one list comprehension joins x with every full step's auxiliary set
+    that lacks it, so no list is longer than the full steps and no list of
+    every deletion is built; the partial step's supersets come after.
+    Deletions touch only w-subsets and additions only (w-1)-subsets, so no
+    addition ever refills a deleted set, and every deletion found a copy
+    iff no w-subset is deleted more than ``each`` times in all; if one is,
+    the deletions are replayed step by step to name the first superset
+    that had no copy left.  Copy c of a w-subset survives iff it was
+    deleted at most each-c times: one ``compress`` pass per copy over the
+    colex list of w-subsets, then one ``sorted`` merges in the added sets.
     """
     full_steps, leftover = divmod(each * comb(m, w) - n, m - k + 1)
     auxes = [next(aux_sets) for _ in range(full_steps + (1 if leftover else 0))]
@@ -74,7 +78,12 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
             supersets = supersets_adding(aux, singles)
             yield from supersets if step < full_steps else supersets[:leftover]
 
-    deleted = Counter(deletions())
+    full = auxes[:full_steps]
+    deleted = Counter()
+    for x in singles:
+        deleted.update([aux | x for aux in full if not aux & x])
+    if leftover:
+        deleted.update(supersets_adding(auxes[-1], singles)[:leftover])
     if max(deleted.values(), default=0) > each:
         seen = Counter()
         for sup in deletions():
@@ -84,7 +93,7 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
                 raise AssertionError(f"construction tried to delete {servers} with no copy left")
     subsets = list(w_masks_colex(m, w))
     times = list(map(deleted.get, subsets, itertools.repeat(0)))
-    items = auxes[:full_steps] * copies
+    items = full * copies
     for copy in range(1, each + 1):
         items += itertools.compress(subsets, map((each - copy).__ge__, times))
     return SetSystem(m, tuple(sorted(items)))

@@ -8,12 +8,14 @@ in the package feasible.  Items form an ordered multiset (repeated subsets
 are meaningful: they are distinct items replicated the same way).
 
 The text layer (``serialize``/``parse``, the "cbc" format) writes a
-set's text as the text of the set without its top server, then that
-server.  ``serialize`` costs O(lines) plus one token per newly rendered
-prefix.  ``parse`` costs O(lines) plus, for each new line tail, one token
-when its head (all but its last token) was decoded before, else each of
-its tokens, looked up in a table of the spellings seen.  Only text not in
-the canonical spelling is decoded token by token with int().
+set's text as the text of the set without its top server (its head),
+then that server.  ``serialize`` costs O(lines) plus, for each new mask,
+one token when its head was rendered before, else each of its tokens; it
+keeps at most two strings per distinct mask.  ``parse`` costs O(lines)
+plus, for each new line tail, one token when its head (all but its last
+token) was decoded before, else each of its tokens, looked up in a table
+of the spellings seen.  Only text not in the canonical spelling is
+decoded token by token with int().
 """
 
 from __future__ import annotations
@@ -178,22 +180,24 @@ def serialize(sys: SetSystem) -> str:
     Header ``cbc m=<m> n=<n>``, then one line per item:
     ``<item-index>: <server indices ascending>``.  UTF-8, LF endings,
     zero-based server indices.  Output is canonical: byte-identical for
-    equal systems.  O(lines) plus one appended token for each distinct
-    mask and each of its not yet rendered prefixes: a mask's text is the
-    text of the mask without its top bit, then that bit.
+    equal systems.  A mask's text is the text of its head (the mask
+    without its top bit), then that bit.  A head rendered before gives a
+    new mask's text with one appended token; a new head is rendered whole
+    and recorded.  So the memo gains at most two strings per distinct
+    mask, and time and memory are linear in the text, O(lines) plus the
+    tokens of each new mask.
     """
     tails = {0: ""}  # mask -> " <servers>"; masks are never 0
     lines = [f"cbc m={sys.m} n={sys.n}"]
     for j, mask in enumerate(sys.items):
         tail = tails.get(mask)
         if tail is None:
-            rest, new = mask, []
-            while rest not in tails:
-                new.append(rest)
-                rest ^= 1 << (rest.bit_length() - 1)
-            tail = tails[rest]
-            for sub in reversed(new):
-                tail = tails[sub] = f"{tail} {sub.bit_length() - 1}"
+            top = mask.bit_length() - 1
+            head = mask ^ (1 << top)
+            text = tails.get(head)
+            if text is None:
+                text = tails[head] = "".join([f" {s}" for s in bits(head)])
+            tail = tails[mask] = f"{text} {top}"
         lines.append(f"{j}:{tail}")
     return "\n".join(lines) + "\n"
 

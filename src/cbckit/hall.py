@@ -22,10 +22,13 @@ distinct set is counted into its own supersets of size r, and only
 subsets that some stored set reaches are looked at.  The distinct sets are
 kept in flat per-size int lists, with no container per set, and counted
 in bulk: for each stored set size s one table lists every mask of r-s
-servers, a distinct set's supersets are the table's masks disjoint from
-it (one list comprehension, ``supersets_adding``), and one ``Counter``
-counts all of a size's incidences at C level.  It is the cheap default
-(the item collection may be huge, the server set is small).
+servers, and a stored set's supersets are its joins with the table's
+masks disjoint from it.  One list comprehension per entry of the shorter
+of two lists (the table, or the stored s-sets repeated by multiplicity)
+runs over the longer one, and ``Counter.update`` counts each at C level,
+so no list is longer than the longer of the two and no list of every
+incidence is built.  It is the cheap default (the item collection may be
+huge, the server set is small).
 ``verify_hc1`` independently checks the union form by running a matching
 on every k-subset of items; the two must always agree and are kept free
 of shared logic so that one can cross-validate the other.
@@ -119,16 +122,20 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     its multiplicity to each of its supersets of exactly r servers, so
     subsets that no stored set reaches are never visited.  A counted size
     builds, for each stored set size s, the table of all C(m, r-s) masks of
-    r-s servers (kept for this call only), and scans it once per distinct
-    s-set in one list comprehension; the incidences, summed over distinct
-    sets v of at most r servers, min(mult(v), width) times
-    C(m-|v|, r-|v|), are then counted in one C-level ``Counter``.  On a
-    valid layout the incidences are at most r*C(m,r), since no subset holds
-    more than its size; a crowded layout stops after the first size with a
-    crowded subset.  Skipping sizes that no subset can crowd leaves that
-    first crowded subset unchanged.  On failure, returns the first violating
-    subset in size-then-lexicographic order together with the items inside
-    it.
+    r-s servers and the list of copies, each distinct s-set repeated
+    min(mult, width) times (both kept for this size only).  When the table
+    is the shorter, each of its masks x is joined with the copies disjoint
+    from it, else each copy with the table's masks disjoint from it
+    (``supersets_adding``): one list comprehension per entry of the shorter
+    list, each fed to ``Counter.update``, so peak memory is the two lists,
+    the counts, and one list no longer than the longer of the two.  The
+    incidences, summed over distinct sets v of at most r servers,
+    min(mult(v), width) times C(m-|v|, r-|v|), are at most r*C(m,r) on a
+    valid layout, since no subset holds more than its size; a crowded
+    layout stops after the first size with a crowded subset.  Skipping
+    sizes that no subset can crowd leaves that first crowded subset
+    unchanged.  On failure, returns the first violating subset in
+    size-then-lexicographic order together with the items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
@@ -156,14 +163,22 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
         bound = sum(sums[min(comb(r, s), len(sums) - 1)] for s, sums in most.items() if s <= r)
         if bound <= r:
             continue
-        # more[s]: every mask of r - s servers, the servers that an s-set
-        # can add to reach size r; built only for sizes that are stored.
-        more = {s: list(w_masks_colex(m, r - s)) for s in most if s <= r}
-        inside_counts = Counter(itertools.chain.from_iterable(
-            supersets_adding(mask, more[size]) * mult
-            for size in more
-            for mask, mult in zip(by_size[size], mults[size])
-        ))
+        inside_counts: Counter[int] = Counter()
+        for s in most:
+            if s > r:
+                continue
+            # more: every mask of r - s servers, the servers that an s-set
+            # can add to reach size r; copies: each stored s-set, as many
+            # times as its capped multiplicity.
+            more = list(w_masks_colex(m, r - s))
+            copies = list(itertools.chain.from_iterable(
+                map(itertools.repeat, by_size[s], mults[s])))
+            if len(more) < len(copies):
+                for x in more:
+                    inside_counts.update([v | x for v in copies if not v & x])
+            else:
+                for v in copies:
+                    inside_counts.update(supersets_adding(v, more))
         crowded = [t for t, count in inside_counts.items() if count > r]
         if crowded:
             mask = min(crowded, key=lambda t: tuple(bits(t)))

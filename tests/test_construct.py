@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -46,6 +47,29 @@ def deletion_instances(draw):
 def test_run_steps_matches_the_sequential_reference(instance):
     builder, params, steps = instance
     assert builder(*params) == run_steps_reference(*params, *steps)
+
+
+@pytest.mark.parametrize("builder, params, steps", [
+    # range-a: 1,877 full steps of 9 deletions and a partial step of 2.
+    (construct_range_a, (3000, 7, 14), (6, 6, w_masks_colex(14, 5), 1)),
+    # range-b: 6 full steps of 15 deletions and a partial step of 2.
+    (construct_range_b, (600, 5, 17), (3, 1, iter(sorted(best_d4_code(17, 2).words)), 2)),
+])
+def test_run_steps_matches_the_sequential_reference_on_design_rows(builder, params, steps):
+    assert builder(*params) == run_steps_reference(*params, *steps)
+
+
+def test_range_a_counts_deletions_without_a_list_of_every_deletion():
+    # Every 5-set of 17 servers, from 6,188 full steps of 12 deletions each:
+    # a list of all 74,256 deletions at once peaks at about 4.4 MiB.
+    tracemalloc.start()
+    try:
+        system = construct_range_a(6188, 7, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.n == 6188
+    assert peak < 3 * 2**20
 
 
 # Auxiliary sets that delete some 3-set of 6 servers once more than its

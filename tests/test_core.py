@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbckit.construct import construct_m_plus_1
 from cbckit.core import (
     MAX_LAYOUT_BITS,
     Params,
@@ -345,6 +346,20 @@ def test_parse_memory_is_linear_in_a_long_line():
         tracemalloc.stop()
     assert items == ((1 << 4000) - 1,)
     assert peak < 4 * 2**20
+
+
+def test_serialize_memory_is_linear_in_a_wide_set():
+    # The last item is on 3,161 servers (n*m just under the cap): a memo
+    # of the text of each of its prefixes would hold about 22 MiB.
+    system = construct_m_plus_1(3162, 3161, 3161)
+    tracemalloc.start()
+    try:
+        text = serialize(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert parse(text) == system
 
 
 def test_parse_refuses_a_header_past_the_layout_cap():

@@ -243,6 +243,44 @@ def test_hc2_range_b_with_one_extra_copy(n, k, m):
     assert report == hc2_reference(crowded, k)
 
 
+@pytest.mark.parametrize("n,k,m", [(500, 5, 16), (14, 5, 6)])
+@pytest.mark.parametrize("extra", [False, True])
+def test_hc2_counts_in_both_loop_orientations(n, k, m, extra):
+    # Both range-b layouts store 2-sets twice each and 3-sets once, and
+    # sizes r = 3 and 4 are counted.  The copies of 2-sets are no more than
+    # the C(m, r-2) masks that extend them (10 against 16 and 120 at
+    # m = 16), so each copy is joined with the masks; the 3-sets outnumber
+    # the C(m, r-3) masks (490 against 1 and 16), so each mask is joined
+    # with the 3-sets.  One more copy of the last set crowds a subset.
+    system, _ = construct_best(n, k, m)
+    if extra:
+        system = SetSystem(m, system.items + (system.items[-1],))
+    report = verify_hc2(system, k)
+    assert report.valid is not extra
+    assert report == hc2_reference(system, k)
+    if n < 100:
+        assert verify_hc1(system, k).valid is report.valid
+    if extra:
+        # All C(500, 5) item 5-subsets are too many for verify_hc1, but any
+        # k of the items inside the witness must already fail to match.
+        inside = SetSystem(m, tuple(system.items[j] for j in report.witness.items))
+        assert not verify_hc1(inside, k).valid
+
+
+def test_hc2_counts_without_a_list_of_every_incidence():
+    # (4200, 6, 20) counts sizes 4 and 5: a list of all incidences of a
+    # size at once peaks at about 4.1 MiB.
+    system, _ = construct_best(4200, 6, 20)
+    tracemalloc.start()
+    try:
+        report = verify_hc2(system, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 2.5 * 2**20
+
+
 @given(st.data())
 def test_hc2_caps_multiplicities_like_the_reference(data):
     # Distinct replica sets stored up to 2k times each, past the k copies
