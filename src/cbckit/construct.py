@@ -5,15 +5,18 @@ The two deletion-based builders (``construct_range_a`` and
 systematically trade deleted supersets for smaller added sets.  Each
 deletion must find a copy still present, which is exactly the availability
 argument behind the constructions' correctness, and the builders check it
-at run time.  The deletions are counted in bulk, one list comprehension
-over the full steps' auxiliary sets per added server, and checked at the
-end of the run; since no addition refills a set that a step deletes, that
-check is the per-deletion one (see ``_run_steps``), which then reads the
-items off the colex list of the starting sets.  Every builder refuses,
-with a ParamError raised after its own parameter checks and before it
-lists anything, more than ``MAX_LAYOUT_BITS`` bits: n*m for a layout,
-m*C(m, c) for the candidate words of ``construct_uniform``, whose n
-follows from its code.
+at run time.  Range-a does not replay its steps: in colex order the
+deletions each (k-1)-set suffers follow from its distance to the first
+auxiliary set no full step takes, so it lists only the sets it returns,
+in time linear in n + m, and checks each set's count as it lists it.
+Range-b's few steps go through ``_run_steps``, which counts the deletions
+in bulk, one list comprehension over the full steps' auxiliary sets per
+added server, and checks them at the end of the run; since no addition
+refills a set that a step deletes, that check is the per-deletion one.
+Every builder refuses, with a ParamError raised after its own parameter
+checks and before it lists anything, more than ``MAX_LAYOUT_BITS`` bits:
+n*m for a layout, m*C(m, c) for the candidate words of
+``construct_uniform``, whose n follows from its code.
 
 Item order: ``construct_trivial``, ``construct_m_equals_k``, the two
 deletion builders and ``construct_uniform`` list masks ascending, i.e.
@@ -56,6 +59,9 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
     of the next auxiliary set and adds ``copies`` copies of the set; a
     nonzero leftover adds a partial step that deletes only that many
     supersets of the next set.  Every deletion must find a copy left.
+    The run costs O(F*m + C(m,w)) for F full steps, which suits range-b,
+    whose code-guided steps are few (43 at (4200, 6, 20)); range-a, whose
+    F can reach C(m,k-2), takes its counts in closed form instead.
 
     All steps' supersets are counted in one ``Counter``: for each server x,
     one list comprehension joins x with every full step's auxiliary set
@@ -163,6 +169,22 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     deletes the leftover count of supersets of the next (k-2)-subset
     without adding it.  Storage: n*(k-1) - floor(D/(m-k+1)) with
     D = (k-1)*C(m,k-1) - n, which meets the counting lower bound.
+
+    The steps are not replayed: colex order is numeric order, so the F
+    full steps take exactly the (k-2)-subsets below t, the first one no
+    full step takes.  A (k-1)-subset s < t has all its (k-2)-subsets below
+    t and loses all k-1 copies.  One s > t loses a copy for each bit x of
+    s with s - 2^x < t, i.e. 2^x > s - t, and one more if it is among the
+    partial step's first ``leftover`` supersets t | 2^x.  The full steps
+    leave it at least one copy, since its largest (k-2)-subset
+    s - lowbit(s) is >= t (a mask strictly between them has its k-2 bits
+    and more below lowbit(s)), so at most n - F + leftover sets above t are
+    listed.  The layout is the F full auxiliary sets, all below t, then
+    the surviving copies of each s > t, walked from t | (t+1), the
+    smallest (k-1)-subset above t: already ascending, and built in time
+    linear in n + m.  With n = C(m,k-2) no t is left and the layout is the
+    F sets alone.  A count above k-1 raises the availability error of
+    ``_run_steps``.
     """
     if not m >= k >= 3:
         raise RangeError(f"need m >= k >= 3, got k={k} m={m}")
@@ -171,7 +193,19 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     if not floor_n <= n <= ceiling:
         raise RangeError(f"need {floor_n} <= n <= {ceiling}, got n={n}")
     _check_size(n, m)
-    return _run_steps(n, k, m, k - 1, k - 1, w_masks_colex(m, k - 2), 1)
+    full_steps, leftover = divmod(ceiling - n, m - k + 1)
+    items = list(itertools.islice(w_masks_colex(m, k - 2), full_steps + 1))
+    if len(items) == full_steps:
+        return SetSystem(m, tuple(items))
+    t = items.pop()
+    partial = set(supersets_adding(t, [1 << x for x in range(m)])[:leftover])
+    for s in w_masks_colex(m, k - 1, t | (t + 1)):
+        left = k - 1 - (s >> (s - t).bit_length()).bit_count() - (s in partial)
+        if left < 0:
+            servers = ",".join(map(str, bits(s)))
+            raise AssertionError(f"construction tried to delete {servers} with no copy left")
+        items += [s] * left
+    return SetSystem(m, tuple(items))
 
 
 def construct_range_b(n: int, k: int, m: int) -> SetSystem:

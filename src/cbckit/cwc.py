@@ -35,14 +35,18 @@ MAX_WORD_KEYS = 10**6
 MAX_CODE_CANDIDATES = 10**6
 
 
-def w_masks_colex(m: int, w: int):
-    """All weight-w masks over m positions, ascending numerically (= colex)."""
+def w_masks_colex(m: int, w: int, start: int | None = None):
+    """All weight-w masks over m positions, ascending numerically (= colex).
+
+    Given ``start``, a weight-w mask, the walk begins there instead of at
+    the smallest mask, so its cost is the masks listed from ``start`` on.
+    """
     if w < 0 or w > m:
         return
     if w == 0:
         yield 0
         return
-    v = (1 << w) - 1
+    v = (1 << w) - 1 if start is None else start
     limit = 1 << m
     while v < limit:
         yield v

@@ -59,9 +59,22 @@ def test_run_steps_matches_the_sequential_reference_on_design_rows(builder, para
     assert builder(*params) == run_steps_reference(*params, *steps)
 
 
-def test_range_a_counts_deletions_without_a_list_of_every_deletion():
-    # Every 5-set of 17 servers, from 6,188 full steps of 12 deletions each:
-    # a list of all 74,256 deletions at once peaks at about 4.4 MiB.
+def test_range_a_matches_the_sequential_reference_up_to_m_8():
+    # Every range-a instance with 3 <= k <= m <= 8, 1,284 in all: partial
+    # steps of every length, zero steps, and n = C(m, k-2), where every
+    # (k-2)-set is a full step's and no threshold set is left.
+    count = 0
+    for m in range(3, 9):
+        for k in range(3, m + 1):
+            for n in range(comb(m, k - 2), (k - 1) * comb(m, k - 1) + 1):
+                expected = run_steps_reference(n, k, m, k - 1, k - 1, w_masks_colex(m, k - 2), 1)
+                assert construct_range_a(n, k, m) == expected, (n, k, m)
+                count += 1
+    assert count == 1284
+
+
+def test_range_a_peaks_below_3_mib_at_the_largest_design_row():
+    # 6,188 full steps of 12 deletions each, none replayed.
     tracemalloc.start()
     try:
         system = construct_range_a(6188, 7, 17)
@@ -70,6 +83,22 @@ def test_range_a_counts_deletions_without_a_list_of_every_deletion():
         tracemalloc.stop()
     assert system.n == 6188
     assert peak < 3 * 2**20
+
+
+def test_range_a_lists_only_the_sets_it_returns():
+    # 1,999 full steps and a partial one of 998 deletions on 2,000
+    # servers: a list of the C(2000, 2) = 1,999,000 starting 2-sets is far
+    # past 2 MiB, while the 3,000 items of up to 2,000 bits and the partial
+    # step's supersets peak at about 1.2 MiB.
+    tracemalloc.start()
+    try:
+        system = construct_range_a(3000, 3, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.n == 3000
+    assert total_storage(system) == known_n(Params(3000, 3, 2000)).exact
+    assert peak < 2 * 2**20
 
 
 # Auxiliary sets that delete some 3-set of 6 servers once more than its

@@ -38,6 +38,33 @@ def test_search_agrees_with_dispatch_on_tiny_grid():
                 assert got == expected, (n, k, m, got, expected)
 
 
+def test_search_matches_every_formula_on_the_small_grid():
+    # Every (n, k, m) with 2 <= k <= m <= 6, except (k, m) = (5, 6), and
+    # n up to two past large-n's threshold (k-1)*C(m, k-1): where a proven
+    # regime gives N exactly (260 instances) the search must find it with a
+    # certified witness.  The other 8, all at k = 4 strictly between
+    # n = m+2 and range-a's floor C(m, 2), have only the counting bound as
+    # a bracket, and the optimum must lie within it.
+    exact = bracketed = 0
+    for m in range(2, 7):
+        for k in range(2, m + 1):
+            if (k, m) == (5, 6):
+                continue
+            for n in range(1, (k - 1) * comb(m, k - 1) + 3):
+                verdict = known_n(Params(n, k, m))
+                result = search_optimal(n, k, m, budget=2 * 10**6)
+                found = result.optimal_n_storage
+                assert verify_hc2(result.witness, k).valid, (n, k, m)
+                if verdict.exact is not None:
+                    assert found == verdict.exact, (n, k, m, found, verdict)
+                    exact += 1
+                else:
+                    assert verdict.lower <= found, (n, k, m, found, verdict)
+                    assert verdict.upper is None or found <= verdict.upper, (n, k, m, found)
+                    bracketed += 1
+    assert (exact, bracketed) == (260, 8)
+
+
 def test_sandwich_property():
     for n, k, m in [(4, 2, 3), (5, 2, 3), (5, 3, 4), (6, 3, 4), (4, 3, 4)]:
         found = search_optimal(n, k, m).optimal_n_storage
