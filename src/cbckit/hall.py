@@ -17,18 +17,29 @@ multiplicities that many sets could have sum to at most r, no r-subset is
 crowded and size r is skipped.  Layouts of distinct (k-2)-sets, and the
 large-n layouts of (k-1)-sets stored k-1 times each, skip every size.
 Any other size is counted sparsely: only a replica set of fewer than k
-servers fits inside a subset of fewer than k servers, so each such
-distinct set is counted into its own supersets of size r, and only
-subsets that some stored set reaches are looked at.  The distinct sets are
-kept in flat per-size int lists, with no container per set, and counted
-in bulk: for each stored set size s one table lists every mask of r-s
-servers, and a stored set's supersets are its joins with the table's
-masks disjoint from it.  One list comprehension per entry of the shorter
-of two lists (the table, or the stored s-sets repeated by multiplicity)
-runs over the longer one, and ``Counter.update`` counts each at C level,
-so no list is longer than the longer of the two and no list of every
-incidence is built.  It is the cheap default (the item collection may be
-huge, the server set is small).
+servers fits inside a subset of fewer than k servers, so each such copy
+is counted into its own supersets of size r, and only subsets that some
+counted copy reaches are looked at.  Each stored set size s, a level,
+is counted from its smaller side: the present copies, or the missing
+ones, mu_s - mult(u) for every s-set u, where mu_s is the level's largest
+capped multiplicity.  The paper's optimal layouts are complete uniform
+families with a few copies deleted, so their levels are nearly full.  An
+r-subset T then holds present(T) + base - missing(T) items, where base
+sums mu_s*C(r, s) over the levels counted by their missing copies.  When
+base <= r only a subset that a present copy reaches can be crowded;
+otherwise the r-subsets are walked in lexicographic order up to the
+first crowded one.  A counted size costs the sum over s of
+min(present_s, missing_s)*C(m-s, r-s) incidences.  The distinct sets
+are kept in flat per-size int lists, with no container per set, and a
+level counted by its missing copies lists its C(m, s) < 2n masks once,
+the first time a counted size needs it.  Copies are counted in bulk: for
+each level one table lists every mask of r-s servers, and a copy's
+supersets are its joins with the table's masks disjoint from it.  One
+list comprehension per entry of the shorter of two lists (the table, or
+the copies) runs over the longer one, and ``Counter.update`` counts each
+at C level, so no list is longer than the longer of the two and no list
+of every incidence is built.  It is the cheap default (the item
+collection may be huge, the server set is small).
 ``verify_hc1`` independently checks the union form by running a matching
 on every k-subset of items; the two must always agree and are kept free
 of shared logic so that one can cross-validate the other.
@@ -47,7 +58,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence, Union
 
-from .core import SetSystem, bits
+from .core import SetSystem, bits, mask_of
 from .cwc import w_masks_colex
 from .errors import NoPlan, ParamError
 
@@ -117,25 +128,38 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
     that is at most r, no r-subset is crowded and size r is skipped.
     Running sums of those multiplicities, kept as far as C(width-1, s),
     make a skipped size cost O(stored sizes), so the work is bounded by the
-    layout and min(k, n), not by k.  Otherwise the size is
-    counted sparsely: each distinct replica set of at most r servers adds
-    its multiplicity to each of its supersets of exactly r servers, so
-    subsets that no stored set reaches are never visited.  A counted size
-    builds, for each stored set size s, the table of all C(m, r-s) masks of
-    r-s servers and the list of copies, each distinct s-set repeated
-    min(mult, width) times (both kept for this size only).  When the table
-    is the shorter, each of its masks x is joined with the copies disjoint
-    from it, else each copy with the table's masks disjoint from it
-    (``supersets_adding``): one list comprehension per entry of the shorter
-    list, each fed to ``Counter.update``, so peak memory is the two lists,
-    the counts, and one list no longer than the longer of the two.  The
-    incidences, summed over distinct sets v of at most r servers,
-    min(mult(v), width) times C(m-|v|, r-|v|), are at most r*C(m,r) on a
-    valid layout, since no subset holds more than its size; a crowded
-    layout stops after the first size with a crowded subset.  Skipping
-    sizes that no subset can crowd leaves that first crowded subset
-    unchanged.  On failure, returns the first violating subset in
-    size-then-lexicographic order together with the items inside it.
+    layout and min(k, n), not by k.  Otherwise the size is counted
+    sparsely: each copy of a replica set of at most r servers is counted
+    into each of its supersets of exactly r servers, so subsets that no
+    counted copy reaches are never visited.  Each level s, the stored
+    s-sets, is counted from its smaller side (``_level``): the present
+    copies, each distinct s-set repeated min(mult, width) times, or the
+    missing copies, each of the C(m, s) s-sets u repeated mu_s - mult(u)
+    times, mu_s being the level's largest capped multiplicity.  The
+    missing side is the shorter only when C(m, s) < 2n.  A level is built
+    the first time a counted size needs it and kept for the larger sizes,
+    so a layout whose every size is skipped lists no C(m, s) masks.  An
+    r-subset T holds present(T) + base - missing(T) items, where base is
+    the sum of mu_s*C(r, s) over the levels counted by their missing
+    copies.  A counted size builds, for each level, the table of all
+    C(m, r-s) masks of r-s servers.  When the table is the shorter, each
+    of its masks x is joined with the copies disjoint from it, else each
+    copy with the table's masks disjoint from it (``supersets_adding``):
+    one list comprehension per entry of the shorter list, each fed to
+    ``Counter.update``, so peak memory is the two lists, the counts, and
+    one list no longer than the longer of the two.  The incidences are
+    the sum over levels s <= r of min(present_s, missing_s) times
+    C(m-s, r-s).  When base <= r, only a subset that a present copy
+    reaches can be crowded, and those are checked.  When base > r, every
+    subset that no missing copy reaches is crowded, so a walk of the
+    r-subsets in lexicographic order stops within one subset past those
+    that missing copies reach.  It visits at most C(m, r) subsets, fewer
+    than the base/2 * C(m, r) incidences that the present copies of those
+    levels would count.  A crowded layout stops after
+    the first size with a crowded subset.  Skipping sizes that no subset
+    can crowd leaves that first crowded subset unchanged.  On failure,
+    returns the first violating subset in size-then-lexicographic order
+    together with the items inside it.
     """
     _check_batch_size(sys, k)
     m = sys.m
@@ -157,34 +181,75 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
             sorted(mults[s], reverse=True)[:comb(width - 1, s)], initial=0))
         for s in range(1, width) if by_size[s]
     }
+    # levels[s]: (copies, full) from _level, built the first time a counted
+    # size needs the stored s-sets.
+    levels: list[tuple[list[int], int] | None] = [None] * width
     for r in range(1, width):
         # An r-subset contains at most C(r, s) distinct sets of s servers, so
         # it holds at most `bound` items; if that is <= r, none is crowded.
         bound = sum(sums[min(comb(r, s), len(sums) - 1)] for s, sums in most.items() if s <= r)
         if bound <= r:
             continue
-        inside_counts: Counter[int] = Counter()
-        for s in most:
+        # An r-subset T holds present[T] + base - missing[T] items.
+        present: Counter[int] = Counter()
+        missing: Counter[int] = Counter()
+        base = 0
+        for s, sums in most.items():
             if s > r:
                 continue
+            if levels[s] is None:
+                levels[s] = _level(m, s, by_size[s], mults[s], sums[1])
+            copies, full = levels[s]
+            if full:
+                base += full * comb(r, s)
+                counts = missing
+            else:
+                counts = present
             # more: every mask of r - s servers, the servers that an s-set
-            # can add to reach size r; copies: each stored s-set, as many
-            # times as its capped multiplicity.
+            # can add to reach size r.
             more = list(w_masks_colex(m, r - s))
-            copies = list(itertools.chain.from_iterable(
-                map(itertools.repeat, by_size[s], mults[s])))
             if len(more) < len(copies):
                 for x in more:
-                    inside_counts.update([v | x for v in copies if not v & x])
+                    counts.update([v | x for v in copies if not v & x])
             else:
                 for v in copies:
-                    inside_counts.update(supersets_adding(v, more))
-        crowded = [t for t, count in inside_counts.items() if count > r]
-        if crowded:
+                    counts.update(supersets_adding(v, more))
+        if base > r:
+            # Every subset that no missing copy reaches is crowded, so this
+            # walk stops within len(missing) + 1 subsets.
+            for combo in itertools.combinations(range(m), r):
+                mask = mask_of(combo)
+                if present.get(mask, 0) + base - missing.get(mask, 0) > r:
+                    break
+            else:
+                continue
+        else:
+            # Only a subset that some present copy reaches can be crowded.
+            crowded = [t for t, count in present.items()
+                       if count + base - missing.get(t, 0) > r]
+            if not crowded:
+                continue
             mask = min(crowded, key=lambda t: tuple(bits(t)))
-            inside = tuple(j for j, it in enumerate(sys.items) if it & ~mask == 0)
-            return ValidityReport(False, CrowdedSubset(tuple(bits(mask)), inside))
+        inside = tuple(j for j, it in enumerate(sys.items) if it & ~mask == 0)
+        return ValidityReport(False, CrowdedSubset(tuple(bits(mask)), inside))
     return ValidityReport(True)
+
+
+def _level(m: int, s: int, masks: list[int], mults: list[int], full: int) -> tuple[list[int], int]:
+    """The copies that verify_hc2 counts for the stored s-sets, and ``full``
+    if they are the missing ones, else 0.
+
+    ``masks`` and ``mults`` are the distinct s-sets and their capped
+    multiplicities, at most ``full`` each.  Present copies are each set
+    repeated by its multiplicity; missing copies are each of the C(m, s)
+    s-sets u repeated full - mult(u) times.  The shorter list is returned,
+    the present one on a tie.
+    """
+    stored = sum(mults)
+    if 2 * stored <= full * comb(m, s):
+        return list(itertools.chain.from_iterable(map(itertools.repeat, masks, mults))), 0
+    held = dict(zip(masks, mults))
+    return [u for u in w_masks_colex(m, s) for _ in range(full - held.get(u, 0))], full
 
 
 def find_sdr(sets: Sequence[int]) -> Union[list[int], Deficiency]:

@@ -2,13 +2,15 @@ import hashlib
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbckit.construct import construct_best
+from cbckit.construct import construct_best, construct_range_a
 from cbckit.core import SetSystem, bits, mask_of
 from cbckit.cwc import w_masks_colex
 from cbckit.errors import NoPlan, ParamError
@@ -249,9 +251,12 @@ def test_hc2_counts_in_both_loop_orientations(n, k, m, extra):
     # Both range-b layouts store 2-sets twice each and 3-sets once, and
     # sizes r = 3 and 4 are counted.  The copies of 2-sets are no more than
     # the C(m, r-2) masks that extend them (10 against 16 and 120 at
-    # m = 16), so each copy is joined with the masks; the 3-sets outnumber
-    # the C(m, r-3) masks (490 against 1 and 16), so each mask is joined
-    # with the 3-sets.  One more copy of the last set crowds a subset.
+    # m = 16), so each copy is joined with the masks; the 3-set copies
+    # counted outnumber the C(m, r-3) masks (at m = 16, the 70 missing of
+    # the 560 3-sets, or the 491 present once the last is stored twice,
+    # against 1 and 16; 8 present against 1 and 6 at m = 6), so each mask
+    # is joined with the copies.  One more copy of the last set crowds a
+    # subset.
     system, _ = construct_best(n, k, m)
     if extra:
         system = SetSystem(m, system.items + (system.items[-1],))
@@ -401,6 +406,116 @@ def test_hc2_near_uniform_matches_reference_and_hc1(layout):
     report = verify_hc2(system, k)
     assert report == hc2_reference(system, k)
     assert report.valid == verify_hc1(system, k).valid
+
+
+def near_complete_layout(pick):
+    """Every w-subset of m <= 7 servers stored mu times, about a quarter of
+    them dropped or under-copied (one in 2, 3 or 4), plus up to three sets of other sizes, in
+    a shuffled order, at a batch size k <= m.  ``pick(a, b)`` draws an int
+    in a..b, so one generator serves hypothesis and a seeded loop."""
+    m = pick(2, 7)
+    w = pick(1, m - 1)
+    mu = pick(1, 3)
+    keep = pick(1, 3)
+    items = []
+    for mask in uniform_family(m, w):
+        items += [mask] * (mu if pick(0, keep) else pick(0, mu - 1))
+    for _ in range(pick(0, 3)):
+        size = pick(1, m - 1)
+        size += size >= w
+        servers = list(range(m))
+        for i in range(size):
+            j = pick(i, m - 1)
+            servers[i], servers[j] = servers[j], servers[i]
+        items.append(mask_of(servers[:size]))
+    for i in range(len(items) - 1):
+        j = pick(i, len(items) - 1)
+        items[i], items[j] = items[j], items[i]
+    return SetSystem(m, tuple(items)), pick(1, m)
+
+
+def hc2_branches(system, k, report):
+    """How verify_hc2 counts the sizes it reaches on (system, k): from
+    present copies only, from missing ones only, from both at one size,
+    with multiplicities capped at width, and with base > r."""
+    width = min(k, system.n)
+    levels: dict[int, list[int]] = {}
+    reached = set()
+    for mask, mult in Counter(system.items).items():
+        if mask.bit_count() < width:
+            levels.setdefault(mask.bit_count(), []).append(min(mult, width))
+            if mult > width:
+                reached.add("capped")
+    missing = {s for s, ms in levels.items() if 2 * sum(ms) > max(ms) * comb(system.m, s)}
+    last = width - 1 if report.valid else len(report.witness.servers)
+    for r in range(1, last + 1):
+        if sum(sum(sorted(ms)[-comb(r, s):]) for s, ms in levels.items() if s <= r) <= r:
+            continue
+        counted = {s for s in levels if s <= r}
+        if not counted & missing:
+            reached.add("present only")
+        elif counted <= missing:
+            reached.add("missing only")
+        else:
+            reached.add("mixed")
+        if sum(max(levels[s]) * comb(r, s) for s in counted & missing) > r:
+            reached.add("base > r")
+    return reached
+
+
+@given(st.data())
+def test_hc2_near_complete_families_match_the_reference(data):
+    system, k = near_complete_layout(lambda a, b: data.draw(st.integers(a, b)))
+    assert verify_hc2(system, k) == hc2_reference(system, k)
+
+
+def test_near_complete_draws_reach_every_way_of_counting():
+    # The generator above on a seeded loop reaches every way of counting a
+    # size; the two tests below pin base > r on a crowded and a valid size.
+    rng = random.Random(29)
+    reached = Counter()
+    for _ in range(1000):
+        system, k = near_complete_layout(rng.randint)
+        report = verify_hc2(system, k)
+        assert report == hc2_reference(system, k)
+        reached.update(hc2_branches(system, k, report))
+    assert set(reached) == {"present only", "missing only", "mixed", "capped", "base > r"}, reached
+
+
+def test_hc2_walks_to_the_first_crowded_subset():
+    # Every pair of 5 servers twice: no copy is missing, so base = 2*C(3,2)
+    # = 6 > 3 and every 3-subset is crowded; the first is {0, 1, 2}.
+    system = SetSystem(5, uniform_family(5, 2) * 2)
+    report = verify_hc2(system, 4)
+    assert report.witness == CrowdedSubset((0, 1, 2), (0, 1, 4, 10, 11, 14))
+    assert report == hc2_reference(system, 4)
+
+
+def test_hc2_walks_every_subset_of_a_valid_size():
+    # 6 of the 10 pairs on 5 servers, the missing four a 4-cycle: each
+    # 4-subset misses at least two pairs, so it holds at most 4 against
+    # base = C(4,2) = 6, and the walk passes all five 4-subsets.
+    missing = {mask_of(p) for p in [(0, 1), (1, 2), (2, 3), (0, 3)]}
+    system = SetSystem(5, tuple(t for t in uniform_family(5, 2) if t not in missing))
+    assert verify_hc2(system, 5) == hc2_reference(system, 5) == ValidityReport(True)
+    assert verify_hc1(system, 5).valid
+
+
+def test_hc2_counts_a_nearly_full_level_by_its_missing_sets():
+    # Range-a (1200, 3, 800) stores 799 of the 800 singletons: counted by
+    # the one missing, size 2 joins it with 799 servers instead of joining
+    # each singleton with 799 (6 s, and a count of every pair).
+    system = construct_range_a(1200, 3, 800)
+    tracemalloc.start()
+    try:
+        report = verify_hc2(system, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 2**20
+    smaller = construct_range_a(400, 3, 300)
+    assert verify_hc2(smaller, 3) == hc2_reference(smaller, 3)
 
 
 def test_hc2_many_copies_of_one_small_set():
