@@ -9,10 +9,12 @@ at run time.  Range-a does not replay its steps: in colex order the
 deletions each (k-1)-set suffers follow from its distance to the first
 auxiliary set no full step takes, so it lists only the sets it returns,
 in time linear in n + m, and checks each set's count as it lists it.
-Range-b's few steps go through ``_run_steps``, which counts the deletions
-in bulk, one list comprehension over the full steps' auxiliary sets per
-added server, and checks them at the end of the run; since no addition
-refills a set that a step deletes, that check is the per-deletion one.
+Range-b's few steps go through ``_run_steps``, which serves range-b
+alone: it counts the deletions in bulk, one list comprehension over the
+full steps' auxiliary sets per added server, checks them at the end of
+the run, and keeps the survivors of its one copy of each set in one
+filter pass over the level; since no addition refills a set that a step
+deletes, that check is the per-deletion one.
 Every builder refuses, with a ParamError raised after its own parameter
 checks and before it lists anything, more than ``MAX_LAYOUT_BITS`` bits:
 n*m for a layout, m*C(m, c) for the candidate words of
@@ -34,8 +36,8 @@ from math import comb
 
 from . import bounds
 from .core import MAX_LAYOUT_BITS, Params, SetSystem, bits, total_storage
-from .cwc import (ConstantWeightCode, best_d4_code, graham_sloane_d4, w_masks_colex,
-                  _every_word, _first_fit)
+from .cwc import (ConstantWeightCode, best_d4_code, colex_level, graham_sloane_d4,
+                  w_masks_colex, _every_word, _first_fit)
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
 
@@ -49,33 +51,32 @@ def _check_size(n: int, m: int) -> None:
         )
 
 
-def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
-               copies: int) -> SetSystem:
-    """Run a deletion construction down to n items and return the layout.
+def _run_steps(n: int, k: int, m: int, w: int, aux_sets, copies: int) -> SetSystem:
+    """Run range-b's deletion construction down to n items and return the layout.
 
-    Start from ``each`` copies of every w-subset, C = each*C(m,w) items.
-    The deficit C - n splits into floor((C-n)/(m-k+1)) full steps and a
-    leftover: each full step deletes one copy of every one-larger superset
-    of the next auxiliary set and adds ``copies`` copies of the set; a
-    nonzero leftover adds a partial step that deletes only that many
-    supersets of the next set.  Every deletion must find a copy left.
-    The run costs O(F*m + C(m,w)) for F full steps, which suits range-b,
-    whose code-guided steps are few (43 at (4200, 6, 20)); range-a, whose
-    F can reach C(m,k-2), takes its counts in closed form instead.
+    Start from one copy of every w-subset, C = C(m,w) items.  The deficit
+    C - n splits into floor((C-n)/(m-k+1)) full steps and a leftover: each
+    full step deletes the one copy of every one-larger superset of the
+    next auxiliary set and adds ``copies`` copies of the set; a nonzero
+    leftover adds a partial step that deletes only that many supersets of
+    the next set.  Every deletion must find its copy left.  The run costs
+    O(F*m + C(m,w)) for F full steps, which suits range-b, whose
+    code-guided steps are few (43 at (4200, 6, 20)); range-a, whose F can
+    reach C(m,k-2), takes its counts in closed form instead.
 
     All steps' supersets are counted in one ``Counter``: for each server x,
     one list comprehension joins x with every full step's auxiliary set
     that lacks it, so no list is longer than the full steps and no list of
     every deletion is built; the partial step's supersets come after.
     Deletions touch only w-subsets and additions only (w-1)-subsets, so no
-    addition ever refills a deleted set, and every deletion found a copy
-    iff no w-subset is deleted more than ``each`` times in all; if one is,
-    the deletions are replayed step by step to name the first superset
-    that had no copy left.  Copy c of a w-subset survives iff it was
-    deleted at most each-c times: one ``compress`` pass per copy over the
-    colex list of w-subsets, then one ``sorted`` merges in the added sets.
+    addition ever refills a deleted set, and every deletion found its copy
+    iff no w-subset is deleted twice; if one is, the deletions are
+    replayed step by step to name the first superset that had no copy
+    left.  The survivors are the w-subsets never deleted: one
+    ``filterfalse`` pass over the colex level, then one ``sorted`` merges
+    in the added sets.
     """
-    full_steps, leftover = divmod(each * comb(m, w) - n, m - k + 1)
+    full_steps, leftover = divmod(comb(m, w) - n, m - k + 1)
     auxes = [next(aux_sets) for _ in range(full_steps + (1 if leftover else 0))]
     singles = [1 << x for x in range(m)]
 
@@ -90,18 +91,15 @@ def _run_steps(n: int, k: int, m: int, w: int, each: int, aux_sets,
         deleted.update([aux | x for aux in full if not aux & x])
     if leftover:
         deleted.update(supersets_adding(auxes[-1], singles)[:leftover])
-    if max(deleted.values(), default=0) > each:
-        seen = Counter()
+    if max(deleted.values(), default=0) > 1:
+        seen = set()
         for sup in deletions():
-            seen[sup] += 1
-            if seen[sup] > each:
+            if sup in seen:
                 servers = ",".join(map(str, bits(sup)))
                 raise AssertionError(f"construction tried to delete {servers} with no copy left")
-    subsets = list(w_masks_colex(m, w))
-    times = list(map(deleted.get, subsets, itertools.repeat(0)))
+            seen.add(sup)
     items = full * copies
-    for copy in range(1, each + 1):
-        items += itertools.compress(subsets, map((each - copy).__ge__, times))
+    items += itertools.filterfalse(deleted.__contains__, colex_level(m, w))
     return SetSystem(m, tuple(sorted(items)))
 
 
@@ -154,7 +152,7 @@ def construct_large_n(n: int, k: int, m: int) -> SetSystem:
         raise RangeError(f"need n >= (k-1)*C(m,k-1) = {grouped}, got n={n}")
     _check_size(n, m)
     items: list[int] = []
-    for mask in w_masks_colex(m, k - 1):
+    for mask in colex_level(m, k - 1):
         items.extend([mask] * (k - 1))
     items.extend([(1 << k) - 1] * (n - grouped))
     return SetSystem(m, tuple(items))
@@ -236,7 +234,7 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
         )
     # The floor check gives deficit <= width * |code|, so the code has a
     # word for every full step and for a partial one.
-    return _run_steps(n, k, m, k - 2, 1, iter(sorted(code.words)), 2)
+    return _run_steps(n, k, m, k - 2, iter(sorted(code.words)), 2)
 
 
 def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:

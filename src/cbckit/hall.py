@@ -33,13 +33,14 @@ min(present_s, missing_s)*C(m-s, r-s) incidences.  The distinct sets
 are kept in flat per-size int lists, with no container per set, and a
 level counted by its missing copies lists its C(m, s) < 2n masks once,
 the first time a counted size needs it.  Copies are counted in bulk: for
-each level one table lists every mask of r-s servers, and a copy's
-supersets are its joins with the table's masks disjoint from it.  One
-list comprehension per entry of the shorter of two lists (the table, or
-the copies) runs over the longer one, and ``Counter.update`` counts each
-at C level, so no list is longer than the longer of the two and no list
-of every incidence is built.  It is the cheap default (the item
-collection may be huge, the server set is small).
+each level one table lists every mask of r-s servers (both lists come
+whole from ``cwc.colex_level``), and a copy's supersets are its joins
+with the table's masks disjoint from it.  One list comprehension per
+entry of the shorter of two lists (the table, or the copies) runs over
+the longer one, and ``Counter.update`` counts each at C level, so no
+list is longer than the longer of the two and no list of every
+incidence is built.  It is the cheap default (the item collection may
+be huge, the server set is small).
 ``verify_hc1`` independently checks the union form by running a matching
 on every k-subset of items; the two must always agree and are kept free
 of shared logic so that one can cross-validate the other.
@@ -59,7 +60,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .core import SetSystem, bits, mask_of
-from .cwc import w_masks_colex
+from .cwc import colex_level
 from .errors import NoPlan, ParamError
 
 
@@ -207,7 +208,7 @@ def verify_hc2(sys: SetSystem, k: int) -> ValidityReport:
                 counts = present
             # more: every mask of r - s servers, the servers that an s-set
             # can add to reach size r.
-            more = list(w_masks_colex(m, r - s))
+            more = colex_level(m, r - s)
             if len(more) < len(copies):
                 for x in more:
                     counts.update([v | x for v in copies if not v & x])
@@ -242,14 +243,15 @@ def _level(m: int, s: int, masks: list[int], mults: list[int], full: int) -> tup
     ``masks`` and ``mults`` are the distinct s-sets and their capped
     multiplicities, at most ``full`` each.  Present copies are each set
     repeated by its multiplicity; missing copies are each of the C(m, s)
-    s-sets u repeated full - mult(u) times.  The shorter list is returned,
-    the present one on a tie.
+    s-sets u repeated full - mult(u) times, the s-sets taken whole from
+    ``cwc.colex_level``, one list comprehension per weight.  The shorter
+    list is returned, the present one on a tie.
     """
     stored = sum(mults)
     if 2 * stored <= full * comb(m, s):
         return list(itertools.chain.from_iterable(map(itertools.repeat, masks, mults))), 0
     held = dict(zip(masks, mults))
-    return [u for u in w_masks_colex(m, s) for _ in range(full - held.get(u, 0))], full
+    return [u for u in colex_level(m, s) for _ in range(full - held.get(u, 0))], full
 
 
 def find_sdr(sets: Sequence[int]) -> Union[list[int], Deficiency]:

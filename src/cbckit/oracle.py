@@ -36,7 +36,7 @@ from math import comb
 
 from . import bounds
 from .core import Params, SetSystem
-from .cwc import w_masks_colex
+from .cwc import colex_level
 from .errors import BudgetExceeded, CbcError, ParamError, Unknown
 from .hall import supersets_adding, verify_hc2
 
@@ -120,7 +120,7 @@ def _search_targets(
     """
     # more[e]: every mask of e < k servers, the servers that a placed mask's
     # below-list may add to it.
-    more = [list(w_masks_colex(m, e)) for e in range(k)]
+    more = [colex_level(m, e) for e in range(k)]
     # masks[w]: every mask of w servers, ascending, listed the first time a
     # profile has items of weight w; below[w][idx]: the subsets of fewer than
     # k servers that contain masks[w][idx], whose slack it uses up, built on
@@ -143,7 +143,7 @@ def _search_targets(
             ends = list(itertools.accumulate(profile, initial=0))
             for w, a in enumerate(profile, 1):
                 if a and not masks[w]:
-                    masks[w] = list(w_masks_colex(m, w))
+                    masks[w] = colex_level(m, w)
                     below[w] = [None] * len(masks[w])
             path: list[int] = []
             idx = 0

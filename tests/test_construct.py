@@ -54,6 +54,9 @@ def test_run_steps_matches_the_sequential_reference(instance):
     (construct_range_a, (3000, 7, 14), (6, 6, w_masks_colex(14, 5), 1)),
     # range-b: 6 full steps of 15 deletions and a partial step of 2.
     (construct_range_b, (600, 5, 17), (3, 1, iter(sorted(best_d4_code(17, 2).words)), 2)),
+    # range-b, the largest layout: of the C(24, 5) = 42,504 5-sets, one
+    # partial step deletes 5.
+    (construct_range_b, (42499, 7, 24), (5, 1, iter(sorted(best_d4_code(24, 4).words)), 2)),
 ])
 def test_run_steps_matches_the_sequential_reference_on_design_rows(builder, params, steps):
     assert builder(*params) == run_steps_reference(*params, *steps)
@@ -85,6 +88,19 @@ def test_range_a_peaks_below_3_mib_at_the_largest_design_row():
     assert peak < 3 * 2**20
 
 
+def test_range_b_peaks_below_4_mib_at_the_largest_layout():
+    # The 42,499 5-sets of 24 servers, kept by one filter over the level
+    # of 42,504: measured 2.3 MiB.
+    tracemalloc.start()
+    try:
+        system = construct_range_b(42499, 7, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.n == 42499
+    assert peak < 4 * 2**20
+
+
 def test_range_a_lists_only_the_sets_it_returns():
     # 1,999 full steps and a partial one of 998 deletions on 2,000
     # servers: a list of the C(2000, 2) = 1,999,000 starting 2-sets is far
@@ -114,10 +130,15 @@ OVERDRAWN = [
 
 @pytest.mark.parametrize("n, k, each, aux_sets, named", OVERDRAWN)
 def test_run_steps_names_the_first_overdrawn_superset(n, k, each, aux_sets, named):
+    # _run_steps serves range-b, which starts from one copy of each set, so
+    # the case with three copies runs on the reference alone.
     message = f"construction tried to delete {named} with no copy left"
-    for run in (construct._run_steps, run_steps_reference):
+    with pytest.raises(AssertionError) as info:
+        run_steps_reference(n, k, 6, 3, each, iter(aux_sets), 1)
+    assert str(info.value) == message
+    if each == 1:
         with pytest.raises(AssertionError) as info:
-            run(n, k, 6, 3, each, iter(aux_sets), 1)
+            construct._run_steps(n, k, 6, 3, iter(aux_sets), 1)
         assert str(info.value) == message
 
 

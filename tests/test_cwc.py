@@ -14,6 +14,7 @@ from cbckit.cwc import (
     ConstantWeightCode,
     _first_fit,
     best_d4_code,
+    colex_level,
     graham_sloane_d4,
     greedy_code,
     min_distance,
@@ -21,6 +22,17 @@ from cbckit.cwc import (
 )
 from cbckit.construct import construct_uniform
 from cbckit.errors import InsufficientCode, ParamError
+
+
+def test_colex_level_lists_the_walk():
+    # Every level with 0 <= m <= 12, the empty ones at w = -1 and w = m + 1
+    # among them, and larger levels on both sides of the w > m - w rule.
+    shapes = [(m, w) for m in range(13) for w in range(-1, m + 2)]
+    shapes += [(16, 8), (20, 4), (24, 5), (30, 3), (20, 18)]
+    for m, w in shapes:
+        level = colex_level(m, w)
+        assert level == list(w_masks_colex(m, w)), (m, w)
+        assert len(level) == (comb(m, w) if w >= 0 else 0)
 
 
 def words_as_sets(code):
