@@ -4,17 +4,14 @@ The two deletion-based builders (``construct_range_a`` and
 ``construct_range_b``) start from a fully replicated collection and
 systematically trade deleted supersets for smaller added sets.  Each
 deletion must find a copy still present, which is exactly the availability
-argument behind the constructions' correctness, and the builders check it
-at run time.  Range-a does not replay its steps: in colex order the
-deletions each (k-1)-set suffers follow from its distance to the first
-auxiliary set no full step takes, so it lists only the sets it returns,
-in time linear in n + m, and checks each set's count as it lists it.
-Range-b's few steps go through ``_run_steps``, which serves range-b
-alone: it counts the deletions in bulk, one list comprehension over the
-full steps' auxiliary sets per added server, checks them at the end of
-the run, and keeps the survivors of its one copy of each set in one
-filter pass over the level; since no addition refills a set that a step
-deletes, that check is the per-deletion one.
+argument behind the constructions' correctness.  Neither builder replays
+its steps; each lists its output in closed form.  Range-a takes each
+(k-1)-set's deletions from its distance to the first auxiliary set no full
+step takes, lists only the sets it returns, in time linear in n + m, and
+checks each set's count as it lists it.  Range-b's code-guided steps
+delete pairwise distinct supersets, which the code's minimum distance
+guarantees, so it collects them in one set and keeps the rest of its one
+copy of each set with one filter pass over the level.
 Every builder refuses, with a ParamError raised after its own parameter
 checks and before it lists anything, more than ``MAX_LAYOUT_BITS`` bits:
 n*m for a layout, m*C(m, c) for the candidate words of
@@ -31,7 +28,6 @@ masks 1, 2, 4, 8, 3.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import comb
 
 from . import bounds
@@ -49,58 +45,6 @@ def _check_size(n: int, m: int) -> None:
             f"a layout of n={n} items on m={m} servers has n*m = {n * m} bits, "
             f"more than {MAX_LAYOUT_BITS}"
         )
-
-
-def _run_steps(n: int, k: int, m: int, w: int, aux_sets, copies: int) -> SetSystem:
-    """Run range-b's deletion construction down to n items and return the layout.
-
-    Start from one copy of every w-subset, C = C(m,w) items.  The deficit
-    C - n splits into floor((C-n)/(m-k+1)) full steps and a leftover: each
-    full step deletes the one copy of every one-larger superset of the
-    next auxiliary set and adds ``copies`` copies of the set; a nonzero
-    leftover adds a partial step that deletes only that many supersets of
-    the next set.  Every deletion must find its copy left.  The run costs
-    O(F*m + C(m,w)) for F full steps, which suits range-b, whose
-    code-guided steps are few (43 at (4200, 6, 20)); range-a, whose F can
-    reach C(m,k-2), takes its counts in closed form instead.
-
-    All steps' supersets are counted in one ``Counter``: for each server x,
-    one list comprehension joins x with every full step's auxiliary set
-    that lacks it, so no list is longer than the full steps and no list of
-    every deletion is built; the partial step's supersets come after.
-    Deletions touch only w-subsets and additions only (w-1)-subsets, so no
-    addition ever refills a deleted set, and every deletion found its copy
-    iff no w-subset is deleted twice; if one is, the deletions are
-    replayed step by step to name the first superset that had no copy
-    left.  The survivors are the w-subsets never deleted: one
-    ``filterfalse`` pass over the colex level, then one ``sorted`` merges
-    in the added sets.
-    """
-    full_steps, leftover = divmod(comb(m, w) - n, m - k + 1)
-    auxes = [next(aux_sets) for _ in range(full_steps + (1 if leftover else 0))]
-    singles = [1 << x for x in range(m)]
-
-    def deletions():
-        for step, aux in enumerate(auxes):
-            supersets = supersets_adding(aux, singles)
-            yield from supersets if step < full_steps else supersets[:leftover]
-
-    full = auxes[:full_steps]
-    deleted = Counter()
-    for x in singles:
-        deleted.update([aux | x for aux in full if not aux & x])
-    if leftover:
-        deleted.update(supersets_adding(auxes[-1], singles)[:leftover])
-    if max(deleted.values(), default=0) > 1:
-        seen = set()
-        for sup in deletions():
-            if sup in seen:
-                servers = ",".join(map(str, bits(sup)))
-                raise AssertionError(f"construction tried to delete {servers} with no copy left")
-            seen.add(sup)
-    items = full * copies
-    items += itertools.filterfalse(deleted.__contains__, colex_level(m, w))
-    return SetSystem(m, tuple(sorted(items)))
 
 
 def construct_trivial(n: int, k: int, m: int) -> SetSystem:
@@ -181,8 +125,8 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     the surviving copies of each s > t, walked from t | (t+1), the
     smallest (k-1)-subset above t: already ascending, and built in time
     linear in n + m.  With n = C(m,k-2) no t is left and the layout is the
-    F sets alone.  A count above k-1 raises the availability error of
-    ``_run_steps``.
+    F sets alone.  A set deleted more than k-1 times, so that some
+    deletion finds no copy left, raises an AssertionError that names it.
     """
     if not m >= k >= 3:
         raise RangeError(f"need m >= k >= 3, got k={k} m={m}")
@@ -209,13 +153,23 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
 def construct_range_b(n: int, k: int, m: int) -> SetSystem:
     """Code-guided construction below C(m,k-2) for k >= 5.
 
-    Start from one copy of every (k-2)-subset.  Steps are driven by
-    weight-(k-3) codewords at pairwise distance >= 4, so no two steps
-    compete for the same superset: each full step deletes all m-k+3
-    (k-2)-supersets of its codeword and adds two copies of the codeword;
-    the partial step deletes the leftover count only.  Storage:
-    n*(k-2) - 2*floor(D/(m-k+1)) with D = C(m,k-2) - n; optimal when
+    Start from one copy of every (k-2)-subset.  With D = C(m,k-2) - n,
+    F = floor(D/(m-k+1)) full steps each take the next word of a
+    weight-(k-3) distance-4 code, in ascending order, delete all m-k+3
+    (k-2)-supersets of the word and add two copies of it; a nonzero
+    leftover D mod (m-k+1) adds a partial step that deletes only that many
+    supersets of the next word.  Storage: n*(k-2) - 2*F; optimal when
     D mod (m-k+1) is below half the modulus, else one above the bound.
+
+    The steps are not replayed, and no deletion needs a check: two words
+    at distance >= 4 share at most k-5 servers, so their union has at
+    least k-1 and no (k-2)-set contains both.  The steps' supersets are
+    therefore pairwise distinct, each deletion finds the one copy it
+    removes, and no addition, always of a (k-3)-set, refills a deleted
+    set.  ``ConstantWeightCode`` enforces that distance when the code is
+    built, raising ParamError on any closer pair.  The layout is the F
+    words twice, then every (k-2)-set outside the one set of deletions,
+    in one filter pass over the colex level.
     """
     if k < 5:
         raise RangeError(f"code-guided construction needs k >= 5, got k={k}")
@@ -232,9 +186,18 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
             f"n={n} below the constructible floor {ceiling - width * code.size} "
             f"(code of size {code.size})"
         )
-    # The floor check gives deficit <= width * |code|, so the code has a
-    # word for every full step and for a partial one.
-    return _run_steps(n, k, m, k - 2, iter(sorted(code.words)), 2)
+    # The floor check gives D <= width * |code|, so the code has a word
+    # for every full step and for a partial one.
+    full_steps, leftover = divmod(ceiling - n, width)
+    words = sorted(code.words)[:full_steps + 1]
+    full = words[:full_steps]
+    singles = [1 << x for x in range(m)]
+    deleted = {word | x for x in singles for word in full if not word & x}
+    if leftover:
+        deleted.update(supersets_adding(words[-1], singles)[:leftover])
+    items = full * 2
+    items += itertools.filterfalse(deleted.__contains__, colex_level(m, k - 2))
+    return SetSystem(m, tuple(sorted(items)))
 
 
 def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:

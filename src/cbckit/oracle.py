@@ -121,12 +121,12 @@ def _search_targets(
     # more[e]: every mask of e < k servers, the servers that a placed mask's
     # below-list may add to it.
     more = [colex_level(m, e) for e in range(k)]
-    # masks[w]: every mask of w servers, ascending, listed the first time a
-    # profile has items of weight w; below[w][idx]: the subsets of fewer than
-    # k servers that contain masks[w][idx], whose slack it uses up, built on
-    # its first placement.  A subset enters ``slack`` (at |T|) with the
-    # first mask that reaches it.
-    masks: list[list[int]] = [[] for _ in range(k + 1)]
+    # masks[w]: every mask of w servers, ascending: more[w] for w < k, and
+    # level k listed the first time a profile has items of weight k;
+    # below[w][idx]: the subsets of fewer than k servers that contain
+    # masks[w][idx], whose slack it uses up, built on its first placement.
+    # A subset enters ``slack`` (at |T|) with the first mask that reaches it.
+    masks = more + [[]]
     below: list[list[list[int] | None]] = [[] for _ in range(k + 1)]
     slack: dict[int, int] = {}
     nodes = 0
@@ -142,8 +142,8 @@ def _search_targets(
         for profile in _profiles(n, k, m, target, spend):
             ends = list(itertools.accumulate(profile, initial=0))
             for w, a in enumerate(profile, 1):
-                if a and not masks[w]:
-                    masks[w] = colex_level(m, w)
+                if a and not below[w]:
+                    masks[w] = masks[w] or colex_level(m, w)
                     below[w] = [None] * len(masks[w])
             path: list[int] = []
             idx = 0

@@ -270,9 +270,10 @@ def assert_storage_bound(system: SetSystem, k: int) -> None:
 
 def run_steps_reference(n: int, k: int, m: int, w: int, each: int, aux_sets,
                         copies: int) -> SetSystem:
-    """Sequential reference for construct._run_steps: the same deletion
-    construction, one deletion at a time, each checked against the copies
-    left before the next, with additions applied as their step ends.
+    """Sequential reference for both deletion builders, construct_range_a
+    and construct_range_b: the deletion construction run one deletion at a
+    time, each checked against the copies left before the next, with
+    additions applied as their step ends.
     """
     ceiling = each * math.comb(m, w)
     full_steps, leftover = divmod(ceiling - n, m - k + 1)

@@ -28,8 +28,8 @@ from conftest import assert_storage_bound, run_steps_reference
 
 @st.composite
 def deletion_instances(draw):
-    """A range-a or range-b (n, k, m) with m <= 10, and the arguments that
-    its builder passes to _run_steps after n, k and m."""
+    """A range-a or range-b (n, k, m) with m <= 10, and the arguments after
+    n, k and m with which run_steps_reference builds the same layout."""
     if draw(st.booleans()):
         m = draw(st.integers(3, 10))
         k = draw(st.integers(3, m))
@@ -44,7 +44,7 @@ def deletion_instances(draw):
 
 
 @given(deletion_instances())
-def test_run_steps_matches_the_sequential_reference(instance):
+def test_deletion_builders_match_the_sequential_reference(instance):
     builder, params, steps = instance
     assert builder(*params) == run_steps_reference(*params, *steps)
 
@@ -58,7 +58,7 @@ def test_run_steps_matches_the_sequential_reference(instance):
     # partial step deletes 5.
     (construct_range_b, (42499, 7, 24), (5, 1, iter(sorted(best_d4_code(24, 4).words)), 2)),
 ])
-def test_run_steps_matches_the_sequential_reference_on_design_rows(builder, params, steps):
+def test_deletion_builders_match_the_sequential_reference_on_design_rows(builder, params, steps):
     assert builder(*params) == run_steps_reference(*params, *steps)
 
 
@@ -74,6 +74,22 @@ def test_range_a_matches_the_sequential_reference_up_to_m_8():
                 assert construct_range_a(n, k, m) == expected, (n, k, m)
                 count += 1
     assert count == 1284
+
+
+def test_range_b_matches_the_sequential_reference_up_to_m_10():
+    # Every range-b instance with 5 <= k <= m <= 10, 587 in all: from the
+    # constructible floor, where every word is a full step's, up to
+    # n = C(m, k-2), where no step runs, with partial steps of every length.
+    count = 0
+    for m in range(5, 11):
+        for k in range(5, m + 1):
+            words = sorted(best_d4_code(m, k - 3).words)
+            ceiling = comb(m, k - 2)
+            for n in range(max(1, ceiling - (m - k + 1) * len(words)), ceiling + 1):
+                expected = run_steps_reference(n, k, m, k - 2, 1, iter(words), 2)
+                assert construct_range_b(n, k, m) == expected, (n, k, m)
+                count += 1
+    assert count == 587
 
 
 def test_range_a_peaks_below_3_mib_at_the_largest_design_row():
@@ -118,7 +134,7 @@ def test_range_a_lists_only_the_sets_it_returns():
 
 
 # Auxiliary sets that delete some 3-set of 6 servers once more than its
-# copies, and the superset each construction must name.  Repeating {1,2}
+# copies, and the superset the reference must name.  Repeating {1,2}
 # with 3 copies overdraws {0,1,2} at the fourth step's first deletion;
 # {1,2} then {2,3} with one copy overdraw {1,2,3}, the second step's
 # second deletion.
@@ -130,16 +146,12 @@ OVERDRAWN = [
 
 @pytest.mark.parametrize("n, k, each, aux_sets, named", OVERDRAWN)
 def test_run_steps_names_the_first_overdrawn_superset(n, k, each, aux_sets, named):
-    # _run_steps serves range-b, which starts from one copy of each set, so
-    # the case with three copies runs on the reference alone.
-    message = f"construction tried to delete {named} with no copy left"
+    # Only the reference takes its steps from outside: the builders choose
+    # their own, and neither can overdraw, since range-b's distance-4 words
+    # share no superset and range-a's steps leave each listed set a copy.
     with pytest.raises(AssertionError) as info:
         run_steps_reference(n, k, 6, 3, each, iter(aux_sets), 1)
-    assert str(info.value) == message
-    if each == 1:
-        with pytest.raises(AssertionError) as info:
-            construct._run_steps(n, k, 6, 3, iter(aux_sets), 1)
-        assert str(info.value) == message
+    assert str(info.value) == f"construction tried to delete {named} with no copy left"
 
 
 def test_trivial_examples():

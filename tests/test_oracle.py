@@ -8,6 +8,7 @@ from cbckit import bounds, oracle
 from cbckit.bounds import BoundResult, check_inequality, known_n, lower_bound
 from cbckit.construct import construct_best
 from cbckit.core import Params, Profile, SetSystem, serialize, total_storage
+from cbckit.cwc import colex_level
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
 from cbckit.oracle import search_floor, search_optimal, settle_gap
@@ -201,6 +202,21 @@ def test_search_node_counts_are_pinned():
     for (n, k, m), expected in SEARCH_NODE_COUNTS.items():
         result = search_optimal(n, k, m)
         assert (result.optimal_n_storage, result.nodes_explored) == expected, (n, k, m)
+
+
+@pytest.mark.parametrize("n, k, m", [(7, 3, 4), (6, 2, 4)])
+def test_search_lists_each_level_once(monkeypatch, n, k, m):
+    # Levels below k are the walk's mask lists as well as its below-lists'
+    # servers; level k is listed only if some profile places a k-set.
+    listed = []
+
+    def counted(m, w):
+        listed.append((m, w))
+        return colex_level(m, w)
+
+    monkeypatch.setattr(oracle, "colex_level", counted)
+    search_optimal(n, k, m)
+    assert len(listed) == len(set(listed)), listed
 
 
 def _search_record(n, k, m, budget):
