@@ -10,7 +10,7 @@ ground truth on tiny instances.
 from .bounds import (
     BoundResult,
     b_value,
-    check_inequality,
+    inequality_slack,
     known_n,
     lower_bound,
     u_value,
@@ -27,20 +27,15 @@ from .construct import (
 )
 from .core import (
     Params,
-    Profile,
     SetSystem,
     parse,
-    profile,
     serialize,
     total_storage,
-    truncate_to_k,
 )
 from .cwc import (
     ConstantWeightCode,
     best_d4_code,
     graham_sloane_d4,
-    greedy_code,
-    min_distance,
 )
 from .hall import (
     CrowdedSubset,
@@ -62,14 +57,12 @@ __all__ = [
     "CrowdedSubset",
     "Deficiency",
     "Params",
-    "Profile",
     "RetrievalPlan",
     "SearchResult",
     "SetSystem",
     "ValidityReport",
     "b_value",
     "best_d4_code",
-    "check_inequality",
     "construct_best",
     "construct_large_n",
     "construct_m_equals_k",
@@ -80,18 +73,15 @@ __all__ = [
     "construct_uniform",
     "find_sdr",
     "graham_sloane_d4",
-    "greedy_code",
+    "inequality_slack",
     "known_n",
     "lower_bound",
-    "min_distance",
     "parse",
     "plan_batch",
-    "profile",
     "search_optimal",
     "serialize",
     "settle_gap",
     "total_storage",
-    "truncate_to_k",
     "u_value",
     "verify_hc1",
     "verify_hc2",

@@ -30,7 +30,7 @@ from math import comb, isqrt
 from typing import Callable, Optional
 
 from . import cwc
-from .core import Params, Profile
+from .core import Params
 from .errors import ParamError, RangeError
 
 
@@ -66,19 +66,20 @@ def u_value(m: int, k: int, c: int) -> Fraction:
     return Fraction((k - 1) * comb(m, c), comb(k - 1, c))
 
 
-def check_inequality(p: Profile, m: int, i: int) -> bool:
-    """Necessary counting condition at index i for a valid layout's profile.
+def inequality_slack(counts, m: int, i: int) -> int:
+    """Slack of the counting condition at index i for a profile (A_1, A_2, ...).
 
-    sum_{j=1..i} C(m-j, i-j) * A_j <= i * C(m, i).  Each i-server subset
-    can fully contain at most i replica sets; summing over all i-subsets
-    counts each j-replica item C(m-j, i-j) times.
+    i * C(m, i) - sum_{j=1..i} C(m-j, i-j) * A_j, with counts[j-1] = A_j and
+    any A_j past the end of ``counts`` taken as 0.  Each i-server subset can
+    fully contain at most i replica sets; summing over all i-subsets counts
+    each j-replica item C(m-j, i-j) times.  So a valid layout's profile has
+    slack >= 0 at every i below its batch size.
     """
-    if not 1 <= i <= p.k - 1:
-        raise ParamError(f"need 1 <= i <= k-1, got i={i} k={p.k}")
+    if i < 1:
+        raise ParamError(f"need i >= 1, got i={i}")
     if m < 1:
         raise ParamError(f"need at least one server, got m={m}")
-    lhs = sum(comb(m - j, i - j) * p.a(j) for j in range(1, i + 1))
-    return lhs <= i * comb(m, i)
+    return i * comb(m, i) - sum(comb(m - j, i - j) * a for j, a in enumerate(counts[:i], 1))
 
 
 def b_value(n: int, k: int, m: int, c: int) -> Fraction:

@@ -211,7 +211,7 @@ def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:
     if m * comb(m, w) > MAX_LAYOUT_BITS:
         raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {w}) candidate words "
                          f"of {m} bits, {m * comb(m, w)} bits, more than {MAX_LAYOUT_BITS}")
-    greedy, _ = _first_fit(candidates, w, d2, None)
+    greedy, _ = _first_fit(candidates, w, d2)
     if d2 == 4:
         residue = graham_sloane_d4(m, w)
         if residue.size > len(greedy):

@@ -28,7 +28,6 @@ from .errors import (
     EmptyItemSet,
     MalformedHeader,
     MalformedItemLine,
-    OversizedSet,
     ParamError,
     ServerIndexOutOfRange,
 )
@@ -93,33 +92,6 @@ class SetSystem:
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Cardinality census of a layout: counts[j-1] items use exactly j servers."""
-
-    k: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.k < 1:
-            raise ParamError(f"batch size must be positive, got k={self.k}")
-        if len(self.counts) != self.k:
-            raise ParamError(f"expected {self.k} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
-            raise ParamError("negative count in profile")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    def a(self, j: int) -> int:
-        """Number of items stored on exactly j servers (1-based j)."""
-        if not 1 <= j <= self.k:
-            raise ParamError(f"j={j} outside 1..{self.k}")
-        return self.counts[j - 1]
-
-
-@dataclass(frozen=True)
 class Params:
     """Problem parameters: n items, batches of k, m servers."""
 
@@ -137,41 +109,6 @@ class Params:
 def total_storage(sys: SetSystem) -> int:
     """Total number of stored copies: sum of replica-set sizes."""
     return sum(map(int.bit_count, sys.items))
-
-
-def profile(sys: SetSystem, k: int) -> Profile:
-    """Count items by replica-set size, up to size k.
-
-    Raises OversizedSet if any item uses more than k servers; callers that
-    want a profile anyway should truncate_to_k first.
-    """
-    if k < 1:
-        raise ParamError(f"batch size must be positive, got k={k}")
-    counts = [0] * k
-    for j, it in enumerate(sys.items):
-        w = it.bit_count()
-        if w > k:
-            raise OversizedSet(j, w, k)
-        counts[w - 1] += 1
-    return Profile(k, tuple(counts))
-
-
-def truncate_to_k(sys: SetSystem, k: int) -> SetSystem:
-    """Shrink every replica set larger than k to its k smallest servers.
-
-    For a layout that is valid at batch size k this preserves validity (a
-    k-subset still satisfies every union condition it participates in) and
-    never increases total storage.  The k smallest indices are the
-    lexicographically least k-subset, so the result is deterministic.
-    """
-    if k < 1:
-        raise ParamError(f"batch size must be positive, got k={k}")
-    out = []
-    for it in sys.items:
-        while it.bit_count() > k:
-            it &= ~(1 << (it.bit_length() - 1))
-        out.append(it)
-    return SetSystem(sys.m, tuple(out))
 
 
 def serialize(sys: SetSystem) -> str:

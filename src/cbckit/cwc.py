@@ -7,12 +7,13 @@ closer than d2 exactly when they share at least w - j positions, with
 j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
 O(size * C(w, j)) time.  C(w, j) may be at most ``MAX_WORD_KEYS``; a
 larger one is a ParamError, raised before any word is keyed.  A
-fixed-residue-sum class gives distance 4, and a greedy first-fit scan gives
-any even distance.  A construction that lists all C(m, w) candidate words
-(the residue classes, and a greedy scan with no target) refuses, with a
-ParamError, more than ``MAX_CODE_CANDIDATES`` of them before listing any.
-Codes are a tool of the range-b and uniform constructions only; they have
-no text format of their own.
+fixed-residue-sum class gives distance 4 (``graham_sloane_d4``), and a
+first-fit scan of every word gives any even distance: ``best_d4_code``
+keeps the larger of the two at distance 4, and the uniform construction
+runs the scan at its own distance.  Each lists all C(m, w) candidate words
+and refuses, with a ParamError, more than ``MAX_CODE_CANDIDATES`` of them
+before listing any.  Codes are a tool of the range-b and uniform
+constructions only; they have no text format of their own.
 
 The weight-w masks in colex (= numeric) order come two ways.
 ``colex_level`` lists a whole level, for the builders, ``hall`` and
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import bits
-from .errors import InsufficientCode, ParamError
+from .errors import ParamError
 
 # Cap on C(w, j), the keys ``_first_fit`` builds per word: every distance-4
 # code (C(w, 1) = w) and every weight up to 22 stays below it, while one
@@ -105,7 +106,7 @@ class ConstantWeightCode:
                 raise ParamError(f"word {word:#x} uses positions outside 0..{self.m - 1}")
             if word.bit_count() != self.w:
                 raise ParamError(f"word {word:#x} has weight {word.bit_count()}, not {self.w}")
-        _, clash = _first_fit(self.words, self.w, self.d2, None)
+        _, clash = _first_fit(self.words, self.w, self.d2)
         if clash:
             a, b = clash
             raise ParamError(f"words {a:#x} and {b:#x} are closer than distance {self.d2}")
@@ -146,8 +147,8 @@ def graham_sloane_d4(m: int, w: int) -> ConstantWeightCode:
     return ConstantWeightCode(m, w, 4, tuple(classes[best]))
 
 
-def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tuple | None]:
-    """Keep, up to ``limit`` (None: all), each word at distance >= d2 from the kept ones.
+def _first_fit(words, w: int, d2: int) -> tuple[list[int], tuple | None]:
+    """Keep each word at distance >= d2 from the words kept before it.
 
     Weight-w words sharing s positions are at distance 2(w - s), so two are
     closer than d2 exactly when they share a (w - j)-subset, with
@@ -169,8 +170,6 @@ def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tu
     kept: list[int] = []
     clash = None
     for v in words:
-        if len(kept) == limit:
-            break
         keys = [v - s for s in map(sum, itertools.combinations([1 << p for p in bits(v)], j))]
         if owner.keys().isdisjoint(keys):
             owner.update(dict.fromkeys(keys, len(kept)))
@@ -178,25 +177,6 @@ def _first_fit(words, w: int, d2: int, limit: int | None) -> tuple[list[int], tu
         elif clash is None:
             clash = (kept[min(owner[key] for key in keys if key in owner)], v)
     return kept, clash
-
-
-def greedy_code(m: int, d2: int, w: int, target: int) -> ConstantWeightCode:
-    """First-fit code: scan w-subsets in colex order, keep words at distance >= d2.
-
-    Stops once ``target`` words are collected; raises InsufficientCode
-    (carrying the words found) if the scan is exhausted first.
-    """
-    if d2 < 2 or d2 % 2:
-        raise ParamError(f"distance must be even and >= 2, got {d2}")
-    if not 1 <= w <= m:
-        raise ParamError(f"need 1 <= w <= m, got w={w} m={m}")
-    if target < 0:
-        raise ParamError(f"negative target {target}")
-    words, _ = _first_fit(w_masks_colex(m, w), w, d2, target)
-    code = ConstantWeightCode(m, w, d2, tuple(words))
-    if code.size < target:
-        raise InsufficientCode(achieved=code.size, needed=target, code=code)
-    return code
 
 
 @functools.cache
@@ -211,15 +191,7 @@ def best_d4_code(m: int, w: int) -> ConstantWeightCode:
     when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
     """
     residue = graham_sloane_d4(m, w)
-    greedy, _ = _first_fit(_every_word(m, w, 4), w, 4, None)
+    greedy, _ = _first_fit(_every_word(m, w, 4), w, 4)
     if len(greedy) > residue.size:
         return ConstantWeightCode(m, w, 4, tuple(greedy))
     return residue
-
-
-def min_distance(code: ConstantWeightCode) -> int:
-    """Minimum pairwise distance actually achieved (always even)."""
-    if code.size < 2:
-        raise ParamError("min_distance needs at least two words")
-    return min((a ^ b).bit_count() for a, b in itertools.combinations(code.words, 2))
-

@@ -15,16 +15,6 @@ class RangeError(CbcError, ValueError):
     """Parameters are well-formed but outside a construction's covered range."""
 
 
-class OversizedSet(CbcError, ValueError):
-    """An item's replica set is larger than the batch size allows."""
-
-    def __init__(self, index: int, size: int, k: int):
-        self.index = index
-        self.size = size
-        self.k = k
-        super().__init__(f"item {index} has {size} replicas, more than k={k}")
-
-
 class FormatError(CbcError, ValueError):
     """Serialized input does not follow the text format."""
 
@@ -57,16 +47,6 @@ class NoPlan(CbcError):
         super().__init__(
             f"items {witness.items} cover only {len(witness.servers)} servers"
         )
-
-
-class InsufficientCode(CbcError):
-    """A constant-weight code ran out of words before the target size."""
-
-    def __init__(self, achieved: int, needed: int, code=None):
-        self.achieved = achieved
-        self.needed = needed
-        self.code = code
-        super().__init__(f"code has {achieved} words, {needed} needed")
 
 
 class Unsupported(CbcError):

@@ -4,7 +4,7 @@ Searches target storage values in increasing order, from the floor that
 Hall's counting condition proves (``search_floor``).  At each target,
 one engine lists the profiles (A_1, ..., A_k), A_j the number of items
 on j servers, that fill the target and pass the counting condition
-(``bounds.check_inequality``), most light items first, and walks each
+(``bounds.inequality_slack`` >= 0), most light items first, and walks each
 profile with one mask index per placed item.  Items are placed one
 weight class at a time, lightest class first, with masks non-decreasing
 within a class; the first item is fixed to the lowest mask of its
@@ -71,13 +71,13 @@ def _profiles(
     Hall's counting condition, most light items first.
 
     Yields every tuple of non-negative integers with sum A_j = n,
-    sum j*A_j = target and ``bounds.check_inequality`` true at i = 1..k-1,
+    sum j*A_j = target and ``bounds.inequality_slack`` >= 0 at i = 1..k-1,
     in descending lexicographic order: A_1 descending, then A_2, and so
     on.  Each A_j's range is computed as soon as A_1..A_{j-1} are fixed:
     the items after it sit on j+1 to k servers each, so the items and
     replicas left bound it from both sides, and the inequality at i = j,
-    the first that A_j enters (with coefficient 1), caps it at
-    j*C(m,j) - sum_{l<j} C(m-l, j-l)*A_l.  A_k takes the items left.
+    the first that A_j enters (with coefficient 1), caps it at the slack
+    of A_1..A_{j-1} there.  A_k takes the items left.
     ``spend`` is called once for every value tried for A_j with j < k.
     The recursion is k deep, and k is small wherever the mask cap lets a
     search run.
@@ -89,8 +89,7 @@ def _profiles(
             if room == k * left:
                 yield (*profile, left)
             return
-        cap = j * comb(m, j) - sum(comb(m - l, j - l) * a for l, a in enumerate(profile, 1))
-        top = min(left, (k * left - room) // (k - j), cap)
+        top = min(left, (k * left - room) // (k - j), bounds.inequality_slack(profile, m, j))
         for a in range(top, max(0, (j + 1) * left - room) - 1, -1):
             spend()
             profile.append(a)
@@ -208,7 +207,7 @@ def search_floor(n: int, k: int, m: int) -> int:
     counting bound where it applies (n <= (k-1)*C(m,k-1), k >= 2).
     """
     ceiling = (k - 1) * comb(m, k - 1)
-    # Hall's counting condition at i = k-1 (bounds.check_inequality) says
+    # Hall's counting condition at i = k-1 (bounds.inequality_slack) says
     # sum_{j<k} C(m-j, k-1-j) * A_j <= ceiling, and C(m-j, k-1-j) >= k-j
     # when m >= k, so sum_{j<k} (k-j) * A_j <= ceiling.  Storage is at least
     # sum_j min(j, k) * A_j = k*n - sum_{j<k} (k-j) * A_j >= k*n - ceiling:

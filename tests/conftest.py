@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from cbckit.core import SetSystem, bits, mask_of, total_storage, truncate_to_k
+from cbckit.core import SetSystem, bits, mask_of, total_storage
 from cbckit.bounds import u_value
 from cbckit.cwc import w_masks_colex
 from cbckit.errors import (
@@ -233,6 +233,13 @@ def parse_reference(text: str) -> SetSystem:
     return SetSystem(m, tuple(masks))
 
 
+def min_distance(words: Sequence[int]) -> float:
+    """Reference for a code's distance: the least Hamming distance over all
+    pairs of words, compared one pair at a time (infinite below two words).
+    """
+    return min(((a ^ b).bit_count() for a, b in combinations(words, 2)), default=math.inf)
+
+
 def chain_system(length: int) -> SetSystem:
     """Item j on servers {j, j+1} for j < length, then one item on {0}.
 
@@ -247,17 +254,17 @@ def assert_storage_bound(system: SetSystem, k: int) -> None:
 
     For every c in 1..k-1:
     N >= n*c - (k-c)*(U(m,k,c)-n)/(m-k+1) + (k-c)*(m-k)/(m-k+1)*A_k,
-    checked on the k-truncated layout (whose storage is <= the original's
-    only because truncation can only shrink sets, so the original N
-    satisfies the bound a fortiori).
+    checked on the k-truncated layout, each set cut to k of its servers:
+    storage sum min(|S|, k) and A_k = #{|S| >= k}.  Truncation can only
+    shrink sets, so the original N satisfies the bound a fortiori.
     """
     m = system.m
     if not 2 <= k <= m:
         raise ValueError("bound needs 2 <= k <= m")
-    trunc = truncate_to_k(system, k)
-    n = trunc.n
-    storage = total_storage(trunc)
-    a_k = sum(1 for it in trunc.items if it.bit_count() == k)
+    n = system.n
+    sizes = [it.bit_count() for it in system.items]
+    storage = sum(min(size, k) for size in sizes)
+    a_k = sum(size >= k for size in sizes)
     for c in range(1, k):
         rhs = (
             n * c

@@ -8,12 +8,12 @@ import pytest
 from cbckit.bounds import (
     BoundResult,
     b_value,
-    check_inequality,
+    inequality_slack,
     known_n,
     lower_bound,
     u_value,
 )
-from cbckit.core import Params, Profile
+from cbckit.core import Params
 from cbckit.errors import ParamError, RangeError
 
 
@@ -41,27 +41,34 @@ def test_u_value_param_errors():
 
 
 def test_check_inequality_table1_profile():
-    p = Profile(4, (0, 5, 38, 0))
-    assert check_inequality(p, 6, 3)
-    # 5*C(4,1) + 38 = 58 <= 3*C(6,3) = 60
+    # 3*C(6,3) - (5*C(4,1) + 38) = 60 - 58; A_4 does not enter at i = 3.
+    assert inequality_slack((0, 5, 38, 0), 6, 3) == 2
+    assert inequality_slack((0, 5, 38, 10**9), 6, 3) == 2
+    # At i = 2 the 38 triples do not enter: 2*C(6,2) - 5 = 25.
+    assert inequality_slack((0, 5, 38), 6, 2) == 25
 
 
 def test_check_inequality_too_many_singletons():
     m = 5
-    p = Profile(2, (m + 1, 0))
-    assert not check_inequality(p, m, 1)
+    assert inequality_slack((m + 1, 0), m, 1) == -1
+    assert inequality_slack((m,), m, 1) == 0
 
 
 def test_check_inequality_zero_profile():
-    p = Profile(4, (0, 0, 0, 0))
-    for i in range(1, 4):
-        assert check_inequality(p, 6, i)
+    # An empty profile and all-zero ones leave the whole i*C(m,i).
+    for i in range(1, 6):
+        assert inequality_slack((), 6, i) == i * comb(6, i)
+        assert inequality_slack((0,) * 4, 6, i) == i * comb(6, i)
+    # Counts past the end are zero: a short profile equals its zero-padded one.
+    for i in range(1, 5):
+        assert inequality_slack((3, 2), 6, i) == inequality_slack((3, 2, 0, 0), 6, i)
 
 
 def test_check_inequality_param_error():
-    p = Profile(3, (0, 0, 0))
     with pytest.raises(ParamError):
-        check_inequality(p, 6, 3)
+        inequality_slack((0, 0, 0), 6, 0)
+    with pytest.raises(ParamError):
+        inequality_slack((0, 0, 0), 0, 1)
 
 
 def test_b_value_examples():
@@ -166,10 +173,9 @@ def test_redundancy_of_lower_order_inequalities():
         m = rng.randint(3, 10)
         i = rng.randint(1, m - 2)
         counts = [rng.randint(0, 5) for _ in range(i + 1)] + [0]
-        p = Profile(i + 2, tuple(counts))
-        if check_inequality(p, m, i + 1):
+        if inequality_slack(counts, m, i + 1) >= 0:
             antecedent_hits += 1
-            assert check_inequality(p, m, i), (m, i, counts)
+            assert inequality_slack(counts, m, i) >= 0, (m, i, counts)
     assert antecedent_hits > 1000  # the implication was actually exercised
 
 

@@ -8,21 +8,17 @@ from cbckit.construct import construct_m_plus_1
 from cbckit.core import (
     MAX_LAYOUT_BITS,
     Params,
-    Profile,
     SetSystem,
     mask_of,
     parse,
-    profile,
     serialize,
     total_storage,
-    truncate_to_k,
 )
 from cbckit.errors import (
     EmptyItemSet,
     FormatError,
     MalformedHeader,
     MalformedItemLine,
-    OversizedSet,
     ParamError,
     ServerIndexOutOfRange,
 )
@@ -44,44 +40,23 @@ def test_total_storage_three_copies():
     assert total_storage(sys3) == 6
 
 
-def test_profile_table1(table1_system):
-    p = profile(table1_system, 4)
-    assert p.counts == (0, 5, 38, 0)
-    assert p.a(2) == 5 and p.a(3) == 38
-    assert p.n == 43
+def truncate(system, k):
+    """Cut every replica set larger than k to its k smallest servers.
 
-
-def test_profile_singleton():
-    p = profile(SetSystem.from_sets(2, [(0,)]), 2)
-    assert p.counts == (1, 0)
-
-
-def test_profile_all_triples():
-    from itertools import combinations
-
-    items = [mask_of(c) for c in combinations(range(6), 3) for _ in range(3)]
-    p = profile(SetSystem(6, tuple(items)), 4)
-    assert p.counts == (0, 0, 60, 0)
-
-
-def test_profile_oversized():
-    with pytest.raises(OversizedSet):
-        profile(SetSystem.from_sets(5, [(0, 1, 2, 3)]), 3)
-
-
-def test_truncate_lexicographic_least():
-    sys1 = SetSystem.from_sets(6, [(0, 1, 2, 3, 4)])
-    assert truncate_to_k(sys1, 3).item_sets() == ((0, 1, 2),)
-
-
-def test_truncate_identity_when_small():
-    sys1 = SetSystem.from_sets(4, [(0, 1), (2,)])
-    assert truncate_to_k(sys1, 3) == sys1
+    search_optimal lists masks of at most k servers only: it rests on this
+    cut keeping a valid layout valid without adding storage.
+    """
+    items = []
+    for it in system.items:
+        while it.bit_count() > k:
+            it ^= 1 << it.bit_length() - 1
+        items.append(it)
+    return SetSystem(system.m, tuple(items))
 
 
 def test_truncate_preserves_validity_example():
     sys1 = SetSystem.from_sets(4, [(0, 1, 2), (1, 2, 3)])
-    cut = truncate_to_k(sys1, 2)
+    cut = truncate(sys1, 2)
     assert cut.item_sets() == ((0, 1), (1, 2))
     assert verify_hc2(cut, 2).valid
 
@@ -396,13 +371,6 @@ def test_params_invariants():
         Params(5, 0, 3)
 
 
-def test_profile_type_invariants():
-    with pytest.raises(ParamError):
-        Profile(2, (1,))
-    with pytest.raises(ParamError):
-        Profile(2, (-1, 0))
-
-
 @given(set_systems())
 def test_round_trip_any_system(system):
     assert parse(serialize(system)) == system
@@ -410,19 +378,8 @@ def test_round_trip_any_system(system):
     assert serialize(parse(serialize(system))) == serialize(system)
 
 
-@given(set_systems(max_set_size=4))
-def test_profile_sums_to_n(system):
-    p = profile(system, 4)
-    assert sum(p.counts) == system.n
-
-
-@given(set_systems(max_set_size=7), st.integers(1, 5))
-def test_truncate_never_grows(system, k):
-    assert total_storage(truncate_to_k(system, k)) <= total_storage(system)
-
-
 @given(set_systems(max_m=6, max_n=7), st.integers(1, 4))
 def test_truncate_preserves_valid_verdict(system, k):
     if k > system.m or not verify_hc2(system, k).valid:
         return
-    assert verify_hc2(truncate_to_k(system, k), k).valid
+    assert verify_hc2(truncate(system, k), k).valid

@@ -16,12 +16,12 @@ from cbckit.cwc import (
     best_d4_code,
     colex_level,
     graham_sloane_d4,
-    greedy_code,
-    min_distance,
     w_masks_colex,
 )
 from cbckit.construct import construct_uniform
-from cbckit.errors import InsufficientCode, ParamError
+from cbckit.errors import ParamError
+
+from conftest import min_distance
 
 
 def test_colex_level_lists_the_walk():
@@ -60,7 +60,7 @@ def test_graham_sloane_8_2():
     code = graham_sloane_d4(8, 2)
     assert code.size == 4
     assert set(words_as_sets(code)) == {(0, 1), (2, 7), (3, 6), (4, 5)}
-    assert min_distance(code) == 4
+    assert min_distance(code.words) == 4
 
 
 def test_graham_sloane_param_error():
@@ -71,35 +71,22 @@ def test_graham_sloane_param_error():
 
 
 def test_greedy_disjoint_pairs():
-    code = greedy_code(8, 4, 2, 4)
-    assert words_as_sets(code) == [(0, 1), (2, 3), (4, 5), (6, 7)]
-    assert min_distance(code) == 4
+    words, clash = _first_fit(w_masks_colex(8, 2), 2, 4)
+    assert [tuple(bits(v)) for v in words] == [(0, 1), (2, 3), (4, 5), (6, 7)]
+    assert clash == (0b11, 0b101)
+    assert min_distance(words) == 4
 
 
 def test_greedy_distance_two_keeps_everything():
-    code = greedy_code(6, 2, 2, comb(6, 2))
-    assert code.size == comb(6, 2)
-
-
-def test_greedy_insufficient():
-    with pytest.raises(InsufficientCode) as err:
-        greedy_code(4, 6, 2, 2)
-    assert err.value.achieved == 1
-    assert err.value.needed == 2
-    assert err.value.code.size == 1
+    words, clash = _first_fit(w_masks_colex(6, 2), 2, 2)
+    assert len(words) == comb(6, 2)
+    assert clash is None
 
 
 def test_min_distance_examples():
-    code = ConstantWeightCode(5, 2, 4, (mask_of((0, 1)), mask_of((2, 4))))
-    assert min_distance(code) == 4
-    touching = ConstantWeightCode(3, 2, 2, (mask_of((0, 1)), mask_of((0, 2))))
-    assert min_distance(touching) == 2
-    assert min_distance(graham_sloane_d4(8, 2)) == 4
-
-
-def test_min_distance_needs_two_words():
-    with pytest.raises(ParamError):
-        min_distance(graham_sloane_d4(7, 1))
+    assert min_distance((mask_of((0, 1)), mask_of((2, 4)))) == 4
+    assert min_distance((mask_of((0, 1)), mask_of((0, 2)))) == 2
+    assert min_distance(graham_sloane_d4(8, 2).words) == 4
 
 
 def test_code_invariants_reject_bad_words():
@@ -123,8 +110,7 @@ def test_residue_bound_and_distance_sweep():
         for w in range(1, min(4, m) + 1):
             code = graham_sloane_d4(m, w)
             assert code.size * m >= comb(m, w), (m, w)
-            if code.size >= 2:
-                assert min_distance(code) >= 4, (m, w)
+            assert min_distance(code.words) >= 4, (m, w)
 
 
 def test_best_d4_code_dominates_both():
@@ -132,20 +118,15 @@ def test_best_d4_code_dominates_both():
         for w in range(1, min(4, m) + 1):
             best = best_d4_code(m, w)
             assert best.size >= graham_sloane_d4(m, w).size
-            if best.size >= 2:
-                assert min_distance(best) >= 4
+            assert min_distance(best.words) >= 4
 
 
-def pairwise_greedy_scan(m, d2, w, limit):
+def pairwise_greedy_scan(m, d2, w):
     """Reference first-fit scan: test each candidate against every kept word."""
     kept = []
-    if limit == 0:
-        return kept
     for v in w_masks_colex(m, w):
         if all((v ^ u).bit_count() >= d2 for u in kept):
             kept.append(v)
-            if limit is not None and len(kept) == limit:
-                break
     return kept
 
 
@@ -153,10 +134,8 @@ def test_first_fit_scan_matches_pairwise_scan():
     for m in range(1, 13):
         for d2 in (2, 4, 6, 8, 2 * m + 2):
             for w in range(1, m + 1):
-                for limit in (None, 0, 1, 5):
-                    expected = pairwise_greedy_scan(m, d2, w, limit)
-                    kept, _ = _first_fit(w_masks_colex(m, w), w, d2, limit)
-                    assert kept == expected, (m, d2, w, limit)
+                kept, _ = _first_fit(w_masks_colex(m, w), w, d2)
+                assert kept == pairwise_greedy_scan(m, d2, w), (m, d2, w)
 
 
 def first_close_pair(words, d2):
@@ -176,7 +155,7 @@ def test_code_check_matches_pairwise_reference(m, data):
     d2 = 2 * data.draw(st.integers(1, w + 1))
     # Up to four words of a code plus up to two arbitrary ones (repeats
     # allowed), shuffled: both verdicts and several close pairs all occur.
-    spread = data.draw(st.permutations(_first_fit(w_masks_colex(m, w), w, d2, None)[0]))
+    spread = data.draw(st.permutations(_first_fit(w_masks_colex(m, w), w, d2)[0]))
     extra = data.draw(st.lists(st.sampled_from(list(w_masks_colex(m, w))), max_size=2))
     words = data.draw(st.permutations(spread[:4] + extra))
     pair = first_close_pair(words, d2)
@@ -191,21 +170,19 @@ def test_code_check_matches_pairwise_reference(m, data):
 def test_huge_distance_is_decided_at_once():
     # Any two words of weight w are closer than a d2 above 2w; j is capped
     # at w, so each word has C(w, w) = 1 key and both calls end at once.
-    with pytest.raises(InsufficientCode) as err:
-        greedy_code(8, 10**12, 2, 2)
-    assert err.value.code.words == (0b11,)
+    assert _first_fit(w_masks_colex(8, 2), 2, 10**12) == ([0b11], (0b11, 0b101))
     assert ConstantWeightCode(8, 2, 10**12, (0b11,)).words == (0b11,)
 
 
 def test_keys_per_word_are_capped_before_any_key_is_built():
     # One word at w = d2 = 30 has C(30, 14), about 1.5e8, keys: refused at
-    # once by the code check and by the greedy scan.
+    # once by the code check and by the first-fit scan.
     message = (r"^distance 30 at weight 30 needs C\(30, 14\) keys per word, "
                rf"more than {MAX_WORD_KEYS}$")
     with pytest.raises(ParamError, match=message):
         ConstantWeightCode(30, 30, 30, ((1 << 30) - 1,))
     with pytest.raises(ParamError, match=message):
-        greedy_code(30, 30, 30, 1)
+        _first_fit(w_masks_colex(30, 30), 30, 30)
     # A code with astronomically many keys per word is refused without
     # computing them.
     with pytest.raises(ParamError, match=r"needs C\(100000000, 49999999\) keys"):
@@ -275,12 +252,8 @@ def test_greedy_meets_declared_distance(m, w, half_d):
     if w > m:
         return
     d2 = 2 * half_d
-    try:
-        code = greedy_code(m, d2, w, 3)
-    except InsufficientCode as err:
-        code = err.code
-    if code.size >= 2:
-        assert min_distance(code) >= d2
+    words, _ = _first_fit(w_masks_colex(m, w), w, d2)
+    assert min_distance(words) >= d2
 
 
 @given(st.integers(2, 8), st.integers(1, 4), st.data())
@@ -294,7 +267,7 @@ def test_min_distance_always_even(m, w, data):
         st.lists(st.sampled_from(universe), min_size=2, max_size=5, unique=True)
     )
     code = ConstantWeightCode(m, w, 2, tuple(sorted(words)))
-    assert min_distance(code) % 2 == 0
+    assert min_distance(code.words) % 2 == 0
 
 
 def test_asymptotic_spot_check_weight_two():
@@ -309,7 +282,7 @@ def test_asymptotic_spot_check_weight_two():
 def test_residue_and_greedy_codes_tie_with_different_words(m, w):
     # best_d4_code breaks a size tie towards the residue class, while
     # construct_uniform's code keeps greedy: the two choices differ.
-    greedy = tuple(_first_fit(w_masks_colex(m, w), w, 4, None)[0])
+    greedy = tuple(_first_fit(w_masks_colex(m, w), w, 4)[0])
     residue = graham_sloane_d4(m, w)
     assert len(greedy) == residue.size
     assert greedy != residue.words

@@ -5,9 +5,9 @@ from math import comb
 import pytest
 
 from cbckit import bounds, oracle
-from cbckit.bounds import BoundResult, check_inequality, known_n, lower_bound
+from cbckit.bounds import BoundResult, inequality_slack, known_n, lower_bound
 from cbckit.construct import construct_best
-from cbckit.core import Params, Profile, SetSystem, serialize, total_storage
+from cbckit.core import Params, serialize, total_storage
 from cbckit.cwc import colex_level
 from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
 from cbckit.hall import verify_hc1, verify_hc2
@@ -320,7 +320,7 @@ def compositions(n, parts):
 
 def test_profiles_match_a_filter_over_all_compositions():
     # The enumerator against brute force: every composition of n into k
-    # parts with storage target that passes check_inequality at
+    # parts with storage target whose inequality_slack is >= 0 at
     # i = 1..k-1, in descending lexicographic order (A_1 descending, then
     # A_2, ...).
     for k in range(2, 5):
@@ -332,7 +332,7 @@ def test_profiles_match_a_filter_over_all_compositions():
                             counts
                             for counts in compositions(n, k)
                             if sum(j * a for j, a in enumerate(counts, 1)) == target
-                            and all(check_inequality(Profile(k, counts), m, i) for i in range(1, k))
+                            and all(inequality_slack(counts, m, i) >= 0 for i in range(1, k))
                         ),
                         reverse=True,
                     )
@@ -342,15 +342,14 @@ def test_profiles_match_a_filter_over_all_compositions():
 
 def least_profile_storage(n, k, m):
     """Reference for search_floor: the least sum of j * A_j over profiles
-    (A_1, ..., A_k) of n items that pass check_inequality for i = 1..k-1,
+    (A_1, ..., A_k) of n items with inequality_slack >= 0 at i = 1..k-1,
     by enumerating every profile."""
     best = None
     for counts in compositions(n, k):
         storage = sum(j * a for j, a in enumerate(counts, 1))
         if best is not None and storage >= best:
             continue
-        profile = Profile(k, counts)
-        if all(check_inequality(profile, m, i) for i in range(1, k)):
+        if all(inequality_slack(counts, m, i) >= 0 for i in range(1, k)):
             best = storage
     return best
 

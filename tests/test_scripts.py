@@ -1,4 +1,5 @@
-"""The census script under scripts/, run end to end as a subprocess and in-process."""
+"""The scripts under scripts/: the census, run end to end as a subprocess and
+in-process, and the mutant list of scripts/mutants.py."""
 
 import importlib.util
 import os
@@ -84,3 +85,14 @@ def test_census_refuses_to_run_with_its_asserts_off(monkeypatch):
     result = run_census("-k", "4", "-m", "6", "--step", "7")
     assert result.returncode == 2
     assert result.stdout == ""
+
+
+def test_every_mutant_still_applies():
+    # scripts/mutants.py runs each mutant against its tests (a CI step);
+    # here only each entry's old text is checked to occur once, and its
+    # test files to exist, so a refactor that moves a line updates the entry.
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 15
+    assert mutants.stale_entries() == []
