@@ -10,13 +10,11 @@ tests.  It exits 1 if a mutant survives (its tests pass), if an old text no
 longer matches exactly once, or if the unmutated tests fail; a refactor
 that moves a mutated line updates its entry.  Stdlib only.
 
-    python scripts/mutants.py           # run every mutant
-    python scripts/mutants.py --check   # only check that every old text matches
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,7 +29,6 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 # pytest's exit codes: 1 some test failed, 2 interrupted (a collection
 # error); anything else is a fault of the entry, not a kill.
 KILLED = (1, 2)
-TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -174,20 +171,11 @@ def stale_entries(root: Path = ROOT) -> list[str]:
 def _pytest(work: Path, tests) -> int:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    try:
-        return subprocess.run(command, cwd=work, env=env, capture_output=True,
-                              timeout=TIMEOUT_S).returncode
-    except subprocess.TimeoutExpired:
-        return -1
+    return subprocess.run(command, cwd=work, env=env, capture_output=True).returncode
 
 
 def run(work: Path) -> list[str]:
     """Run every mutant in the copy at ``work``; one line per failure of the gate."""
-    env = dict(os.environ, PYTHONPATH=str(work / "src"))
-    where = subprocess.run([sys.executable, "-c", "import cbckit; print(cbckit.__file__)"],
-                           cwd=work, env=env, capture_output=True, text=True, check=True)
-    if not Path(where.stdout.strip()).resolve().is_relative_to(work.resolve()):
-        return [f"cbckit imports from {where.stdout.strip()}, not from the copy"]
     union = sorted({test for mutant in MUTANTS for test in mutant.tests})
     code = _pytest(work, union)
     if code != 0:
@@ -209,18 +197,14 @@ def run(work: Path) -> list[str]:
             failures.append(f"{mutant.name}: survived {' '.join(mutant.tests)}")
         else:
             verdict = "ERROR"
-            failures.append(f"{mutant.name}: pytest exit {code} (-1: timed out)")
+            failures.append(f"{mutant.name}: pytest exit {code}")
         print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
     return failures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="only check that every entry's old text still matches")
-    args = parser.parse_args(argv)
+def main() -> int:
     problems = stale_entries()
-    if not problems and not args.check:
+    if not problems:
         with tempfile.TemporaryDirectory(prefix="cbckit-mutants-") as tmp:
             work = Path(tmp)
             for name in COPIED:
@@ -235,7 +219,7 @@ def main(argv=None) -> int:
         print(f"mutants: {line}", file=sys.stderr)
     if problems:
         return 1
-    print(f"mutants: all {len(MUTANTS)} {'match' if args.check else 'killed'}")
+    print(f"mutants: all {len(MUTANTS)} killed")
     return 0
 
 
