@@ -23,7 +23,7 @@ from math import comb
 from cbckit.bounds import known_n, lower_bound
 from cbckit.construct import construct_best
 from cbckit.core import Params, total_storage
-from cbckit.errors import Unknown, Unsupported
+from cbckit.errors import BudgetExceeded, Unsupported
 from cbckit.hall import verify_hc2
 from cbckit.oracle import settle_gap
 
@@ -91,7 +91,7 @@ def main() -> None:
             try:
                 exact = settle_gap(n, k, m, budget=args.settle_budget)
                 print(f"  n={n}: settled, N = {exact}")
-            except Unknown as exc:  # budget spent
+            except BudgetExceeded as exc:  # budget spent
                 print(f"  n={n}: unresolved ({exc})")
     print(f"done: every layout certified; all {range_a} range-a layouts met the counting bound")
 

@@ -43,6 +43,8 @@ CORE = "src/cbckit/core.py"
 CONSTRUCT = "src/cbckit/construct.py"
 HALL = "src/cbckit/hall.py"
 CWC = "src/cbckit/cwc.py"
+BOUNDS = "src/cbckit/bounds.py"
+ORACLE = "src/cbckit/oracle.py"
 
 MUTANTS = (
     # parse decodes a canonical line from its head; each check it makes on a
@@ -142,15 +144,27 @@ MUTANTS = (
            "    if False:\n        deleted.update(",
            ("tests/test_construct.py",)),
     # The counting inequality and the oracle's profile caps.
-    Mutant("inequality_slack: A_i left out", "src/cbckit/bounds.py",
+    Mutant("inequality_slack: A_i left out", BOUNDS,
            "enumerate(counts[:i], 1)",
            "enumerate(counts[:i - 1], 1)",
            ("tests/test_bounds.py",)),
-    Mutant("_profiles: no inequality cap", "src/cbckit/oracle.py",
+    Mutant("_profiles: no inequality cap", ORACLE,
            "bounds.inequality_slack(profile, m, j))",
            "left)",
            ("tests/test_oracle.py::test_profiles_match_a_filter_over_all_compositions",
             "tests/test_oracle.py::test_search_node_counts_are_pinned")),
+    # The oracle against the closed forms, and settle_gap's bracket.
+    Mutant("range-a: divisor m - k + 2", BOUNDS,
+           "(ceiling - n) // (m - k + 1)",
+           "(ceiling - n) // (m - k + 2)",
+           ("tests/test_oracle.py::test_search_matches_every_formula_on_the_small_grid",)),
+    Mutant("settle_gap: search from lower + 1", ORACLE,
+           "_search_targets(n, k, m, verdict.lower, verdict.upper, budget)",
+           "_search_targets(n, k, m, verdict.lower + 1, verdict.upper, budget)",
+           ("tests/test_oracle.py::test_settle_gap_budget_exhaustion",
+            "tests/test_oracle.py::test_settle_gap_returns_upper_when_the_finished_search_finds_nothing",
+            "tests/test_oracle.py::test_settle_gap_walks_far_deeper_than_the_recursion_limit",
+            "tests/test_oracle.py::test_walk_skips_branches_that_cannot_fill_a_high_target")),
 )
 
 

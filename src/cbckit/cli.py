@@ -38,7 +38,7 @@ from .errors import (
     RangeError,
     Unsupported,
 )
-from .hall import CrowdedSubset, Deficiency, _check_batch_size, plan_batch, verify_hc2
+from .hall import CrowdedSubset, _check_batch_size, plan_batch, verify_hc2
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_INCREMENT = 0x9E3779B97F4A7C15
@@ -73,15 +73,6 @@ def sample_batch(rng: SplitMix64, n: int, k: int) -> list[int]:
         batch.append(moved.get(r, r))
         moved[r] = moved.get(j, j)
     return batch
-
-
-def _witness_text(witness) -> str:
-    if isinstance(witness, CrowdedSubset):
-        servers = "{" + ",".join(str(s) for s in witness.servers) + "}"
-        return f"{servers} contains {len(witness.items)} items"
-    assert isinstance(witness, Deficiency)
-    items = "(" + ",".join(str(j) for j in witness.items) + ")"
-    return f"items {items} cover only {len(witness.servers)} servers"
 
 
 def _witness_json(witness) -> dict:
@@ -182,7 +173,7 @@ def _cmd_verify(args) -> int:
     elif report.valid:
         print(f"valid CBC for k={args.k}, N={storage}")
     else:
-        print(f"invalid CBC for k={args.k}: {_witness_text(report.witness)}")
+        print(f"invalid CBC for k={args.k}: {report.witness}")
     return 0 if report.valid else 1
 
 
@@ -214,7 +205,7 @@ def _cmd_plan(args) -> int:
         if args.json:
             _emit_json({"command": "plan", "ok": False, "witness": _witness_json(exc.witness)})
         else:
-            print(f"no plan: {_witness_text(exc.witness)}")
+            print(f"no plan: {exc.witness}")
         return 1
     if args.json:
         _emit_json(
@@ -246,7 +237,7 @@ def _cmd_simulate(args) -> int:
         try:
             plan = plan_batch(system, batch)
         except NoPlan as exc:
-            print(f"unplannable batch {batch}: {_witness_text(exc.witness)}", file=sys.stderr)
+            print(f"unplannable batch {batch}: {exc.witness}", file=sys.stderr)
             return 1
         for server in plan.assignment.values():
             per_server[server] += 1

@@ -24,13 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyItemSet,
-    MalformedHeader,
-    MalformedItemLine,
-    ParamError,
-    ServerIndexOutOfRange,
-)
+from .errors import FormatError, ParamError
 
 
 # Cap on n*m, the bits of a layout's masks (one m-bit mask per item), for
@@ -145,23 +139,22 @@ def serialize(sys: SetSystem) -> str:
 _ALPHABET = re.compile(r"[0-9a-z=: \n]*")
 
 
-def _format_error(text: str, at: int, what: str):
+def _format_error(text: str, at: int, what: str) -> FormatError:
     """The format error for ``what`` at offset ``at`` of ``text``, naming its line."""
     line = text.count("\n", 0, at) + 1
-    error = MalformedHeader if line == 1 else MalformedItemLine
-    return error(f"line {line}: {what}")
+    return FormatError(f"line {line}: {what}")
 
 
 def _header_int(token: str, key: str) -> int:
     prefix = key + "="
     if not token.startswith(prefix):
-        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}")
+        raise FormatError(f"expected {prefix}<int>, got {token!r}")
     try:
         value = int(token[len(prefix):])
     except ValueError:
-        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}") from None
+        raise FormatError(f"expected {prefix}<int>, got {token!r}") from None
     if value < 0:
-        raise MalformedHeader(f"{key} must be non-negative, got {value}")
+        raise FormatError(f"{key} must be non-negative, got {value}")
     return value
 
 
@@ -216,31 +209,30 @@ def parse(text: str) -> SetSystem:
     ``serialize`` writes: single spaces, none at a line end, no leading
     zeros, a final LF.  The spelling is checked last, so any other error
     takes priority.  A header whose n*m exceeds ``MAX_LAYOUT_BITS`` is
-    refused before any item line is decoded.  Raises MalformedHeader /
-    MalformedItemLine / ServerIndexOutOfRange / EmptyItemSet on malformed
-    input.  Round-trips: parse(serialize(s)) == s.  O(lines) plus, for
-    each new line tail (the text after ``:``), one token when its head was
-    decoded before, else each of its tokens: as ``serialize`` writes it, a
-    tail is its head plus one token.  A tail seen before takes its earlier
-    mask.  Only a tail not spelled canonically is decoded token by token
-    with int(); that loop raises the tail's first error, so errors are
-    unchanged.
+    refused before any item line is decoded.  Raises FormatError on
+    malformed input.  Round-trips: parse(serialize(s)) == s.  O(lines)
+    plus, for each new line tail (the text after ``:``), one token when its
+    head was decoded before, else each of its tokens: as ``serialize``
+    writes it, a tail is its head plus one token.  A tail seen before takes
+    its earlier mask.  Only a tail not spelled canonically is decoded token
+    by token with int(); that loop raises the tail's first error, so errors
+    are unchanged.
     """
     lines = text.splitlines()
     if not lines:
-        raise MalformedHeader("empty input")
+        raise FormatError("empty input")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "cbc":
-        raise MalformedHeader(f"bad header line {lines[0]!r}")
+        raise FormatError(f"bad header line {lines[0]!r}")
     m, n = _header_int(head[1], "m"), _header_int(head[2], "n")
     if m < 1:
-        raise MalformedHeader(f"need at least one server, got m={m}")
+        raise FormatError(f"need at least one server, got m={m}")
     if n * m > MAX_LAYOUT_BITS:
-        raise MalformedHeader(f"a layout of n={n} items on m={m} servers has n*m = {n * m} "
+        raise FormatError(f"a layout of n={n} items on m={m} servers has n*m = {n * m} "
                               f"bits, more than {MAX_LAYOUT_BITS}")
     body = lines[1:]
     if len(body) != n:
-        raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
+        raise FormatError(f"header says n={n} but found {len(body)} item lines")
     items = []
     decoded: dict[str, int] = {}  # canonical line tail, or head of one -> mask
     spelled: dict[str, int] = {}  # canonical server index token -> index
@@ -248,14 +240,14 @@ def parse(text: str) -> SetSystem:
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
         if not sep:
-            raise MalformedItemLine(f"line {pos + 2}: missing ':'")
+            raise FormatError(f"line {pos + 2}: missing ':'")
         if idx_str != str(pos):
             try:
                 idx = int(idx_str)
             except ValueError:
-                raise MalformedItemLine(f"line {pos + 2}: bad item index {idx_str!r}") from None
+                raise FormatError(f"line {pos + 2}: bad item index {idx_str!r}") from None
             if idx != pos:
-                raise MalformedItemLine(f"line {pos + 2}: expected item {pos}, got {idx}")
+                raise FormatError(f"line {pos + 2}: expected item {pos}, got {idx}")
             if odd is None:
                 odd = pos
         mask = decoded.get(rest)
@@ -266,18 +258,18 @@ def parse(text: str) -> SetSystem:
             # token, raising the tail's first error.
             tokens = rest.split()
             if not tokens:
-                raise EmptyItemSet(f"item {pos} has no servers")
+                raise FormatError(f"item {pos} has no servers")
             mask = 0
             prev = -1
             for tok in tokens:
                 try:
                     s = int(tok)
                 except ValueError:
-                    raise MalformedItemLine(f"item {pos}: bad server index {tok!r}") from None
+                    raise FormatError(f"item {pos}: bad server index {tok!r}") from None
                 if not prev < s < m:
                     if not 0 <= s < m:
-                        raise ServerIndexOutOfRange(f"item {pos}: server {s} outside 0..{m - 1}")
-                    raise MalformedItemLine(f"item {pos}: server {s} after {prev}, not ascending")
+                        raise FormatError(f"item {pos}: server {s} outside 0..{m - 1}")
+                    raise FormatError(f"item {pos}: server {s} after {prev}, not ascending")
                 prev = s
                 mask |= 1 << s
             if odd is None:
@@ -288,10 +280,10 @@ def parse(text: str) -> SetSystem:
         raise _format_error(text, end, f"character {text[end]!r} is not allowed")
     header = f"cbc m={m} n={n}"
     if lines[0] != header:
-        raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
+        raise FormatError(f"line 1: expected {header!r}, got {lines[0]!r}")
     if odd is not None:
         line = f"{odd}:" + "".join(f" {s}" for s in bits(items[odd]))
-        raise MalformedItemLine(f"line {odd + 2}: expected {line!r}, got {body[odd]!r}")
+        raise FormatError(f"line {odd + 2}: expected {line!r}, got {body[odd]!r}")
     if text[-1] != "\n":
         raise _format_error(text, len(text), "no LF at the end of the text")
     return SetSystem(m, tuple(items))

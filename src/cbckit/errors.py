@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one class per kind of failure."""
 
 from __future__ import annotations
 
@@ -19,34 +19,17 @@ class FormatError(CbcError, ValueError):
     """Serialized input does not follow the text format."""
 
 
-class MalformedHeader(FormatError):
-    pass
-
-
-class MalformedItemLine(FormatError):
-    pass
-
-
-class ServerIndexOutOfRange(FormatError):
-    pass
-
-
-class EmptyItemSet(FormatError):
-    pass
-
-
 class NoPlan(CbcError):
     """A batch cannot be served one read per server.
 
     Carries the deficiency witness: item indices whose combined replica
-    sets cover fewer servers than there are items.
+    sets cover fewer servers than there are items.  The message is the
+    witness's own text.
     """
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(
-            f"items {witness.items} cover only {len(witness.servers)} servers"
-        )
+        super().__init__(str(witness))
 
 
 class Unsupported(CbcError):
@@ -54,7 +37,7 @@ class Unsupported(CbcError):
 
 
 class BudgetExceeded(CbcError):
-    """Exhaustive search hit its node budget before finishing."""
+    """Exhaustive search hit its node budget: the nodes spent, the best upper bound."""
 
     def __init__(self, nodes_explored: int, best_upper: int | None = None):
         self.nodes_explored = nodes_explored
@@ -63,7 +46,3 @@ class BudgetExceeded(CbcError):
         if best_upper is not None:
             msg += f" (best constructive upper bound {best_upper})"
         super().__init__(msg)
-
-
-class Unknown(CbcError):
-    """The search could not settle the exact value within budget."""

@@ -71,6 +71,10 @@ class CrowdedSubset:
     servers: tuple[int, ...]
     items: tuple[int, ...]
 
+    def __str__(self) -> str:
+        servers = ",".join(map(str, self.servers))
+        return f"{{{servers}}} contains {len(self.items)} items"
+
 
 @dataclass(frozen=True)
 class Deficiency:
@@ -78,6 +82,10 @@ class Deficiency:
 
     items: tuple[int, ...]
     servers: tuple[int, ...]
+
+    def __str__(self) -> str:
+        items = ",".join(map(str, self.items))
+        return f"items ({items}) cover only {len(self.servers)} servers"
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from math import comb
 from . import bounds
 from .core import Params, SetSystem
 from .cwc import colex_level
-from .errors import BudgetExceeded, CbcError, ParamError, Unknown
+from .errors import BudgetExceeded, CbcError, ParamError
 from .hall import supersets_adding, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
@@ -253,8 +253,9 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     engine of ``search_optimal`` on the storage targets between the
     certified lower bound and the constructive upper bound; if nothing
     smaller exists the upper bound is exact (a construction achieves it).
-    ``budget`` counts nodes as in ``search_optimal``; raises Unknown on
-    budget exhaustion.
+    ``budget`` counts nodes as in ``search_optimal``; raises
+    BudgetExceeded, with the nodes spent and the constructive upper bound,
+    when it runs out.
     """
     _check_budget(budget)
     verdict = bounds.known_n(Params(n, k, m))
@@ -265,12 +266,7 @@ def settle_gap(n: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
             f"n={n} k={k} m={m} has no constructive upper bound to settle against"
         )
     _check_masks(k, m)
-    try:
-        result = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
-    except BudgetExceeded as exc:
-        raise Unknown(
-            f"gap for n={n} k={k} m={m} unresolved after {exc.nodes_explored} nodes"
-        ) from exc
+    result = _search_targets(n, k, m, verdict.lower, verdict.upper, budget)
     if result is not None:
         return result.optimal_n_storage
     return verdict.upper

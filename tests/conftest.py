@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 from cbckit.core import SetSystem, bits, mask_of, total_storage
 from cbckit.bounds import u_value
 from cbckit.cwc import w_masks_colex
-from cbckit.errors import (
-    EmptyItemSet,
-    MalformedHeader,
-    MalformedItemLine,
-    ServerIndexOutOfRange,
-)
+from cbckit.errors import FormatError
 from cbckit.hall import CrowdedSubset, Deficiency, ValidityReport
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
@@ -160,13 +155,13 @@ def _header_value(token: str, key: str) -> int:
     """The non-negative integer of a ``key=<int>`` header token."""
     prefix = key + "="
     if not token.startswith(prefix):
-        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}")
+        raise FormatError(f"expected {prefix}<int>, got {token!r}")
     try:
         value = int(token[len(prefix):])
     except ValueError:
-        raise MalformedHeader(f"expected {prefix}<int>, got {token!r}") from None
+        raise FormatError(f"expected {prefix}<int>, got {token!r}") from None
     if value < 0:
-        raise MalformedHeader(f"{key} must be non-negative, got {value}")
+        raise FormatError(f"{key} must be non-negative, got {value}")
     return value
 
 
@@ -177,59 +172,57 @@ def parse_reference(text: str) -> SetSystem:
     """
     lines = text.splitlines()
     if not lines:
-        raise MalformedHeader("empty input")
+        raise FormatError("empty input")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "cbc":
-        raise MalformedHeader(f"bad header line {lines[0]!r}")
+        raise FormatError(f"bad header line {lines[0]!r}")
     m, n = _header_value(head[1], "m"), _header_value(head[2], "n")
     if m < 1:
-        raise MalformedHeader(f"need at least one server, got m={m}")
+        raise FormatError(f"need at least one server, got m={m}")
     body = lines[1:]
     if len(body) != n:
-        raise MalformedHeader(f"header says n={n} but found {len(body)} item lines")
+        raise FormatError(f"header says n={n} but found {len(body)} item lines")
     masks = []
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
         if not sep:
-            raise MalformedItemLine(f"line {pos + 2}: missing ':'")
+            raise FormatError(f"line {pos + 2}: missing ':'")
         try:
             idx = int(idx_str)
         except ValueError:
-            raise MalformedItemLine(f"line {pos + 2}: bad item index {idx_str!r}") from None
+            raise FormatError(f"line {pos + 2}: bad item index {idx_str!r}") from None
         if idx != pos:
-            raise MalformedItemLine(f"line {pos + 2}: expected item {pos}, got {idx}")
+            raise FormatError(f"line {pos + 2}: expected item {pos}, got {idx}")
         tokens = rest.split()
         if not tokens:
-            raise EmptyItemSet(f"item {pos} has no servers")
+            raise FormatError(f"item {pos} has no servers")
         mask = 0
         prev = -1
         for tok in tokens:
             try:
                 s = int(tok)
             except ValueError:
-                raise MalformedItemLine(f"item {pos}: bad server index {tok!r}") from None
+                raise FormatError(f"item {pos}: bad server index {tok!r}") from None
             if not prev < s < m:
                 if not 0 <= s < m:
-                    raise ServerIndexOutOfRange(f"item {pos}: server {s} outside 0..{m - 1}")
-                raise MalformedItemLine(f"item {pos}: server {s} after {prev}, not ascending")
+                    raise FormatError(f"item {pos}: server {s} outside 0..{m - 1}")
+                raise FormatError(f"item {pos}: server {s} after {prev}, not ascending")
             prev = s
             mask |= 1 << s
         masks.append(mask)
     end = _CBC_ALPHABET.match(text).end()
     if end < len(text):
         line = text.count("\n", 0, end) + 1
-        error = MalformedHeader if line == 1 else MalformedItemLine
-        raise error(f"line {line}: character {text[end]!r} is not allowed")
+        raise FormatError(f"line {line}: character {text[end]!r} is not allowed")
     header = f"cbc m={m} n={n}"
     if lines[0] != header:
-        raise MalformedHeader(f"line 1: expected {header!r}, got {lines[0]!r}")
+        raise FormatError(f"line 1: expected {header!r}, got {lines[0]!r}")
     for pos, (line, mask) in enumerate(zip(body, masks)):
         canonical = f"{pos}: " + " ".join(map(str, bits(mask)))
         if line != canonical:
-            raise MalformedItemLine(f"line {pos + 2}: expected {canonical!r}, got {line!r}")
+            raise FormatError(f"line {pos + 2}: expected {canonical!r}, got {line!r}")
     if not text.endswith("\n"):
-        error = MalformedHeader if len(lines) == 1 else MalformedItemLine
-        raise error(f"line {len(lines)}: no LF at the end of the text")
+        raise FormatError(f"line {len(lines)}: no LF at the end of the text")
     return SetSystem(m, tuple(masks))
 
 

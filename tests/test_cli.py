@@ -16,7 +16,8 @@ import cbckit
 from cbckit import cli
 from cbckit.cli import SplitMix64, main, sample_batch
 from cbckit.core import parse, serialize, total_storage
-from cbckit.errors import CbcError, Unknown
+from cbckit.errors import CbcError, NoPlan
+from cbckit.hall import Deficiency, plan_batch
 
 from conftest import chain_system
 
@@ -232,6 +233,15 @@ def test_plan_unplannable_exits_1(capsys, invalid_file):
     code, out, _ = run(capsys, "plan", invalid_file, "-k", "3", "0", "1", "2")
     assert code == 1
     assert "cover only 2 servers" in out
+
+
+def test_no_plan_message_is_the_cli_witness_text(capsys, invalid_file):
+    code, out, _ = run(capsys, "plan", invalid_file, "-k", "3", "0", "1", "2")
+    with pytest.raises(NoPlan) as err:
+        plan_batch(parse(INVALID_LAYOUT), [0, 1, 2])
+    assert err.value.witness == Deficiency((0, 1, 2), (0, 1))
+    assert (code, out) == (1, f"no plan: {err.value}\n")
+    assert out == "no plan: items (0,1,2) cover only 2 servers\n"
 
 
 def test_plan_too_many_items_exits_2(capsys, intro_file):
@@ -539,10 +549,13 @@ def test_simulate_runs_at_both_ends_of_the_seed_range(monkeypatch, capsys, seed)
 
 
 def test_other_toolkit_errors_exit_1(monkeypatch, capsys):
-    def unknown(*args, **kwargs):
-        raise Unknown("not settled")
+    class Unlisted(CbcError):
+        pass
 
-    monkeypatch.setattr(cli.oracle, "search_optimal", unknown)
+    def unlisted(*args, **kwargs):
+        raise Unlisted("not settled")
+
+    monkeypatch.setattr(cli.oracle, "search_optimal", unlisted)
     assert run(capsys, "search", "-n", "5", "-k", "2", "-m", "3") == (1, "", "search: not settled\n")
 
 

@@ -135,6 +135,11 @@ def test_plan_batch_no_plan(three_copies):
     assert err.value.witness.servers == (0, 1)
 
 
+def test_witness_texts():
+    assert str(CrowdedSubset((0, 1), (0, 1, 2))) == "{0,1} contains 3 items"
+    assert str(Deficiency((0, 1, 2), (0, 1))) == "items (0,1,2) cover only 2 servers"
+
+
 def test_plan_batch_validates_request(table1_system):
     with pytest.raises(ParamError, match="item index 0 requested twice"):
         plan_batch(table1_system, [0, 0])

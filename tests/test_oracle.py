@@ -9,7 +9,7 @@ from cbckit.bounds import BoundResult, inequality_slack, known_n, lower_bound
 from cbckit.construct import construct_best
 from cbckit.core import Params, serialize, total_storage
 from cbckit.cwc import colex_level
-from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError, Unknown
+from cbckit.errors import BudgetExceeded, CbcError, ParamError, RangeError
 from cbckit.hall import verify_hc1, verify_hc2
 from cbckit.oracle import search_floor, search_optimal, settle_gap
 
@@ -231,7 +231,7 @@ def _search_record(n, k, m, budget):
 def _settle_record(n):
     try:
         return f"{n}: {settle_gap(n, 5, 6, budget=20_000)}"
-    except Unknown as exc:
+    except BudgetExceeded as exc:
         return f"{n}: {exc}"
 
 
@@ -240,7 +240,7 @@ K4_M7_ROW = [(n, 4, 7) for n in range(5, 30)]
 
 # SHA-256 of each group's records, one line per call: the optimum, the
 # witness masks and the nodes explored, or the nodes at which the budget
-# ran out; for settle_gap, the value or the Unknown message.
+# ran out; for settle_gap, the value or the BudgetExceeded message.
 WALK_DIGESTS = {
     "small grid, budget 50":
         "5401599d67d20564cfab4c42c4d182bd115f341b7aa860836b3ffd3f07db6b80",
@@ -255,7 +255,7 @@ WALK_DIGESTS = {
     "(5..29,4,7), budget 10000":
         "5349c96dc108491f4a7f0540809911368276dceef2bbd010dec42316863a9516",
     "settle_gap (5,6) one apart":
-        "c7fd44317a0d343dac100fc0ac33fb38fa5b30d555a86473451c7d81c7c685c4",
+        "90acb8c5cafe28cc133ffdb4f134ae669bb4fd13a4fbc497efcf983ee7b94b7b",
 }
 
 
@@ -456,8 +456,9 @@ def test_settle_gap_budget_exhaustion():
     # far beyond desk scale, so a small budget must give up loudly.
     verdict = known_n(Params(19, 5, 6))
     assert verdict.exact is None and verdict.upper == verdict.lower + 1
-    with pytest.raises(Unknown):
+    with pytest.raises(BudgetExceeded) as err:
         settle_gap(19, 5, 6, budget=500)
+    assert (err.value.nodes_explored, err.value.best_upper) == (500, 57)
 
 
 
@@ -481,7 +482,7 @@ def test_settle_gap_returns_upper_when_the_finished_search_finds_nothing(
 ):
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=lower, upper=upper))
     assert settle_gap(n, k, m, budget=budget) == upper
-    with pytest.raises(Unknown):
+    with pytest.raises(BudgetExceeded):
         settle_gap(n, k, m, budget=budget - 1)
 
 
@@ -504,7 +505,7 @@ def test_settle_gap_walks_far_deeper_than_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2998, upper=2999))
     assert settle_gap(1500, 2, 2, budget=10_000) == 2998
     assert settle_gap(1500, 2, 2, budget=1_502) == 2998
-    with pytest.raises(Unknown, match="after 1501 nodes"):
+    with pytest.raises(BudgetExceeded, match="after 1501 nodes"):
         settle_gap(1500, 2, 2, budget=1_501)
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=2996, upper=2998))
     assert settle_gap(1500, 2, 2, budget=0) == 2998
@@ -517,5 +518,5 @@ def test_walk_skips_branches_that_cannot_fill_a_high_target(monkeypatch, n, k, m
     # k = 2 servers, and its walk never backtracks.
     monkeypatch.setattr(bounds, "known_n", lambda params: BoundResult(lower=target, upper=target + 1))
     assert settle_gap(n, k, m, budget=nodes) == target
-    with pytest.raises(Unknown):
+    with pytest.raises(BudgetExceeded):
         settle_gap(n, k, m, budget=nodes - 1)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import cbckit
+from cbckit import errors
 
 REMOVED = ("Profile", "profile", "truncate_to_k", "greedy_code", "min_distance",
            "check_inequality", "OversizedSet", "InsufficientCode")
@@ -24,3 +25,10 @@ def test_removed_names_are_gone():
     assert not set(REMOVED) & set(cbckit.__all__)
     for name in REMOVED:
         assert not hasattr(cbckit, name), name
+
+
+def test_removed_error_classes_are_gone():
+    # One class per failure: FormatError for text, BudgetExceeded for search.
+    for name in ("MalformedHeader", "MalformedItemLine", "ServerIndexOutOfRange",
+                 "EmptyItemSet", "Unknown"):
+        assert not hasattr(errors, name), name

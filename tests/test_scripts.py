@@ -33,7 +33,7 @@ def run_census(*args: str) -> subprocess.CompletedProcess:
         (("-k", "6", "-m", "15", "--step", "1000"),
          "done: every layout certified; all 14 range-a layouts met the counting bound"),
         (("-k", "5", "-m", "6", "--settle-budget", "20000"),
-         "  n=19: unresolved (gap for n=19 k=5 m=6 unresolved after 20000 nodes)"),
+         "  n=19: unresolved (search budget exhausted after 20000 nodes (best constructive upper bound 57))"),
     ],
     ids=["k4-m6-step7", "k6-m15-step1000", "k5-m6-settle20000"],
 )
