@@ -3,12 +3,13 @@
 Each entry of ``MUTANTS`` names a file under the repository root, an exact
 old text that must occur there exactly once, the text that replaces it, and
 the test files (or pytest node ids) that must fail on the result.  The
-script copies ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` to a
-temporary directory, runs the union of the named tests there once
-unmutated, then applies each mutant alone and runs ``pytest -x`` on its
-tests.  It exits 1 if a mutant survives (its tests pass), if an old text no
-longer matches exactly once, or if the unmutated tests fail; a refactor
-that moves a mutated line updates its entry.  Stdlib only.
+script copies ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` to
+one temporary directory per CPU (``os.cpu_count()``), runs the union of the
+named tests once unmutated, then applies each mutant alone in a free copy
+and runs ``pytest -x`` on its tests, one mutant per copy at a time.  It
+exits 1 if a mutant survives (its tests pass), if an old text no longer
+matches exactly once, or if the unmutated tests fail; a refactor that moves
+a mutated line updates its entry.  Stdlib only.
 
     python scripts/mutants.py
 """
@@ -16,11 +17,13 @@ that moves a mutated line updates its entry.  Stdlib only.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -122,6 +125,15 @@ MUTANTS = (
            "if w <= 1 or w > m - w:",
            "if w > m - w:",
            ("tests/test_cwc.py",)),
+    # The one choice of code, and the uniform layout's cap before it.
+    Mutant("best_code: greedy wins a size tie", CWC,
+           "residue.size >= len(greedy)",
+           "residue.size > len(greedy)",
+           ("tests/test_cwc.py::test_best_d4_code_words_are_pinned",)),
+    Mutant("construct_uniform: bits cap dropped", CONSTRUCT,
+           "    if bits > MAX_LAYOUT_BITS:",
+           "    if False:",
+           ("tests/test_construct.py::test_uniform_layout_cap_boundary",)),
     # Range-b in closed form.
     Mutant("range-b: one word short", CONSTRUCT,
            "sorted(code.words)[:full_steps + 1]",
@@ -165,6 +177,10 @@ MUTANTS = (
             "tests/test_oracle.py::test_settle_gap_returns_upper_when_the_finished_search_finds_nothing",
             "tests/test_oracle.py::test_settle_gap_walks_far_deeper_than_the_recursion_limit",
             "tests/test_oracle.py::test_walk_skips_branches_that_cannot_fill_a_high_target")),
+    Mutant("settle_gap: spent budget asks known_n again", ORACLE,
+           "_constructive_upper(n, k, m) if stop is None else stop",
+           "_constructive_upper(n, k, m)",
+           ("tests/test_oracle.py::test_settle_gap_budget_exhaustion_asks_known_n_once",)),
 )
 
 
@@ -188,47 +204,64 @@ def _pytest(work: Path, tests) -> int:
     return subprocess.run(command, cwd=work, env=env, capture_output=True).returncode
 
 
-def run(work: Path) -> list[str]:
-    """Run every mutant in the copy at ``work``; one line per failure of the gate."""
+def _try(mutant: Mutant, copies: queue.Queue) -> tuple[str, float, str | None]:
+    """Apply ``mutant`` in a free copy, run its tests, restore the copy."""
+    work = copies.get()
+    target = work / mutant.path
+    original = target.read_text()
+    target.write_text(original.replace(mutant.old, mutant.new, 1))
+    start = time.perf_counter()
+    try:
+        code = _pytest(work, mutant.tests)
+    finally:
+        target.write_text(original)
+        copies.put(work)
+    seconds = time.perf_counter() - start
+    if code in KILLED:
+        return "killed", seconds, None
+    if code == 0:
+        return "SURVIVED", seconds, f"{mutant.name}: survived {' '.join(mutant.tests)}"
+    return "ERROR", seconds, f"{mutant.name}: pytest exit {code}"
+
+
+def run(works: list[Path]) -> list[str]:
+    """Run every mutant, each in one of the copies ``works``; one line per failure of the gate."""
     union = sorted({test for mutant in MUTANTS for test in mutant.tests})
-    code = _pytest(work, union)
+    code = _pytest(works[0], union)
     if code != 0:
         return [f"the unmutated tests fail (pytest exit {code}): {' '.join(union)}"]
+    copies: queue.Queue = queue.Queue()
+    for work in works:
+        copies.put(work)
     failures = []
-    for mutant in MUTANTS:
-        target = work / mutant.path
-        original = target.read_text()
-        target.write_text(original.replace(mutant.old, mutant.new, 1))
-        start = time.perf_counter()
-        try:
-            code = _pytest(work, mutant.tests)
-        finally:
-            target.write_text(original)
-        if code in KILLED:
-            verdict = "killed"
-        elif code == 0:
-            verdict = "SURVIVED"
-            failures.append(f"{mutant.name}: survived {' '.join(mutant.tests)}")
-        else:
-            verdict = "ERROR"
-            failures.append(f"{mutant.name}: pytest exit {code}")
-        print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
+    with ThreadPoolExecutor(len(works)) as pool:
+        results = pool.map(lambda mutant: _try(mutant, copies), MUTANTS)
+        for mutant, (verdict, seconds, failure) in zip(MUTANTS, results):
+            print(f"{verdict:8} {seconds:5.1f} s  {mutant.name}", flush=True)
+            if failure:
+                failures.append(failure)
     return failures
+
+
+def _copy(work: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, work / name, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".pytest_cache"))
+        else:
+            shutil.copy2(source, work / name)
 
 
 def main() -> int:
     problems = stale_entries()
     if not problems:
         with tempfile.TemporaryDirectory(prefix="cbckit-mutants-") as tmp:
-            work = Path(tmp)
-            for name in COPIED:
-                source = ROOT / name
-                if source.is_dir():
-                    shutil.copytree(source, work / name, ignore=shutil.ignore_patterns(
-                        "__pycache__", ".hypothesis", ".pytest_cache"))
-                else:
-                    shutil.copy2(source, work / name)
-            problems = run(work)
+            count = min(os.cpu_count() or 1, len(MUTANTS))
+            works = [Path(tmp) / str(i) for i in range(count)]
+            for work in works:
+                _copy(work)
+            problems = run(works)
     for line in problems:
         print(f"mutants: {line}", file=sys.stderr)
     if problems:

@@ -32,17 +32,21 @@ from math import comb
 
 from . import bounds
 from .core import MAX_LAYOUT_BITS, Params, SetSystem, bits, total_storage
-from .cwc import (ConstantWeightCode, best_d4_code, colex_level, graham_sloane_d4,
-                  w_masks_colex, _every_word, _first_fit)
+from .cwc import best_code, best_d4_code, colex_level, w_masks_colex
 from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
+
+
+def _bits_text(bits: int) -> str:
+    # str() refuses ints past 4,300 digits; 14,000 bits make about 4,214.
+    return str(bits) if bits.bit_length() <= 14000 else f"at least 2^{bits.bit_length() - 1}"
 
 
 def _check_size(n: int, m: int) -> None:
     """Raise ParamError, before a builder lists anything, when n*m exceeds ``MAX_LAYOUT_BITS``."""
     if n * m > MAX_LAYOUT_BITS:
         raise ParamError(
-            f"a layout of n={n} items on m={m} servers has n*m = {n * m} bits, "
+            f"a layout of n={n} items on m={m} servers has n*m = {_bits_text(n * m)} bits, "
             f"more than {MAX_LAYOUT_BITS}"
         )
 
@@ -200,38 +204,24 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
     return SetSystem(m, tuple(sorted(items)))
 
 
-def _uniform_code(m: int, w: int, d2: int) -> ConstantWeightCode:
-    # Greedy is the deterministic default; for distance 4 the residue-class
-    # construction sometimes beats it, and the larger code wins.  A size tie
-    # keeps greedy, where best_d4_code keeps the residue class, and the two
-    # word lists then differ (at (m, w) = (8, 2), for one), so this choice
-    # stays separate from best_d4_code's.  Both list all C(m, w) words: their
-    # count is capped first, then their bits.
-    candidates = _every_word(m, w, d2)
-    if m * comb(m, w) > MAX_LAYOUT_BITS:
-        raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {w}) candidate words "
-                         f"of {m} bits, {m * comb(m, w)} bits, more than {MAX_LAYOUT_BITS}")
-    greedy, _ = _first_fit(candidates, w, d2)
-    if d2 == 4:
-        residue = graham_sloane_d4(m, w)
-        if residue.size > len(greedy):
-            return residue
-    return ConstantWeightCode(m, w, d2, tuple(greedy))
-
-
 def construct_uniform(c: int, k: int, m: int) -> SetSystem:
     """c-uniform layout: k-c-1 copies of each word of a distance-2(k-c-1) code.
 
     Defined for floor(k/2) <= c < k-1 (the c = k-1 and c = k-2 cases are
-    covered by construct_large_n / construct_range_a instead).  The item
-    count n = (k-c-1) * |code| is determined by the code found.
+    covered by construct_large_n / construct_range_a instead).  The code is
+    ``best_code``'s, after the cap on the m*C(m, c) bits of its candidate
+    words.  The item count n = (k-c-1) * |code| follows from the code.
     """
     if not 1 <= k // 2 <= c < k - 1 <= m - 1:
         raise ParamError(
             f"need 1 <= floor(k/2) <= c < k-1 <= m-1, got c={c} k={k} m={m}"
         )
     copies = k - c - 1
-    code = _uniform_code(m, c, 2 * copies)
+    bits = m * comb(m, c)
+    if bits > MAX_LAYOUT_BITS:
+        raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {c}) candidate words "
+                         f"of {m} bits, {_bits_text(bits)} bits, more than {MAX_LAYOUT_BITS}")
+    code = best_code(m, c, 2 * copies)
     return SetSystem(m, tuple(sorted(code.words * copies)))
 
 
@@ -253,16 +243,15 @@ def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResul
     Returns the layout together with the bounds verdict for (n,k,m), whose
     ``upper`` is that regime's storage, after asserting that the built
     storage matches it.  Raises Unsupported where no regime with a builder
-    applies: at n = m+2, whose exact value ``known_n`` reports but no
-    builder realises, and in the uncovered middle range (m+2 < n below the
-    code range).
+    applies, naming the bracket: at n = m+2 the exact value that ``known_n``
+    reports and no builder realises, and in the uncovered middle range
+    (m+2 < n below the code range) the lower bound.
     """
     verdict = bounds.known_n(Params(n, k, m))
     if verdict.upper is None:
-        raise Unsupported(
-            f"no construction covers n={n} k={k} m={m} "
-            "(middle range between n=m+1 and the code-construction floor)"
-        )
+        bracket = (f"exact N = {verdict.exact}, which no builder realises"
+                   if verdict.exact is not None else f"lower bound {verdict.lower}")
+        raise Unsupported(f"no construction covers n={n} k={k} m={m} ({bracket})")
     regime = next(regime for regime in bounds.REGIMES
                   if regime.method is not None and regime.value(n, k, m) is not None)
     system = BUILDERS[regime.method](n, k, m)

@@ -8,12 +8,12 @@ j = min((d2 - 1) // 2, w); ``_first_fit`` tests that for every code in
 O(size * C(w, j)) time.  C(w, j) may be at most ``MAX_WORD_KEYS``; a
 larger one is a ParamError, raised before any word is keyed.  A
 fixed-residue-sum class gives distance 4 (``graham_sloane_d4``), and a
-first-fit scan of every word gives any even distance: ``best_d4_code``
-keeps the larger of the two at distance 4, and the uniform construction
-runs the scan at its own distance.  Each lists all C(m, w) candidate words
-and refuses, with a ParamError, more than ``MAX_CODE_CANDIDATES`` of them
-before listing any.  Codes are a tool of the range-b and uniform
-constructions only; they have no text format of their own.
+first-fit scan of every word gives any even distance: ``best_code``, the
+one code choice of range-b and the uniform construction, keeps the larger
+of the two at distance 4, the residue class on a tie.  Each lists all
+C(m, w) candidate words and refuses, with a ParamError, more than
+``MAX_CODE_CANDIDATES`` of them before listing any.  Codes are a tool of
+those two constructions only; they have no text format of their own.
 
 The weight-w masks in colex (= numeric) order come two ways.
 ``colex_level`` lists a whole level, for the builders, ``hall`` and
@@ -180,18 +180,23 @@ def _first_fit(words, w: int, d2: int) -> tuple[list[int], tuple | None]:
 
 
 @functools.cache
-def best_d4_code(m: int, w: int) -> ConstantWeightCode:
-    """The larger of the residue-class and greedy distance-4 codes.
+def best_code(m: int, w: int, d2: int) -> ConstantWeightCode:
+    """The code that every construction takes for weight w at distance d2.
 
-    Used wherever a construction needs "as many distance-4 words of weight
-    w as we can actually build"; exact-value claims downstream are tied to
-    this constructible size, not to the abstract maximum.  Cached per
-    (m, w): one ``construct`` asks for the same code up to four times, and
-    the result is immutable.  Raises ParamError, before listing any word,
-    when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
+    A first-fit scan of every word; at d2 = 4 also the residue class,
+    which wins a size tie.  Exact-value claims downstream are tied to this
+    constructible size, not to the abstract maximum.  Cached per
+    (m, w, d2): one range-b ``construct`` asks for the same code up to four
+    times, and the result is immutable.  Raises ParamError, before listing
+    any word, when C(m, w) exceeds ``MAX_CODE_CANDIDATES``.
     """
-    residue = graham_sloane_d4(m, w)
-    greedy, _ = _first_fit(_every_word(m, w, 4), w, 4)
-    if len(greedy) > residue.size:
-        return ConstantWeightCode(m, w, 4, tuple(greedy))
-    return residue
+    residue = graham_sloane_d4(m, w) if d2 == 4 else None
+    greedy, _ = _first_fit(_every_word(m, w, d2), w, d2)
+    if residue is not None and residue.size >= len(greedy):
+        return residue
+    return ConstantWeightCode(m, w, d2, tuple(greedy))
+
+
+def best_d4_code(m: int, w: int) -> ConstantWeightCode:
+    """``best_code`` at distance 4, the code of range-b."""
+    return best_code(m, w, 4)

@@ -115,7 +115,8 @@ def _search_targets(
     and does not place a mask that would drive some slack below zero:
     adding items never un-crowds a subset.  A popped item gives its slack
     back, so a walk that finds nothing restores every slack for the next
-    profile.
+    profile.  A spent budget raises BudgetExceeded with ``stop`` as the
+    best upper bound, or the constructive one when ``stop`` is None.
     """
     # more[e]: every mask of e < k servers, the servers that a placed mask's
     # below-list may add to it.
@@ -133,7 +134,8 @@ def _search_targets(
     def spend() -> None:
         nonlocal nodes
         if nodes == budget:
-            raise BudgetExceeded(nodes, best_upper=_constructive_upper(n, k, m))
+            raise BudgetExceeded(
+                nodes, best_upper=_constructive_upper(n, k, m) if stop is None else stop)
         nodes += 1
 
     targets = range(start, stop) if stop is not None else itertools.count(start)

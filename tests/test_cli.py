@@ -465,8 +465,7 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         (["construct", "-n", "4", "-k", "2", "-m", "3", "--method", "trivial"], "", 2,
          "construct: trivial layout needs n <= m, got n=4 m=3\n"),
         (["construct", "-n", "9", "-k", "4", "-m", "6"], "", 2,
-         "construct: no construction covers n=9 k=4 m=6"
-         " (middle range between n=m+1 and the code-construction floor)\n"),
+         "construct: no construction covers n=9 k=4 m=6 (lower bound 14)\n"),
         (["simulate", "-", "-k", "2", "--seed", "-1"], INTRO_LAYOUT, 2,
          "simulate: need 0 <= --seed < 2**64, got -1\n"),
         (["simulate", "-", "-k", "2", "--seed", str(2**64)], INTRO_LAYOUT, 2,
@@ -479,6 +478,9 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         (["search", "-n", "1", "-k", "1", "-m", "1000000"], "", 2,
          "search: search on m=1000000 servers needs more than 1000000 64-bit words of"
          " candidate masks (15625 per mask): 15625000000 of weight at most 1\n"),
+        (["construct", "-n", "8", "-k", "4", "-m", "6"], "", 2,
+         "construct: no construction covers n=8 k=4 m=6"
+         " (exact N = 13, which no builder realises)\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):

@@ -19,7 +19,7 @@ from cbckit.construct import (
     construct_uniform,
 )
 from cbckit.core import Params, serialize, total_storage
-from cbckit.cwc import MAX_CODE_CANDIDATES, best_d4_code, w_masks_colex
+from cbckit.cwc import MAX_CODE_CANDIDATES, best_code, best_d4_code, w_masks_colex
 from cbckit.errors import ParamError, RangeError, Unsupported
 from cbckit.hall import verify_hc2
 
@@ -363,13 +363,26 @@ def test_uniform_examples():
     assert Counter(map(int.bit_count, twos.items)) == {2: 15}
 
 
-def test_uniform_keeps_greedy_words_on_a_size_tie():
-    # At (m, w) = (8, 2) greedy and the residue class both have 4 words;
-    # uniform keeps greedy {0,1},{2,3},{4,5},{6,7}, where best_d4_code would
-    # give {0,1},{4,5},{3,6},{2,7}.  This is why construct_uniform does not
-    # share best_d4_code's choice (the `design` benchmark runs this row).
+def test_uniform_takes_best_code_words():
+    # Every c-uniform instance with m <= 10, 70 in all: the layout is
+    # best_code's words at distance 2(k-c-1), k-c-1 copies of each, the one
+    # choice of code that range-b takes too, and it is valid.  A size tie
+    # at distance 4 keeps the residue class: at (k, m, c) = (5, 8, 2), which
+    # the `design` benchmark runs, {0,1},{4,5},{3,6},{2,7}, where greedy
+    # gives {0,1},{2,3},{4,5},{6,7}.
+    count = 0
+    for m in range(3, 11):
+        for k in range(3, m + 1):
+            for c in range(k // 2, k - 1):
+                copies = k - c - 1
+                words = best_code(m, c, 2 * copies).words
+                system = construct_uniform(c, k, m)
+                assert system.items == tuple(sorted(words * copies)), (c, k, m)
+                assert verify_hc2(system, k).valid, (c, k, m)
+                count += 1
+    assert count == 70
     assert serialize(construct_uniform(2, 5, 8)) == (
-        "cbc m=8 n=8\n0: 0 1\n1: 0 1\n2: 2 3\n3: 2 3\n4: 4 5\n5: 4 5\n6: 6 7\n7: 6 7\n"
+        "cbc m=8 n=8\n0: 0 1\n1: 0 1\n2: 4 5\n3: 4 5\n4: 3 6\n5: 3 6\n6: 2 7\n7: 2 7\n"
     )
 
 
@@ -385,6 +398,19 @@ def test_uniform_layout_cap_boundary(monkeypatch):
     )
     monkeypatch.setattr(construct, "MAX_LAYOUT_BITS", 224)
     assert total_storage(construct_uniform(2, 5, 8)) == 16
+
+
+def test_cap_messages_name_a_count_too_long_for_str():
+    # n*m and m*C(m, c) of 6,001 digits, past the 4,300 that str() converts:
+    # each message names the count's power of two, 10^6000 >= 2^19931.
+    big = 10**3000
+    with pytest.raises(ParamError, match=r"has n\*m = at least 2\^19931 bits, more than 10000000$"):
+        construct_m_equals_k(big, big, big)
+    with pytest.raises(ParamError, match=r" bits, at least 2\^19931 bits, more than 10000000$"):
+        construct_uniform(1, 3, big)
+    # Up to 14,000 bits the count is exact.
+    assert construct._bits_text(2**14000 - 1) == str(2**14000 - 1)
+    assert construct._bits_text(2**14000) == "at least 2^14000"
 
 
 def test_uniform_is_exactly_uniform():

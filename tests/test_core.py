@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbckit.bounds import b_value
 from cbckit.construct import construct_m_plus_1
 from cbckit.core import (
     MAX_LAYOUT_BITS,
@@ -14,8 +15,9 @@ from cbckit.core import (
     serialize,
     total_storage,
 )
+from cbckit.cwc import ConstantWeightCode
 from cbckit.errors import FormatError, ParamError
-from cbckit.hall import verify_hc2
+from cbckit.hall import RetrievalPlan, ValidityReport, verify_hc2
 
 from conftest import parse_reference, set_systems
 
@@ -365,6 +367,29 @@ def test_params_invariants():
         Params(5, 4, 3)
     with pytest.raises(ParamError):
         Params(5, 0, 3)
+
+
+# One case per input check that no other test reaches, each with its
+# message: deleting the check lets the call return (or fail otherwise).
+UNREACHED_CHECKS = [
+    ("b_value c=0", lambda: b_value(10, 4, 6, 0), "need 1 <= c <= k-1, got c=0 k=4"),
+    ("b_value m<k", lambda: b_value(10, 4, 2, 1), "need m >= k, got m=2 k=4"),
+    ("word outside m", lambda: ConstantWeightCode(4, 2, 4, (0b110000,)),
+     "word 0x30 uses positions outside 0..3"),
+    ("Params n<0", lambda: Params(-1, 2, 3), "negative item count n=-1"),
+    ("plan reads a server twice", lambda: RetrievalPlan({0: 1, 1: 1}),
+     "plan reads one server twice"),
+    ("invalid without witness", lambda: ValidityReport(False),
+     "validity verdict and witness disagree"),
+]
+
+
+@pytest.mark.parametrize("make, message", [case[1:] for case in UNREACHED_CHECKS],
+                         ids=[case[0] for case in UNREACHED_CHECKS])
+def test_input_checks_refuse(make, message):
+    with pytest.raises(ParamError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @given(set_systems())

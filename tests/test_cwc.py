@@ -13,6 +13,7 @@ from cbckit.cwc import (
     MAX_WORD_KEYS,
     ConstantWeightCode,
     _first_fit,
+    best_code,
     best_d4_code,
     colex_level,
     graham_sloane_d4,
@@ -205,7 +206,7 @@ def test_code_candidates_cap_boundary(monkeypatch):
     # best_d4_code(13, 4) scans C(13, 4) = 715 words: allowed at a cap of
     # 715, refused below it.  The cache is cleared so that each call checks.
     monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 714)
-    best_d4_code.cache_clear()
+    best_code.cache_clear()
     with pytest.raises(ParamError, match=r"scans C\(13, 4\) candidate words, more than 714$"):
         best_d4_code(13, 4)
     monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 715)
@@ -216,8 +217,10 @@ def test_code_candidates_cap_boundary(monkeypatch):
 
 def test_uniform_code_candidates_cap_boundary(monkeypatch):
     # construct_uniform(2, 5, 8) scans all C(8, 2) = 28 words for its
-    # distance-4 code: allowed at a cap of 28, refused below it.
+    # distance-4 code: allowed at a cap of 28, refused below it.  The cache
+    # is cleared so that the call checks.
     monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 27)
+    best_code.cache_clear()
     with pytest.raises(ParamError, match=r"scans C\(8, 2\) candidate words, more than 27$"):
         construct_uniform(2, 5, 8)
     monkeypatch.setattr(cwc, "MAX_CODE_CANDIDATES", 28)
@@ -226,10 +229,14 @@ def test_uniform_code_candidates_cap_boundary(monkeypatch):
 
 def test_full_scans_are_refused_before_listing_any_word():
     # C(40, 10), about 8.5e8, and C(60, 30), about 1.2e17, candidate words:
-    # both refused at once, with no word listed.
+    # both refused at once, with no word listed.  The uniform layout on
+    # those 40 servers is refused by its bits cap, checked first.
     message = (r"^a distance-20 code of weight 10 on 40 positions scans C\(40, 10\) "
                rf"candidate words, more than {MAX_CODE_CANDIDATES}$")
     with pytest.raises(ParamError, match=message):
+        best_code(40, 10, 20)
+    with pytest.raises(ParamError, match=r"^a uniform layout on m=40 servers lists C\(40, 10\) "
+                       r"candidate words of 40 bits, 33906421120 bits, more than 10000000$"):
         construct_uniform(10, 21, 40)
     with pytest.raises(ParamError, match=r"^a distance-4 code of weight 30 on 60 positions scans"):
         graham_sloane_d4(60, 30)
@@ -280,8 +287,8 @@ def test_asymptotic_spot_check_weight_two():
 
 @pytest.mark.parametrize("m, w", [(8, 2), (9, 4), (16, 3)])
 def test_residue_and_greedy_codes_tie_with_different_words(m, w):
-    # best_d4_code breaks a size tie towards the residue class, while
-    # construct_uniform's code keeps greedy: the two choices differ.
+    # best_code breaks a size tie at distance 4 towards the residue class,
+    # whose words differ from greedy's.
     greedy = tuple(_first_fit(w_masks_colex(m, w), w, 4)[0])
     residue = graham_sloane_d4(m, w)
     assert len(greedy) == residue.size

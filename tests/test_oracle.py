@@ -461,6 +461,16 @@ def test_settle_gap_budget_exhaustion():
     assert (err.value.nodes_explored, err.value.best_upper) == (500, 57)
 
 
+def test_settle_gap_budget_exhaustion_asks_known_n_once(monkeypatch):
+    # The spent budget reports the bracket's upper bound that settle_gap
+    # already holds, without a second known_n.
+    calls = []
+    monkeypatch.setattr(bounds, "known_n", lambda params: calls.append(params) or known_n(params))
+    with pytest.raises(BudgetExceeded) as err:
+        settle_gap(19, 5, 6, budget=500)
+    assert (err.value.nodes_explored, err.value.best_upper) == (500, 57)
+    assert calls == [Params(19, 5, 6)]
+
 
 # (n, k, m, forced bracket [lower, upper), least budget): the search over
 # the bracket finishes with no layout, so the upper bound is exact; one

@@ -45,7 +45,8 @@ def test_known_n_and_construct_best_digest():
     # Every m <= 9, 2 <= k <= m, n up to two past the large-n floor (at
     # most 120): 2,126 instances, each the repr of known_n followed by the
     # built layout or the error's type and message.  known_n's upper is the
-    # storage construct_best builds, and None exactly where it builds none.
+    # storage construct_best builds, and None exactly where it builds none;
+    # there the message names the bracket, exact N or the lower bound.
     h = hashlib.sha256()
     count = 0
     for n, k, m in grid(9, 120):
@@ -62,7 +63,7 @@ def test_known_n_and_construct_best_digest():
         h.update(text.encode())
         count += 1
     assert count == 2126
-    assert h.hexdigest() == "22bf71ca2550b67d839ac189021a74a718865b2debd87c65bbf1e25e137ee066"
+    assert h.hexdigest() == "2825734427bc766af0f85470f90d056c8e0cc8b19dd0fc410000aa11a1b4b21e"
 
 
 # Every constructive regime with m from 6 to 20, as (n, k, m), and three
@@ -79,7 +80,8 @@ DESIGN_UNIFORM = [(5, 8, 2), (7, 12, 4), (6, 14, 3)]
 
 def test_design_grid_text_digest():
     # serialize of each design layout, 546,414 characters in all; each
-    # text parses back to its layout.
+    # text parses back to its layout.  The uniform rows take best_code's
+    # words, the residue class on (5, 8, 2)'s size tie.
     h = hashlib.sha256()
     systems = [construct_best(n, k, m)[0] for n, k, m in DESIGN_ROWS]
     systems += [construct_uniform(c, k, m) for k, m, c in DESIGN_UNIFORM]
@@ -90,7 +92,7 @@ def test_design_grid_text_digest():
         h.update(text.encode())
         size += len(text)
     assert size == 546414
-    assert h.hexdigest() == "ba71455513e54ca95d026f673f9c58b72791439b59d9f0e33dd86cb83bf47957"
+    assert h.hexdigest() == "45809e78a202cfd77d9eaa08f2d8fcdd56f732923138acb6b878314a5384cded"
 
 
 def test_deletion_construction_layouts_digest():
@@ -118,6 +120,7 @@ FORCED = ["auto", "trivial", "m-equals-k", "m-plus-1", "large-n", "range-a", "ra
 def test_forced_construct_cli_digest():
     # Exit code, stdout and stderr of `construct --json` for every method on
     # m <= 7, n <= 24, and of `--method uniform` for every c < k: 2,569 runs.
+    # Uniform layouts take best_code's words; Unsupported names its bracket.
     h = hashlib.sha256()
     codes = {0: 0, 2: 0}
     for m in range(2, 8):
@@ -136,7 +139,7 @@ def test_forced_construct_cli_digest():
                 codes[result[0]] += 1
                 h.update(repr((argv, *result)).encode())
     assert codes == {0: 725, 2: 1844}
-    assert h.hexdigest() == "2e69f06520c6073b349d5da78b11a26b22b44e25b7312c82e6d2f49c7b89a58f"
+    assert h.hexdigest() == "cbb7adec939b9a8eaa305a7de244727efbb4a8b446f5a4bb714bc8bbc4d06c1f"
 
 
 @pytest.mark.parametrize(
