@@ -3,13 +3,13 @@
 
 Each n falls in one class: exact with a layout, exact without one (no
 builder covers it, as at n = m+2), a bracket one apart, or a lower bound
-only.  Everything regime-specific comes from bounds.known_n and
-construct.construct_best.  Every layout is certified: verify_hc2 accepts
-it, its storage equals the bracket's upper end (and the exact value, when
-set) and is at least the counting bound, which it meets wherever range-a
-applies.  --settle-budget asks the exhaustive oracle to settle each
-bracket (hopeless beyond toy sizes; the point is that it gives up loudly
-rather than guessing).
+only.  Everything regime-specific comes from construct.construct_best
+and the bounds.known_n verdict that it returns, or carries in Unsupported.
+Every layout is certified: verify_hc2 accepts it, its storage equals the
+bracket's upper end (and the exact value, when set) and is at least the
+counting bound, which it meets wherever range-a applies.  --settle-budget
+asks the exhaustive oracle to settle each bracket (hopeless beyond toy
+sizes; the point is that it gives up loudly rather than guessing).
 
 Usage: python scripts/census.py [-k 5] [-m 8] [--step 1] [--settle-budget 0]
 """
@@ -20,9 +20,9 @@ import argparse
 from collections import Counter
 from math import comb
 
-from cbckit.bounds import known_n, lower_bound
+from cbckit.bounds import lower_bound
 from cbckit.construct import construct_best
-from cbckit.core import Params, total_storage
+from cbckit.core import total_storage
 from cbckit.errors import BudgetExceeded, Unsupported
 from cbckit.hall import verify_hc2
 from cbckit.oracle import settle_gap
@@ -36,8 +36,8 @@ def census(k: int, m: int, step: int = 1):
     for n in range(1, (k - 1) * comb(m, k - 1) + 1, step):
         try:
             system, verdict = construct_best(n, k, m)
-        except Unsupported:
-            verdict = known_n(Params(n, k, m))
+        except Unsupported as exc:
+            verdict = exc.verdict
             yield n, CLASSES[3 if verdict.exact is None else 1], verdict
             continue
         built, floor = total_storage(system), lower_bound(n, k, m).lower

@@ -50,21 +50,29 @@ BOUNDS = "src/cbckit/bounds.py"
 ORACLE = "src/cbckit/oracle.py"
 
 MUTANTS = (
-    # parse decodes a canonical line from its head; each check it makes on a
-    # token must be there.
-    Mutant("parse: ascending check dropped", CORE,
-           "        if s <= top:\n            return None",
-           "        if False:\n            return None",
+    # parse decodes a new line from its decoded head inline, else from the
+    # left; each check it makes on a token must be there.
+    Mutant("parse: known-head ascending test dropped", CORE,
+           "s is not None and mask < (bit := 1 << s):",
+           "s is not None and (bit := 1 << s):",
            ("tests/test_core.py",)),
-    Mutant("parse: leading-space check dropped", CORE,
-           "        if first:\n            return None",
-           "        if False:\n            return None",
+    Mutant("parse: known-head comparison flipped", CORE,
+           "s is not None and mask < (bit := 1 << s):",
+           "s is not None and mask > (bit := 1 << s):",
            ("tests/test_core.py",)),
-    Mutant("parse: spelling check dropped", CORE,
+    Mutant("parse: left-path ascending test dropped", CORE,
+           "                        if new >= bit:\n                            break",
+           "                        if False:\n                            break",
+           ("tests/test_core.py",)),
+    Mutant("parse: leading-space test dropped", CORE,
+           "if rest.startswith(\" \"):",
+           "if True:",
+           ("tests/test_core.py",)),
+    Mutant("parse: spelling test dropped", CORE,
            "if not 0 <= s < m or str(s) != tok:",
            "if not 0 <= s < m:",
            ("tests/test_core.py",)),
-    Mutant("parse: range check dropped", CORE,
+    Mutant("parse: range test dropped", CORE,
            "if not 0 <= s < m or str(s) != tok:",
            "if str(s) != tok:",
            ("tests/test_core.py",)),
@@ -131,8 +139,8 @@ MUTANTS = (
            "residue.size > len(greedy)",
            ("tests/test_cwc.py::test_best_d4_code_words_are_pinned",)),
     Mutant("construct_uniform: bits cap dropped", CONSTRUCT,
-           "    if bits > MAX_LAYOUT_BITS:",
-           "    if False:",
+           "if bits > MAX_LAYOUT_BITS and",
+           "if False and",
            ("tests/test_construct.py::test_uniform_layout_cap_boundary",)),
     # Range-b in closed form.
     Mutant("range-b: one word short", CONSTRUCT,

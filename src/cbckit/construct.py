@@ -37,9 +37,10 @@ from .errors import ParamError, RangeError, Unsupported
 from .hall import supersets_adding
 
 
-def _bits_text(bits: int) -> str:
+def _bits_text(count: int) -> str:
     # str() refuses ints past 4,300 digits; 14,000 bits make about 4,214.
-    return str(bits) if bits.bit_length() <= 14000 else f"at least 2^{bits.bit_length() - 1}"
+    # Every message that prints a count derived from the input uses this.
+    return str(count) if count.bit_length() <= 14000 else f"at least 2^{count.bit_length() - 1}"
 
 
 def _check_size(n: int, m: int) -> None:
@@ -97,7 +98,7 @@ def construct_large_n(n: int, k: int, m: int) -> SetSystem:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
     grouped = (k - 1) * comb(m, k - 1)
     if n < grouped:
-        raise RangeError(f"need n >= (k-1)*C(m,k-1) = {grouped}, got n={n}")
+        raise RangeError(f"need n >= (k-1)*C(m,k-1) = {_bits_text(grouped)}, got n={n}")
     _check_size(n, m)
     items: list[int] = []
     for mask in colex_level(m, k - 1):
@@ -137,7 +138,7 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     ceiling = (k - 1) * comb(m, k - 1)
     floor_n = comb(m, k - 2)
     if not floor_n <= n <= ceiling:
-        raise RangeError(f"need {floor_n} <= n <= {ceiling}, got n={n}")
+        raise RangeError(f"need {_bits_text(floor_n)} <= n <= {_bits_text(ceiling)}, got n={n}")
     _check_size(n, m)
     full_steps, leftover = divmod(ceiling - n, m - k + 1)
     items = list(itertools.islice(w_masks_colex(m, k - 2), full_steps + 1))
@@ -181,13 +182,13 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
         raise RangeError(f"need m >= k, got k={k} m={m}")
     ceiling = comb(m, k - 2)
     if not 1 <= n <= ceiling:
-        raise RangeError(f"need 1 <= n <= C(m,k-2) = {ceiling}, got n={n}")
+        raise RangeError(f"need 1 <= n <= C(m,k-2) = {_bits_text(ceiling)}, got n={n}")
     _check_size(n, m)
     code = best_d4_code(m, k - 3)
     width = m - k + 1
     if n < ceiling - width * code.size:
         raise RangeError(
-            f"n={n} below the constructible floor {ceiling - width * code.size} "
+            f"n={n} below the constructible floor {_bits_text(ceiling - width * code.size)} "
             f"(code of size {code.size})"
         )
     # The floor check gives D <= width * |code|, so the code has a word
@@ -217,10 +218,17 @@ def construct_uniform(c: int, k: int, m: int) -> SetSystem:
             f"need 1 <= floor(k/2) <= c < k-1 <= m-1, got c={c} k={k} m={m}"
         )
     copies = k - c - 1
-    bits = m * comb(m, c)
-    if bits > MAX_LAYOUT_BITS:
-        raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {c}) candidate words "
-                         f"of {m} bits, {_bits_text(bits)} bits, more than {MAX_LAYOUT_BITS}")
+    # m*C(m, i) for i = 1, 2, .. up to min(c, m-c), where it is m*C(m, c).  It
+    # grows with i, so past the cap the build is refused; the product goes on
+    # only while _bits_text prints it exactly, never to millions of bits.
+    top = min(c, m - c)
+    bits = m
+    for i in range(1, top + 1):
+        bits = bits * (m - i + 1) // i
+        if bits > MAX_LAYOUT_BITS and (i == top or bits.bit_length() > 14000):
+            raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {c}) candidate "
+                             f"words of {m} bits, {_bits_text(bits)} bits, more than "
+                             f"{MAX_LAYOUT_BITS}")
     code = best_code(m, c, 2 * copies)
     return SetSystem(m, tuple(sorted(code.words * copies)))
 
@@ -242,16 +250,17 @@ def construct_best(n: int, k: int, m: int) -> tuple[SetSystem, bounds.BoundResul
 
     Returns the layout together with the bounds verdict for (n,k,m), whose
     ``upper`` is that regime's storage, after asserting that the built
-    storage matches it.  Raises Unsupported where no regime with a builder
-    applies, naming the bracket: at n = m+2 the exact value that ``known_n``
-    reports and no builder realises, and in the uncovered middle range
-    (m+2 < n below the code range) the lower bound.
+    storage matches it.  Raises Unsupported, carrying that verdict, where
+    no regime with a builder applies, naming the bracket: at n = m+2 the
+    exact value that ``known_n`` reports and no builder realises, and in
+    the uncovered middle range (m+2 < n below the code range) the lower
+    bound.
     """
     verdict = bounds.known_n(Params(n, k, m))
     if verdict.upper is None:
         bracket = (f"exact N = {verdict.exact}, which no builder realises"
                    if verdict.exact is not None else f"lower bound {verdict.lower}")
-        raise Unsupported(f"no construction covers n={n} k={k} m={m} ({bracket})")
+        raise Unsupported(f"no construction covers n={n} k={k} m={m} ({bracket})", verdict)
     regime = next(regime for regime in bounds.REGIMES
                   if regime.method is not None and regime.value(n, k, m) is not None)
     system = BUILDERS[regime.method](n, k, m)

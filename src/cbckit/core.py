@@ -14,8 +14,10 @@ one token when its head was rendered before, else each of its tokens; it
 keeps at most two strings per distinct mask.  ``parse`` costs O(lines)
 plus, for each new line tail, one token when its head (all but its last
 token) was decoded before, else each of its tokens, looked up in a table
-of the spellings seen.  Only text not in the canonical spelling is
-decoded token by token with int().
+from each canonical token seen to its index.  The one-token case runs
+inline in parse's loop, and the table holds indices, not bits, so its
+memory stays linear in the text.  Only text not in the canonical
+spelling is decoded token by token with int().
 """
 
 from __future__ import annotations
@@ -158,50 +160,6 @@ def _header_int(token: str, key: str) -> int:
     return value
 
 
-def _decode_canonical(tail: str, decoded: dict[str, int], spelled: dict[str, int],
-                      m: int) -> int | None:
-    """The mask of ``tail`` if it is spelled as ``serialize`` writes it, else None.
-
-    ``tail`` is its head (all but its last token) plus that token.  A head
-    in ``decoded`` gives its mask, and only the last token is decoded; a
-    new head is decoded from the left with the tail and then recorded.  So
-    ``decoded`` gains at most two strings per line, and a long line costs
-    time and memory linear in its length.  A token is taken only if it is
-    the canonical spelling of an index below m and above every index
-    before it; ``spelled`` maps the tokens taken so far to their indices.
-    """
-    head, sp, last = tail.rpartition(" ")
-    if not sp:
-        return None
-    mask = decoded.get(head)
-    if mask is None:
-        first, *tokens = tail.split(" ")
-        if first:
-            return None
-        mask = 0
-    else:
-        tokens = (last,)
-    top = mask.bit_length() - 1
-    for tok in tokens:
-        s = spelled.get(tok)
-        if s is None:
-            try:
-                s = int(tok)
-            except ValueError:
-                return None
-            if not 0 <= s < m or str(s) != tok:
-                return None
-            spelled[tok] = s
-        if s <= top:
-            return None
-        top = s
-        mask |= 1 << s
-    if len(tokens) > 1:
-        decoded[head] = mask ^ 1 << top
-    decoded[tail] = mask
-    return mask
-
-
 def parse(text: str) -> SetSystem:
     """Parse the "cbc" text format back into a SetSystem.
 
@@ -210,13 +168,24 @@ def parse(text: str) -> SetSystem:
     zeros, a final LF.  The spelling is checked last, so any other error
     takes priority.  A header whose n*m exceeds ``MAX_LAYOUT_BITS`` is
     refused before any item line is decoded.  Raises FormatError on
-    malformed input.  Round-trips: parse(serialize(s)) == s.  O(lines)
-    plus, for each new line tail (the text after ``:``), one token when its
-    head was decoded before, else each of its tokens: as ``serialize``
-    writes it, a tail is its head plus one token.  A tail seen before takes
-    its earlier mask.  Only a tail not spelled canonically is decoded token
-    by token with int(); that loop raises the tail's first error, so errors
-    are unchanged.
+    malformed input.  Round-trips: parse(serialize(s)) == s.
+
+    O(lines) plus, for each new line tail (the text after ``:``), one token
+    when its head was decoded before, else each of its tokens: as
+    ``serialize`` writes it, a tail is its head plus one token.  A tail
+    seen before takes its earlier mask.  A new tail whose head was decoded
+    before and whose last token is in the token table is canonical iff that
+    token's index lies above the head's top server; that costs one
+    rpartition, two dict lookups, one shift and one comparison, inline in
+    the loop.  Any other new tail is decoded from the left token by token,
+    and if canonical it and its head are recorded, so the memo holds at
+    most two strings per line.  The token table maps each canonical token
+    seen to its index below m, filled on a token's first sight by int() and
+    a spelling and range test.  It holds indices, not bits: a table of
+    ``1 << s`` would keep an s-bit int per distinct token, up to m**2/16
+    bytes in all for a text of only O(m) tokens.  Only a tail not spelled
+    canonically is decoded token by token with int(); that loop raises the
+    tail's first error, so errors are unchanged.
     """
     lines = text.splitlines()
     if not lines:
@@ -235,7 +204,7 @@ def parse(text: str) -> SetSystem:
         raise FormatError(f"header says n={n} but found {len(body)} item lines")
     items = []
     decoded: dict[str, int] = {}  # canonical line tail, or head of one -> mask
-    spelled: dict[str, int] = {}  # canonical server index token -> index
+    index: dict[str, int] = {}  # canonical spelling of a server index below m -> index
     odd = None  # position of the first line not spelled canonically
     for pos, line in enumerate(body):
         idx_str, sep, rest = line.partition(":")
@@ -252,7 +221,37 @@ def parse(text: str) -> SetSystem:
                 odd = pos
         mask = decoded.get(rest)
         if mask is None:
-            mask = _decode_canonical(rest, decoded, spelled, m)
+            head, _, last = rest.rpartition(" ")
+            mask = decoded.get(head)
+            s = index.get(last)
+            if mask is not None and s is not None and mask < (bit := 1 << s):
+                mask = decoded[rest] = mask | bit
+            else:
+                # A new head, or a last token not taken yet: decode from the
+                # left, taking a token only if it spells an index below m
+                # above every index before it.
+                mask = None
+                if rest.startswith(" "):
+                    new = 0
+                    _, *tokens = rest.split(" ")
+                    for tok in tokens:
+                        s = index.get(tok)
+                        if s is None:
+                            try:
+                                s = int(tok)
+                            except ValueError:
+                                break
+                            if not 0 <= s < m or str(s) != tok:
+                                break
+                            index[tok] = s
+                        bit = 1 << s
+                        if new >= bit:
+                            break
+                        new |= bit
+                    else:
+                        mask = decoded[rest] = new
+                        if head:
+                            decoded[head] = new ^ bit
         if mask is None:
             # Not spelled canonically, or not a set at all: decode token by
             # token, raising the tail's first error.

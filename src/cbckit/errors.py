@@ -33,7 +33,15 @@ class NoPlan(CbcError):
 
 
 class Unsupported(CbcError):
-    """No implemented construction covers the requested parameters."""
+    """No implemented construction covers the requested parameters.
+
+    Carries the bounds verdict (a ``bounds.BoundResult``) for them, which
+    brackets N with no builder to realise its upper end.
+    """
+
+    def __init__(self, message: str, verdict):
+        self.verdict = verdict
+        super().__init__(message)
 
 
 class BudgetExceeded(CbcError):

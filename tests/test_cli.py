@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -98,6 +99,31 @@ def test_construct_with_a_huge_n_exits_2(capsys, argv):
     code, out, err = run(capsys, "construct", *argv)
     assert code == 2 and out == ""
     assert err.endswith("bits, more than 10000000\n")
+
+
+@pytest.mark.parametrize("method, stderr", [
+    ("large-n", "construct: need n >= (k-1)*C(m,k-1) = at least 2^39860, got n=5\n"),
+    ("range-a", "construct: need at least 2^29894 <= n <= at least 2^39860, got n=5\n"),
+])
+def test_range_messages_name_a_count_too_long_for_str(capsys, method, stderr):
+    # On m = 10^3000, C(m, 4) has 11,999 digits, past the 4,300 that str()
+    # converts: the message names its power of two.
+    code, out, err = run(capsys, "construct", "-n", "5", "-k", "5", "-m", str(10**3000),
+                         "--method", method)
+    assert (code, out, err) == (2, "", stderr)
+
+
+def test_uniform_cap_stops_before_the_whole_binomial(capsys):
+    # m*C(m, i) passes the cap at i = 1; the product stops as soon as it is
+    # too long to print (i = 263, 14,046 bits), so m*C(m, 100000), about 4.5
+    # million bits, is never computed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "-k", "200000", "-m", str(10**18),
+                         "-c", "100000", "--method", "uniform")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.endswith(f"candidate words of {10**18} bits, at least 2^14045 bits, "
+                        "more than 10000000\n")
 
 
 def test_bound_with_a_huge_m_answers_at_once(capsys):

@@ -321,6 +321,50 @@ def test_parse_memory_is_linear_in_a_long_line():
     assert peak < 4 * 2**20
 
 
+def test_parse_token_table_holds_indices_not_bits():
+    # 20 lines on m = 20,000, line i holding every index = i mod 20
+    # (109 kB): a table from each token to 1 << index would keep 20,000
+    # ints of up to 2.5 kB each, about 28 MiB; one to the index, 2.4 MiB.
+    m = 20000
+    lines = [f"{i}: " + " ".join(map(str, range(i, m, 20))) for i in range(20)]
+    text = f"cbc m={m} n=20\n" + "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        system = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.items == tuple(mask_of(range(i, m, 20)) for i in range(20))
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # '²' passes str.isdigit but int() refuses it; '١' is read by int()
+        # as 1.  Each at a new head, then after a head decoded before.
+        ("cbc m=3 n=1\n0: ²\n", "item 0: bad server index '²'"),
+        ("cbc m=3 n=2\n0: 0\n1: 0 ²\n", "item 1: bad server index '²'"),
+        ("cbc m=3 n=1\n0: ١\n", "line 2: character '١' is not allowed"),
+        ("cbc m=3 n=2\n0: 0\n1: 0 ١\n", "line 3: character '١' is not allowed"),
+        # A head decoded before, then a last token taken before but not above it.
+        ("cbc m=3 n=2\n0: 1\n1: 1 1\n", "item 1: server 1 after 1, not ascending"),
+        ("cbc m=3 n=3\n0: 0\n1: 2\n2: 2 0\n", "item 2: server 0 after 2, not ascending"),
+        # A head decoded before, then a last token out of range or misspelt.
+        ("cbc m=3 n=2\n0: 0\n1: 0 3\n", "item 1: server 3 outside 0..2"),
+        ("cbc m=3 n=2\n0: 0\n1: 0 01\n", "line 3: expected '1: 0 1', got '1: 0 01'"),
+        # A tail with no space has an empty head, and is never canonical.
+        ("cbc m=3 n=2\n0: 1\n1:1\n", "line 3: expected '1: 1', got '1:1'"),
+    ],
+)
+def test_known_heads_and_odd_digits_match_the_reference(text, message):
+    for parser in (parse, parse_reference):
+        with pytest.raises(FormatError) as info:
+            parser(text)
+        assert type(info.value) is FormatError
+        assert str(info.value) == message
+
+
 def test_serialize_memory_is_linear_in_a_wide_set():
     # The last item is on 3,161 servers (n*m just under the cap): a memo
     # of the text of each of its prefixes would hold about 22 MiB.

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from cbckit import bounds
+
 ROOT = Path(__file__).resolve().parents[1]
 CENSUS = ROOT / "scripts" / "census.py"
 
@@ -77,6 +79,27 @@ def test_census_class_counts_on_the_small_grid():
         "one apart": 42,
         "lower bound only": 152,
     }
+
+
+def test_census_asks_known_n_once_per_unsupported_n(monkeypatch):
+    # construct_best's Unsupported carries the verdict it computed, and the
+    # census reads it rather than asking known_n again.  The census is
+    # loaded after the patch, so a name it imports is counted too.
+    calls = Counter()
+    real = bounds.known_n
+
+    def counted(params):
+        calls[params.n] += 1
+        return real(params)
+
+    monkeypatch.setattr(bounds, "known_n", counted)
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    unsupported = [n for n, cls, _ in census.census(4, 6)
+                   if cls in ("exact without one", "lower bound only")]
+    assert unsupported == list(range(8, 15))
+    assert [calls[n] for n in unsupported] == [1] * 7
 
 
 def test_census_refuses_to_run_with_its_asserts_off(monkeypatch):
