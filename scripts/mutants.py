@@ -48,6 +48,7 @@ HALL = "src/cbckit/hall.py"
 CWC = "src/cbckit/cwc.py"
 BOUNDS = "src/cbckit/bounds.py"
 ORACLE = "src/cbckit/oracle.py"
+ERRORS = "src/cbckit/errors.py"
 
 MUTANTS = (
     # parse decodes a new line from its decoded head inline, else from the
@@ -61,20 +62,24 @@ MUTANTS = (
            "s is not None and mask > (bit := 1 << s):",
            ("tests/test_core.py",)),
     Mutant("parse: left-path ascending test dropped", CORE,
-           "                        if new >= bit:\n                            break",
-           "                        if False:\n                            break",
+           "if not prev < s < m:",
+           "if not -1 < s < m:",
            ("tests/test_core.py",)),
     Mutant("parse: leading-space test dropped", CORE,
-           "if rest.startswith(\" \"):",
-           "if True:",
+           "rest == \" \" + \" \".join(tokens)",
+           "rest.lstrip(\" \") == \" \".join(tokens)",
+           ("tests/test_core.py",)),
+    Mutant("parse: canonical-spelling comparison flipped", CORE,
+           "canonical = rest == ",
+           "canonical = rest != ",
            ("tests/test_core.py",)),
     Mutant("parse: spelling test dropped", CORE,
-           "if not 0 <= s < m or str(s) != tok:",
-           "if not 0 <= s < m:",
+           "if str(s) == tok:",
+           "if True:",
            ("tests/test_core.py",)),
     Mutant("parse: range test dropped", CORE,
-           "if not 0 <= s < m or str(s) != tok:",
-           "if str(s) != tok:",
+           "if not prev < s < m:",
+           "if not prev < s:",
            ("tests/test_core.py",)),
     # Range-a in closed form.
     Mutant("range-a: deletions counted from bit_length() - 1", CONSTRUCT,
@@ -142,6 +147,11 @@ MUTANTS = (
            "if bits > MAX_LAYOUT_BITS and",
            "if False and",
            ("tests/test_construct.py::test_uniform_layout_cap_boundary",)),
+    # The one helper that writes a count into a message.
+    Mutant("count_text: exact only below 14,000 bits", ERRORS,
+           "width <= MAX_PRINTED_BITS",
+           "width < MAX_PRINTED_BITS",
+           ("tests/test_errors.py",)),
     # Range-b in closed form.
     Mutant("range-b: one word short", CONSTRUCT,
            "sorted(code.words)[:full_steps + 1]",

@@ -30,6 +30,7 @@ import sys
 from . import bounds, construct, oracle
 from .core import Params, SetSystem, parse, serialize, total_storage
 from .errors import (
+    MAX_PRINTED_BITS,
     BudgetExceeded,
     CbcError,
     FormatError,
@@ -37,6 +38,7 @@ from .errors import (
     ParamError,
     RangeError,
     Unsupported,
+    count_text,
 )
 from .hall import CrowdedSubset, _check_batch_size, plan_batch, verify_hc2
 
@@ -179,6 +181,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     result = bounds.known_n(Params(args.n, args.k, args.m))
+    for name in ("lower", "exact", "upper"):
+        value = getattr(result, name)
+        if value is not None and value.bit_length() > MAX_PRINTED_BITS:
+            raise ParamError(f"{name} = {count_text(value)}, too wide to print")
     if args.json:
         _emit_json({"command": "bound", "n": args.n, "k": args.k, "m": args.m,
                     **dataclasses.asdict(result)})

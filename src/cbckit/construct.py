@@ -33,21 +33,15 @@ from math import comb
 from . import bounds
 from .core import MAX_LAYOUT_BITS, Params, SetSystem, bits, total_storage
 from .cwc import best_code, best_d4_code, colex_level, w_masks_colex
-from .errors import ParamError, RangeError, Unsupported
+from .errors import MAX_PRINTED_BITS, ParamError, RangeError, Unsupported, count_text
 from .hall import supersets_adding
-
-
-def _bits_text(count: int) -> str:
-    # str() refuses ints past 4,300 digits; 14,000 bits make about 4,214.
-    # Every message that prints a count derived from the input uses this.
-    return str(count) if count.bit_length() <= 14000 else f"at least 2^{count.bit_length() - 1}"
 
 
 def _check_size(n: int, m: int) -> None:
     """Raise ParamError, before a builder lists anything, when n*m exceeds ``MAX_LAYOUT_BITS``."""
     if n * m > MAX_LAYOUT_BITS:
         raise ParamError(
-            f"a layout of n={n} items on m={m} servers has n*m = {_bits_text(n * m)} bits, "
+            f"a layout of n={n} items on m={m} servers has n*m = {count_text(n * m)} bits, "
             f"more than {MAX_LAYOUT_BITS}"
         )
 
@@ -98,7 +92,7 @@ def construct_large_n(n: int, k: int, m: int) -> SetSystem:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
     grouped = (k - 1) * comb(m, k - 1)
     if n < grouped:
-        raise RangeError(f"need n >= (k-1)*C(m,k-1) = {_bits_text(grouped)}, got n={n}")
+        raise RangeError(f"need n >= (k-1)*C(m,k-1) = {count_text(grouped)}, got n={n}")
     _check_size(n, m)
     items: list[int] = []
     for mask in colex_level(m, k - 1):
@@ -138,7 +132,7 @@ def construct_range_a(n: int, k: int, m: int) -> SetSystem:
     ceiling = (k - 1) * comb(m, k - 1)
     floor_n = comb(m, k - 2)
     if not floor_n <= n <= ceiling:
-        raise RangeError(f"need {_bits_text(floor_n)} <= n <= {_bits_text(ceiling)}, got n={n}")
+        raise RangeError(f"need {count_text(floor_n)} <= n <= {count_text(ceiling)}, got n={n}")
     _check_size(n, m)
     full_steps, leftover = divmod(ceiling - n, m - k + 1)
     items = list(itertools.islice(w_masks_colex(m, k - 2), full_steps + 1))
@@ -182,13 +176,13 @@ def construct_range_b(n: int, k: int, m: int) -> SetSystem:
         raise RangeError(f"need m >= k, got k={k} m={m}")
     ceiling = comb(m, k - 2)
     if not 1 <= n <= ceiling:
-        raise RangeError(f"need 1 <= n <= C(m,k-2) = {_bits_text(ceiling)}, got n={n}")
+        raise RangeError(f"need 1 <= n <= C(m,k-2) = {count_text(ceiling)}, got n={n}")
     _check_size(n, m)
     code = best_d4_code(m, k - 3)
     width = m - k + 1
     if n < ceiling - width * code.size:
         raise RangeError(
-            f"n={n} below the constructible floor {_bits_text(ceiling - width * code.size)} "
+            f"n={n} below the constructible floor {count_text(ceiling - width * code.size)} "
             f"(code of size {code.size})"
         )
     # The floor check gives D <= width * |code|, so the code has a word
@@ -220,14 +214,14 @@ def construct_uniform(c: int, k: int, m: int) -> SetSystem:
     copies = k - c - 1
     # m*C(m, i) for i = 1, 2, .. up to min(c, m-c), where it is m*C(m, c).  It
     # grows with i, so past the cap the build is refused; the product goes on
-    # only while _bits_text prints it exactly, never to millions of bits.
+    # only while count_text prints it exactly, never to millions of bits.
     top = min(c, m - c)
     bits = m
     for i in range(1, top + 1):
         bits = bits * (m - i + 1) // i
-        if bits > MAX_LAYOUT_BITS and (i == top or bits.bit_length() > 14000):
+        if bits > MAX_LAYOUT_BITS and (i == top or bits.bit_length() > MAX_PRINTED_BITS):
             raise ParamError(f"a uniform layout on m={m} servers lists C({m}, {c}) candidate "
-                             f"words of {m} bits, {_bits_text(bits)} bits, more than "
+                             f"words of {m} bits, {count_text(bits)} bits, more than "
                              f"{MAX_LAYOUT_BITS}")
     code = best_code(m, c, 2 * copies)
     return SetSystem(m, tuple(sorted(code.words * copies)))

@@ -1,6 +1,18 @@
-"""Exception types shared across the toolkit, one class per kind of failure."""
+"""Exception types shared across the toolkit, one class per kind of failure.
+
+Also the one helper, ``count_text``, that writes a count into a message.
+"""
 
 from __future__ import annotations
+
+# str() refuses ints past 4,300 digits; 14,000 bits make about 4,214.
+MAX_PRINTED_BITS = 14000
+
+
+def count_text(count: int) -> str:
+    """``count`` in decimal, or "at least 2^e" past ``MAX_PRINTED_BITS`` bits: for messages."""
+    width = count.bit_length()
+    return str(count) if width <= MAX_PRINTED_BITS else f"at least 2^{width - 1}"
 
 
 class CbcError(Exception):
@@ -52,5 +64,5 @@ class BudgetExceeded(CbcError):
         self.best_upper = best_upper
         msg = f"search budget exhausted after {nodes_explored} nodes"
         if best_upper is not None:
-            msg += f" (best constructive upper bound {best_upper})"
+            msg += f" (best constructive upper bound {count_text(best_upper)})"
         super().__init__(msg)

@@ -37,7 +37,7 @@ from math import comb
 from . import bounds
 from .core import Params, SetSystem
 from .cwc import colex_level
-from .errors import BudgetExceeded, CbcError, ParamError
+from .errors import BudgetExceeded, CbcError, ParamError, count_text
 from .hall import supersets_adding, verify_hc2
 
 DEFAULT_BUDGET = 10_000_000
@@ -198,7 +198,7 @@ def _check_masks(k: int, m: int) -> None:
         if count > MAX_CANDIDATE_MASKS:
             raise ParamError(
                 f"search on m={m} servers needs more than {MAX_CANDIDATE_MASKS} "
-                f"{unit}: {count} of weight at most {w}"
+                f"{unit}: {count_text(count)} of weight at most {w}"
             )
 
 

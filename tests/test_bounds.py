@@ -71,10 +71,22 @@ def test_check_inequality_param_error():
         inequality_slack((0, 0, 0), 0, 1)
 
 
+def test_check_inequality_at_one_server():
+    # m = 1 is the least server count allowed: 1*C(1,1) - C(0,0)*A_1.
+    assert inequality_slack((1,), 1, 1) == 0
+    assert inequality_slack((2,), 1, 1) == -1
+
+
 def test_b_value_examples():
     assert b_value(43, 4, 6, 3) == Fraction(370, 3)
     assert b_value(60, 4, 6, 3) == 180
     assert b_value(6, 4, 6, 1) == 6
+
+
+def test_b_value_refuses_m_of_k_minus_1():
+    # At m = k-1 the denominator m-k+1 is 0; the check comes first.
+    with pytest.raises(ParamError, match=r"^need m >= k, got m=3 k=4$"):
+        b_value(5, 4, 3, 1)
 
 
 def test_lower_bound_table1():

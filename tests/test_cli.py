@@ -479,6 +479,12 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
     assert h.hexdigest() == "2543cc0cd3bb89e76732c6ef8033127a63bbe0858210ff0d9c74f84303e7886a"
 
 
+# Counts past the 4,300 digits that str() converts: each message names the
+# count by its power of two.
+NINES_4000 = "9" * 4000
+NINES_4300 = "9" * 4300
+
+
 @pytest.mark.parametrize(
     "argv, text, code, stderr",
     [
@@ -507,6 +513,22 @@ def test_layout_commands_pin(monkeypatch, capsys, table1_system):
         (["construct", "-n", "8", "-k", "4", "-m", "6"], "", 2,
          "construct: no construction covers n=8 k=4 m=6"
          " (exact N = 13, which no builder realises)\n"),
+        pytest.param(
+            ["verify", "-", "-k", "1"], f"cbc m={NINES_4000} n={NINES_4000}\n", 2,
+            f"verify: a layout of n={NINES_4000} items on m={NINES_4000} servers has"
+            " n*m = at least 2^26575 bits, more than 10000000\n", id="verify-4000-digit-header"),
+        pytest.param(
+            ["search", "-n", "1", "-k", "1", "-m", NINES_4000], "", 2,
+            f"search: search on m={NINES_4000} servers needs more than 1000000 64-bit words of"
+            f" candidate masks ({-(-int(NINES_4000) // 64)} per mask): at least 2^26569 of"
+            " weight at most 1\n", id="search-4000-digit-m"),
+        (["bound", "-n", NINES_4300, "-k", "3", "-m", "3"], "", 2,
+         "bound: lower = at least 2^14285, too wide to print\n"),
+        (["bound", "-n", NINES_4300, "-k", "3", "-m", "3", "--json"], "", 2,
+         "bound: lower = at least 2^14285, too wide to print\n"),
+        (["search", "-n", NINES_4300, "-k", "3", "-m", "3", "--budget", "5"], "", 3,
+         "search: search budget exhausted after 0 nodes"
+         " (best constructive upper bound at least 2^14285)\n"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
