@@ -49,6 +49,7 @@ CWC = "src/cbckit/cwc.py"
 BOUNDS = "src/cbckit/bounds.py"
 ORACLE = "src/cbckit/oracle.py"
 ERRORS = "src/cbckit/errors.py"
+CLI = "src/cbckit/cli.py"
 
 MUTANTS = (
     # parse decodes a new line from its decoded head inline, else from the
@@ -199,6 +200,20 @@ MUTANTS = (
            "_constructive_upper(n, k, m) if stop is None else stop",
            "_constructive_upper(n, k, m)",
            ("tests/test_oracle.py::test_settle_gap_budget_exhaustion_asks_known_n_once",)),
+    # simulate plans each batch with find_sdr itself, so it keeps
+    # plan_batch's two guarantees, and checks its flags before the layout.
+    Mutant("simulate: deficiency names positions, not batch items", CLI,
+           "tuple(batch[j] for j in servers.items)",
+           "tuple(j for j in servers.items)",
+           ("tests/test_cli.py::test_simulate_invalid_layout_exits_1",)),
+    Mutant("simulate: repeated-server check removed", CLI,
+           "        if len(set(servers)) != k:",
+           "        if False:",
+           ("tests/test_cli.py::test_simulate_exits_2_when_a_plan_reads_one_server_twice",)),
+    Mutant("simulate: layout read before --batches and --seed", CLI,
+           "def _cmd_simulate(args) -> int:\n",
+           "def _cmd_simulate(args) -> int:\n    _read_layout(args)\n",
+           ("tests/test_cli.py::test_exit_code_table_rows",)),
 )
 
 

@@ -40,7 +40,7 @@ from .errors import (
     Unsupported,
     count_text,
 )
-from .hall import CrowdedSubset, _check_batch_size, plan_batch, verify_hc2
+from .hall import CrowdedSubset, Deficiency, _check_batch_size, find_sdr, plan_batch, verify_hc2
 
 _MASK64 = (1 << 64) - 1
 SPLITMIX_INCREMENT = 0x9E3779B97F4A7C15
@@ -228,28 +228,32 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = _read_layout(args)
-    n, m, k = system.n, system.m, args.k
-    if k > n:
-        raise ParamError(f"batch size {k} exceeds item count {n}")
     if args.batches < 0:
         raise ParamError(f"need --batches >= 0, got {args.batches}")
     if not 0 <= args.seed <= _MASK64:
         raise ParamError(f"need 0 <= --seed < 2**64, got {args.seed}")
+    system = _read_layout(args)
+    items, n, m, k = system.items, system.n, system.m, args.k
+    if k > n:
+        raise ParamError(f"batch size {k} exceeds item count {n}")
     rng = SplitMix64(args.seed)
     per_server = [0] * m
+    # sample_batch draws k distinct indices in 0..n-1, so each batch goes
+    # straight to the matching; plan_batch would check them again.
     for _ in range(args.batches):
         batch = sample_batch(rng, n, k)
-        try:
-            plan = plan_batch(system, batch)
-        except NoPlan as exc:
-            print(f"unplannable batch {batch}: {exc.witness}", file=sys.stderr)
+        servers = find_sdr([items[j] for j in batch])
+        if isinstance(servers, Deficiency):
+            witness = Deficiency(tuple(batch[j] for j in servers.items), servers.servers)
+            print(f"unplannable batch {batch}: {witness}", file=sys.stderr)
             return 1
-        for server in plan.assignment.values():
+        if len(set(servers)) != k:
+            raise ParamError("plan reads one server twice")
+        for server in servers:
             per_server[server] += 1
-    # A RetrievalPlan reads each server at most once and every batch holds
-    # k >= 1 items, so this is 1 once any batch is served; the field stays
-    # in the output for its existing readers.
+    # The loop refuses a batch that reads one server twice, and every batch
+    # holds k >= 1 items, so this is 1 once any batch is served; the field
+    # stays in the output for its existing readers.
     max_in_batch = min(args.batches, 1)
     total = sum(per_server)
     if args.json:

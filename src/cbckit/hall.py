@@ -48,7 +48,9 @@ of shared logic so that one can cross-validate the other.
 ``find_sdr`` is that matching: a bitmask depth-first augmenting-path
 search on an explicit stack, lowest unseen server first, deterministic in
 the server order of the recursive reference matcher in the tests.  It
-returns each position's server; ``plan_batch`` makes the RetrievalPlan.
+returns each position's server; ``plan_batch`` is the one maker of a
+RetrievalPlan.  The CLI's ``simulate`` counts reads from ``find_sdr``
+directly, with its own check for a repeated server.
 """
 
 from __future__ import annotations

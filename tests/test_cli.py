@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbckit
-from cbckit import cli
+from cbckit import cli, construct
 from cbckit.cli import SplitMix64, main, sample_batch
 from cbckit.core import parse, serialize, total_storage
 from cbckit.errors import CbcError, NoPlan
@@ -300,9 +300,63 @@ def test_simulate_trivial_layout(capsys, tmp_path):
 
 
 def test_simulate_invalid_layout_exits_1(capsys, invalid_file):
-    code, _, err = run(capsys, "simulate", invalid_file, "-k", "3", "--batches", "5", "--seed", "0")
-    assert code == 1
-    assert "unplannable" in err
+    # The deficiency names batch items, in the batch's order, not positions.
+    argv = ["simulate", invalid_file, "-k", "3", "--batches", "5", "--seed", "0"]
+    assert run(capsys, *argv) == (
+        1, "", "unplannable batch [1, 0, 2]: items (1,0,2) cover only 2 servers\n")
+
+
+def test_simulate_exits_2_when_a_plan_reads_one_server_twice(monkeypatch, capsys, table1_file):
+    def one_server(sets):
+        return [0] * len(sets)
+
+    for module in (cbckit.hall, cli):
+        monkeypatch.setattr(module, "find_sdr", one_server, raising=False)
+    argv = ["simulate", table1_file, "-k", "4", "--batches", "5", "--seed", "0"]
+    assert run(capsys, *argv) == (2, "", "simulate: plan reads one server twice\n")
+
+
+def recount(system, k, batches, seed):
+    """Per-server reads of ``simulate``'s batches, each planned by ``plan_batch``."""
+    rng = SplitMix64(seed)
+    per_server = [0] * system.m
+    for _ in range(batches):
+        for server in plan_batch(system, sample_batch(rng, system.n, k)).assignment.values():
+            per_server[server] += 1
+    return per_server
+
+
+# (n, k, m) of each layout: Table 1, m = k, a large-n layout whose 180
+# items beyond (k-1)*C(m, k-1) = 20 all sit on the first k servers, and
+# range-b.
+SIMULATE_LAYOUTS = {
+    "table1": construct.construct_range_a(43, 4, 6),
+    "m-equals-k": construct.construct_m_equals_k(20, 4, 4),
+    "large-n": construct.construct_large_n(200, 3, 5),
+    "range-b": construct.construct_range_b(52, 5, 8),
+}
+SIMULATE_KS = {"table1": (1, 2, 4), "m-equals-k": (1, 3, 4), "large-n": (1, 2, 3),
+               "range-b": (2, 4, 5)}
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("name", list(SIMULATE_LAYOUTS))
+def test_simulate_reads_match_a_recount_by_plan_batch(monkeypatch, capsys, name, seed):
+    system = SIMULATE_LAYOUTS[name]
+    text = serialize(system)
+    for k in SIMULATE_KS[name]:
+        expected = recount(system, k, 60, seed)
+        argv = ["simulate", "-", "-k", str(k), "--batches", "60", "--seed", str(seed)]
+        code, out, err = stdin_run(monkeypatch, capsys, text, argv + ["--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["per_server_reads"] == expected
+        assert report["total_reads"] == 60 * k
+        code, out, err = stdin_run(monkeypatch, capsys, text, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1:1 + system.m] == [f"server {s}: {c}" for s, c in enumerate(expected)]
+        assert lines[1 + system.m] == f"total reads: {60 * k}"
 
 
 def test_simulate_negative_batches_exits_2(capsys, table1_file):
@@ -529,6 +583,10 @@ NINES_4300 = "9" * 4300
         (["search", "-n", NINES_4300, "-k", "3", "-m", "3", "--budget", "5"], "", 3,
          "search: search budget exhausted after 0 nodes"
          " (best constructive upper bound at least 2^14285)\n"),
+        # --batches and --seed are checked before the layout is read.
+        pytest.param(
+            ["simulate", "-", "-k", "2", "--batches", "-3"], "cbc m=2\n", 2,
+            "simulate: need --batches >= 0, got -3\n", id="simulate-batches-before-layout"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):
