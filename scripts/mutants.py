@@ -82,6 +82,21 @@ MUTANTS = (
            "if not prev < s < m:",
            "if not prev < s:",
            ("tests/test_core.py",)),
+    # A new head is taken from its head's head h2 and its last token b2,
+    # then the line's end bit goes through the known-head test above, so
+    # h2 < b2 < bit holds only while both comparisons stand.
+    Mutant("parse: head's-head ascending test dropped", CORE,
+           "s2 is not None and h2 < (b2 := 1 << s2):",
+           "s2 is not None and (b2 := 1 << s2):",
+           ("tests/test_core.py::test_lines_off_a_head_of_head_match_the_reference",)),
+    Mutant("parse: end not tested above a head taken from its head's head", CORE,
+           "s is not None and mask < (bit := 1 << s):",
+           "s is not None and (bit := 1 << s):",
+           ("tests/test_core.py::test_lines_off_a_head_of_head_match_the_reference",)),
+    Mutant("serialize: head's head cut at the wrong top bit", CORE,
+           "before = head ^ (1 << mid)",
+           "before = head ^ (1 << top)",
+           ("tests/test_core.py::test_every_level_and_range_a_round_trip_line_by_line",)),
     # Range-a in closed form.
     Mutant("range-a: deletions counted from bit_length() - 1", CONSTRUCT,
            "(s >> (s - t).bit_length()).bit_count()",
@@ -148,6 +163,10 @@ MUTANTS = (
            "if bits > MAX_LAYOUT_BITS and",
            "if False and",
            ("tests/test_construct.py::test_uniform_layout_cap_boundary",)),
+    Mutant("construct_uniform: stops at 14,000 bits, not past them", CONSTRUCT,
+           "bits.bit_length() > MAX_PRINTED_BITS",
+           "bits.bit_length() >= MAX_PRINTED_BITS",
+           ("tests/test_construct.py::test_uniform_cap_stops_multiplying_past_14000_bits",)),
     # The one helper that writes a count into a message.
     Mutant("count_text: exact only below 14,000 bits", ERRORS,
            "width <= MAX_PRINTED_BITS",

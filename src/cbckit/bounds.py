@@ -96,10 +96,15 @@ def b_value(n: int, k: int, m: int, c: int) -> Fraction:
     return Fraction(n * c * d * width - (k - c) * ((k - 1) * comb(m, c) - n * d), d * width)
 
 
-def _check_params(n: int, k: int, m: int) -> None:
-    """Reject parameters outside 2 <= k <= m, n >= 1, where the bounds apply."""
+def check_k(k: int, m: int) -> None:
+    """Reject a batch size outside 2 <= k <= m, where the bounds apply."""
     if not 2 <= k <= m:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
+
+
+def _check_params(n: int, k: int, m: int) -> None:
+    """Reject parameters outside 2 <= k <= m, n >= 1, where the bounds apply."""
+    check_k(k, m)
     if n < 1:
         raise ParamError(f"need n >= 1, got n={n}")
 

@@ -124,10 +124,13 @@ def _cmd_construct(args) -> int:
         raise ParamError("-c applies only to --method uniform")
     elif args.n is None:
         raise ParamError("-n is required")
-    elif method == "auto":
-        system, _ = construct.construct_best(args.n, args.k, args.m)
     else:
-        system = construct.BUILDERS[method](args.n, args.k, args.m)
+        # known_n below refuses such a k: refuse it before any builder runs.
+        bounds.check_k(args.k, args.m)
+        if method == "auto":
+            system, _ = construct.construct_best(args.n, args.k, args.m)
+        else:
+            system = construct.BUILDERS[method](args.n, args.k, args.m)
 
     built = total_storage(system)
     result = bounds.known_n(Params(system.n, args.k, args.m))

@@ -10,18 +10,20 @@ are meaningful: they are distinct items replicated the same way).
 The text layer (``serialize``/``parse``, the "cbc" format) writes a
 set's text as the text of the set without its top server (its head),
 then that server.  ``serialize`` renders a new mask as one token when its
-head was rendered before, else as each of its tokens, and keeps at most
-two strings per distinct mask.  ``parse`` decodes a new line tail inline
-when its head (all but its last token) was decoded before and its last
-token is in a table from each canonical token seen to its index; every
+head was rendered before, as two when its head's head was, else as each
+of its tokens, and keeps at most three strings per distinct mask.
+``parse`` decodes a new line tail inline when its head (all but its last
+token) was decoded before, or its head's head was, and the tokens after
+it are in a table from each canonical token seen to its index; every
 other new tail goes through one left-to-right decoder, which raises the
-tail's first error.  The table holds indices, not bits, so its memory
-stays linear in the text.  Time is not linear in the text for wide
-masks: each new token costs word operations on an m-bit int (``bits()``
-of a new head, ``1 << s`` of a decoded token), so one line that names
-every server costs O(m**2) bit operations.  On Python 3.11, 2 vCPUs,
-such a line at m = 25,000, 50,000, 100,000 and 200,000 took serialize
-0.04, 0.13, 0.51 and 2.1 s and parse 0.02, 0.04, 0.10 and 0.31 s.
+tail's first error.  The memo holds at most three strings per line and
+the table holds indices, not bits, so memory stays linear in the text.
+Time is not linear in the text for wide masks: each new token costs word
+operations on an m-bit int (``bits()`` of a new head's head, ``1 << s``
+of a decoded token), so one line that names every server costs O(m**2)
+bit operations.  On Python 3.11, 2 vCPUs, such a line at m = 25,000,
+50,000, 100,000 and 200,000 took serialize 0.04, 0.13, 0.51 and 2.1 s and
+parse 0.02, 0.04, 0.10 and 0.31 s.
 """
 
 from __future__ import annotations
@@ -119,10 +121,13 @@ def serialize(sys: SetSystem) -> str:
     zero-based server indices.  Output is canonical: byte-identical for
     equal systems.  A mask's text is the text of its head (the mask
     without its top bit), then that bit.  A head rendered before gives a
-    new mask's text with one appended token; a new head is rendered whole
-    and recorded.  So the memo gains at most two strings per distinct
-    mask, and memory is linear in the text; a new head's ``bits()`` costs
-    O(m) per token, quadratic in m for a mask of every server.
+    new mask's text with one appended token.  A new head is its own
+    head's text plus one token when that text was rendered before, and
+    otherwise its head's head is rendered whole; either way the head and
+    its head's head are recorded.  So the memo gains at most three
+    strings per distinct mask, and memory is linear in the text; a new
+    head's head's ``bits()`` costs O(m) per token, quadratic in m for a
+    mask of every server.
     """
     tails = {0: ""}  # mask -> " <servers>"; masks are never 0
     lines = [f"cbc m={sys.m} n={sys.n}"]
@@ -133,7 +138,12 @@ def serialize(sys: SetSystem) -> str:
             head = mask ^ (1 << top)
             text = tails.get(head)
             if text is None:
-                text = tails[head] = "".join([f" {s}" for s in bits(head)])
+                mid = head.bit_length() - 1
+                before = head ^ (1 << mid)
+                text = tails.get(before)
+                if text is None:
+                    text = tails[before] = "".join([f" {s}" for s in bits(before)])
+                text = tails[head] = f"{text} {mid}"
             tail = tails[mask] = f"{text} {top}"
         lines.append(f"{j}:{tail}")
     return "\n".join(lines) + "\n"
@@ -178,16 +188,21 @@ def parse(text: str) -> SetSystem:
     new tail whose head (all but its last token) was decoded before and
     whose last token is in the token table is canonical iff that token's
     index lies above the head's top server; that costs one rpartition, two
-    dict lookups, one shift and one comparison, inline in the loop.  Any
-    other new tail goes through the one left-to-right decoder: it takes
-    each token from the table, or from int() on a token's first sight,
-    raises the tail's first error, and records the tail and its head when
-    the tail is spelled canonically, so the memo holds at most two strings
-    per line.  The token table maps each canonical token seen to its index
-    below m.  It holds indices, not bits: a table of ``1 << s`` would keep
-    an s-bit int per distinct token, up to m**2/16 bytes in all for a text
-    of only O(m) tokens.  Each decoded token still costs O(m) for its
-    ``1 << s``, quadratic in m for a line that names every server.
+    dict lookups, one shift and one comparison, inline in the loop.  A new
+    head whose own head h2 was decoded before takes one step more: one
+    rpartition of the head, lookups of h2 and of the head's last token,
+    whose bit is b2, and the comparison h2 < b2, which records the head;
+    the known-head test then makes it h2 < b2 < bit, with bit the line's
+    last, and records the line.  Any other new tail goes through the one
+    left-to-right decoder: it takes each token from the table, or from
+    int() on a token's first sight, raises the tail's first error, and
+    records the tail, its head and its head's head when the tail is
+    spelled canonically, so the memo holds at most three strings per line.
+    The token table maps each canonical token seen to its index below m.
+    It holds indices, not bits: a table of ``1 << s`` would keep an s-bit
+    int per distinct token, up to m**2/16 bytes in all for a text of only
+    O(m) tokens.  Each decoded token still costs O(m) for its ``1 << s``,
+    quadratic in m for a line that names every server.
     """
     lines = text.splitlines()
     if not lines:
@@ -205,7 +220,7 @@ def parse(text: str) -> SetSystem:
     if len(body) != n:
         raise FormatError(f"header says n={n} but found {len(body)} item lines")
     items = []
-    decoded: dict[str, int] = {}  # canonical line tail, or head of one -> mask
+    decoded: dict[str, int] = {}  # canonical line tail, its head or head's head -> mask
     index: dict[str, int] = {}  # canonical spelling of a server index below m -> index
     odd = None  # position of the first line not spelled canonically
     for pos, line in enumerate(body):
@@ -226,11 +241,18 @@ def parse(text: str) -> SetSystem:
             head, _, last = rest.rpartition(" ")
             mask = decoded.get(head)
             s = index.get(last)
+            if mask is None and s is not None:
+                # A new head whose own head was decoded before: one step more.
+                before, _, mid = head.rpartition(" ")
+                h2 = decoded.get(before)
+                s2 = index.get(mid)
+                if h2 is not None and s2 is not None and h2 < (b2 := 1 << s2):
+                    mask = decoded[head] = h2 | b2
             if mask is not None and s is not None and mask < (bit := 1 << s):
                 mask = decoded[rest] = mask | bit
             else:
-                # A new head, or a last token not taken yet: decode from the
-                # left, raising the tail's first error.
+                # A new head's head, or a token not taken yet: decode from
+                # the left, raising the tail's first error.
                 tokens = rest.split()
                 if not tokens:
                     raise FormatError(f"item {pos} has no servers")
@@ -257,7 +279,10 @@ def parse(text: str) -> SetSystem:
                 if canonical:
                     decoded[rest] = mask
                     if head:
-                        decoded[head] = mask ^ (1 << prev)
+                        h1 = decoded[head] = mask ^ (1 << prev)
+                        before = head.rpartition(" ")[0]
+                        if before:
+                            decoded[before] = h1 ^ (1 << h1.bit_length() - 1)
                 elif odd is None:
                     odd = pos
         items.append(mask)

@@ -587,6 +587,13 @@ NINES_4300 = "9" * 4300
         pytest.param(
             ["simulate", "-", "-k", "2", "--batches", "-3"], "cbc m=2\n", 2,
             "simulate: need --batches >= 0, got -3\n", id="simulate-batches-before-layout"),
+        # construct checks 2 <= k <= m before any builder runs.
+        pytest.param(
+            ["construct", "-n", "5", "-k", "1", "-m", "3", "--method", "trivial"], "", 2,
+            "construct: need 2 <= k <= m, got k=1 m=3\n", id="construct-k1-before-trivial-range"),
+        pytest.param(
+            ["construct", "-n", "4", "-k", "1", "-m", "4", "--method", "m-equals-k"], "", 2,
+            "construct: need 2 <= k <= m, got k=1 m=4\n", id="construct-k1-before-m-equals-k"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):

@@ -402,6 +402,18 @@ def test_uniform_layout_cap_boundary(monkeypatch):
     assert total_storage(construct_uniform(2, 5, 8)) == 16
 
 
+@pytest.mark.parametrize("m, count", [(2**7000 - 1, "at least 2^20998"),
+                                      (2**7000, "at least 2^14000")])
+def test_uniform_cap_stops_multiplying_past_14000_bits(m, count):
+    # At c = 2 the cap multiplies m*C(m, 1) = m*m, then m*C(m, 2).  m*m of
+    # 14,000 bits still prints exactly, so the walk goes on to C(m, 2); of
+    # 14,001 bits it does not, and the walk stops there.
+    with pytest.raises(ParamError) as info:
+        construct_uniform(2, 4, m)
+    assert str(info.value) == (f"a uniform layout on m={m} servers lists C({m}, 2) candidate "
+                               f"words of {m} bits, {count} bits, more than 10000000")
+
+
 def test_cap_messages_name_a_count_too_long_for_str():
     # n*m and m*C(m, c) of 6,001 digits, past the 4,300 that str() converts:
     # each message names the count's power of two, 10^6000 >= 2^19931.

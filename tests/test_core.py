@@ -1,11 +1,12 @@
+import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbckit.bounds import b_value
-from cbckit.construct import construct_m_plus_1
+from cbckit.construct import construct_m_plus_1, construct_range_a
 from cbckit.core import (
     MAX_LAYOUT_BITS,
     Params,
@@ -185,9 +186,10 @@ def test_parsers_return_or_raise_format_error(text):
 
 
 # Ways to spoil one line tail (the text after ":"), given its tokens, m
-# and the good and spoiled tails made so far.  The last five build on an
+# and the good and spoiled tails made so far.  The last ten build on an
 # earlier tail, whose prefixes the parser may have decoded already; a good
-# tail extended by a higher index is still good.
+# tail extended by a higher index is still good, and so is its head's head
+# extended by two ascending indices.
 _TAIL_MUTATIONS = {
     "doubled spaces": lambda toks, m, good, spoiled: " " + "  ".join(toks),
     "leading space": lambda toks, m, good, spoiled: "  " + " ".join(toks),
@@ -212,7 +214,34 @@ _TAIL_MUTATIONS = {
         (spoiled[-1] if spoiled else " 0" + toks[0]) + f" {m - 1}"),
     "proper prefix of a good tail": lambda toks, m, good, spoiled: (
         good[-1].rpartition(" ")[0] if good else ""),
+    # The head's head of a good tail, then a middle token and an end.
+    "head's head, new middle, higher end": lambda toks, m, good, spoiled: _off_head_of_head(
+        good, toks, lambda t, x, end: [x, end]),
+    "head's head, middle with a leading zero": lambda toks, m, good, spoiled: _off_head_of_head(
+        good, toks, lambda t, x, end: ["0" + x, end]),
+    "head's head, descending middle": lambda toks, m, good, spoiled: _off_head_of_head(
+        good, toks, lambda t, x, end: [t[0], end]),
+    "head's head, middle equal to the end": lambda toks, m, good, spoiled: _off_head_of_head(
+        good, toks, lambda t, x, end: [end, end]),
+    "head's head, middle out of range": lambda toks, m, good, spoiled: _off_head_of_head(
+        good, toks, lambda t, x, end: [str(m), str(m + 1)]),
 }
+
+
+def _off_head_of_head(good, toks, pick):
+    """A tail on the head's head of the last good tail t of three or more
+    tokens, then the two tokens ``pick(t, x, end)``.  x is the least index
+    in a good tail above t's middle token, which gives a new head, and end
+    the least such index above x; each is one more than its lower bound
+    when no good tail has one.  With no such t, ``toks`` as they are."""
+    seen = sorted({int(tok) for tail in good for tok in tail.split()})
+    for tail in reversed(good):
+        t = tail.split()
+        if len(t) >= 3:
+            x = next((s for s in seen if s > int(t[-2])), int(t[-2]) + 1)
+            end = str(next((s for s in seen if s > x), x + 1))
+            return " " + " ".join(t[:-2] + pick(t, str(x), end))
+    return " " + " ".join(toks)
 
 
 @st.composite
@@ -237,6 +266,27 @@ def repeated_tail_texts(draw):
     return "\n".join([f"cbc m={m} n={len(tails)}"] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
 
 
+@st.composite
+def head_of_head_texts(draw):
+    """A line of every index, which puts each in the token table, and good
+    tails of three or more, then tails spelt from the head's head of an
+    earlier tail and two drawn tokens: most reach parse's head's-head step."""
+    m = draw(st.integers(3, 12))
+    token = st.sampled_from([str(s) for s in range(m + 1)] + ["0" + str(s) for s in range(m)])
+    tails = [" " + " ".join(map(str, range(m)))]
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.sets(st.integers(0, m - 1), min_size=3, max_size=m))
+        tails.append(" " + " ".join(map(str, sorted(picked))))
+    for _ in range(draw(st.integers(1, 6))):
+        head_of_head = draw(st.sampled_from(tails)).split()[:-2]
+        above = st.integers(min(int(head_of_head[-1]) + 1, m), m).map(str)
+        ends = [draw(st.one_of(token, above)) for _ in range(2)]
+        if draw(st.booleans()):
+            ends.sort(key=int)
+        tails.append(" " + " ".join(head_of_head + ends))
+    return "\n".join([f"cbc m={m} n={len(tails)}"] + [f"{j}:{tail}" for j, tail in enumerate(tails)]) + "\n"
+
+
 def _parse_outcome(parser, text):
     """The layout ``parser`` returns, or its error's class and message."""
     try:
@@ -245,7 +295,8 @@ def _parse_outcome(parser, text):
         return type(exc), str(exc)
 
 
-@given(repeated_tail_texts())
+@settings(max_examples=200)
+@given(st.one_of(repeated_tail_texts(), head_of_head_texts()))
 def test_parsers_match_the_token_by_token_reference(text):
     # The parser decodes each distinct tail once; the reference decodes
     # every line on its own, so masks, error classes and messages must agree.
@@ -265,7 +316,8 @@ def edited_canonical_texts(draw):
     return text
 
 
-@given(st.one_of(st.text(), near_format_texts(), repeated_tail_texts(), edited_canonical_texts()))
+@given(st.one_of(st.text(), near_format_texts(), repeated_tail_texts(), head_of_head_texts(),
+                 edited_canonical_texts()))
 def test_accepted_texts_are_canonical(text):
     try:
         system = parse(text)
@@ -321,6 +373,28 @@ def test_parse_memory_is_linear_in_a_long_line():
     assert peak < 4 * 2**20
 
 
+def test_memory_is_linear_in_long_lines_that_differ_in_their_last_two():
+    # Three lines of 4,000 indices that share their first 3,998 (19 kB
+    # each): the second and third take their new heads from their head's
+    # head.  Both memos keep at most three strings per line; one of every
+    # prefix would hold about 37 MB.
+    prefix = list(range(3998))
+    system = SetSystem.from_sets(4002, [prefix + [3998, 3999], prefix + [3999, 4000],
+                                        prefix + [4000, 4001]])
+    tracemalloc.start()
+    try:
+        text = serialize(system)
+        serialize_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        parsed = parse(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == system
+    assert serialize_peak < 2 * 2**20
+    assert parse_peak < 4 * 2**20
+
+
 def test_parse_token_table_holds_indices_not_bits():
     # 20 lines on m = 20,000, line i holding every index = i mod 20
     # (109 kB): a table from each token to 1 << index would keep 20,000
@@ -363,6 +437,49 @@ def test_known_heads_and_odd_digits_match_the_reference(text, message):
             parser(text)
         assert type(info.value) is FormatError
         assert str(info.value) == message
+
+
+# "0: 0 1 2 3 4 5" leaves " 0 1 2 3" decoded and every token in the table:
+# it is the head's head of the next line, whose own head " 0 1 2 3 x" is new.
+_OFF_0123 = "cbc m=7 n=2\n0: 0 1 2 3 4 5\n1: 0 1 2 3"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The middle x at or below 3:
+        (_OFF_0123 + " 2 5\n", "item 1: server 2 after 3, not ascending"),
+        (_OFF_0123 + " 3 5\n", "item 1: server 3 after 3, not ascending"),
+        # the end at or below the middle:
+        (_OFF_0123 + " 5 5\n", "item 1: server 5 after 5, not ascending"),
+        (_OFF_0123 + " 5 4\n", "item 1: server 4 after 5, not ascending"),
+        # a middle or end out of range, or misspelt:
+        (_OFF_0123 + " 7 8\n", "item 1: server 7 outside 0..6"),
+        (_OFF_0123 + " 5 7\n", "item 1: server 7 outside 0..6"),
+        (_OFF_0123 + " 05 6\n", "line 3: expected '1: 0 1 2 3 5 6', got '1: 0 1 2 3 05 6'"),
+        (_OFF_0123 + "  5 6\n", "line 3: expected '1: 0 1 2 3 5 6', got '1: 0 1 2 3  5 6'"),
+    ],
+)
+def test_lines_off_a_head_of_head_match_the_reference(text, message):
+    for parser in (parse, parse_reference):
+        with pytest.raises(FormatError) as info:
+            parser(text)
+        assert type(info.value) is FormatError
+        assert str(info.value) == message
+
+
+def test_every_level_and_range_a_round_trip_line_by_line():
+    # Almost every line of a level is new, and many lines have a new head
+    # too: each text must be the line-by-line spelling, and parse back.
+    # Every t-subset of m servers, in colex (ascending mask) order.
+    systems = [SetSystem(m, sorted(mask_of(c) for c in itertools.combinations(range(m), t)))
+               for t in range(3, 7) for m in range(t, 13)]
+    systems.append(construct_range_a(6188, 7, 17))
+    for system in systems:
+        text = serialize(system)
+        assert text == f"cbc m={system.m} n={system.n}\n" + "".join(
+            f"{j}: {' '.join(map(str, s))}\n" for j, s in enumerate(system.item_sets()))
+        assert parse(text) == system == parse_reference(text)
 
 
 def test_serialize_memory_is_linear_in_a_wide_set():
