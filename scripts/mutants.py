@@ -141,6 +141,22 @@ MUTANTS = (
            "                bit = free & -free",
            "                bit = 1 << free.bit_length() - 1",
            ("tests/test_hall.py",)),
+    # find_sdr's inline two steps: the holder of the lowest server moves to
+    # its next lowest server only if that is free, and both moves are
+    # recorded.  Dropping `& ~low` there is an equivalent mutant (the search
+    # replays the steps), so it has no entry.
+    Mutant("find_sdr: inline step without its free-server test", HALL,
+           "if bit and bit not in owner:",
+           "if bit:",
+           ("tests/test_hall.py",)),
+    Mutant("find_sdr: inline step leaves the holder's server", HALL,
+           "                taken[holder] = bit\n",
+           "",
+           ("tests/test_hall.py",)),
+    Mutant("find_sdr: inline step leaves the new owner unrecorded", HALL,
+           "                owner[bit] = holder\n",
+           "",
+           ("tests/test_hall.py",)),
     # colex_level by Pascal's rule.
     Mutant("colex_level: Pascal slice one short", CWC,
            "masks[:comb(top, j - 1)]",

@@ -96,15 +96,10 @@ def b_value(n: int, k: int, m: int, c: int) -> Fraction:
     return Fraction(n * c * d * width - (k - c) * ((k - 1) * comb(m, c) - n * d), d * width)
 
 
-def check_k(k: int, m: int) -> None:
-    """Reject a batch size outside 2 <= k <= m, where the bounds apply."""
+def check_params(n: int, k: int, m: int) -> None:
+    """Reject parameters outside 2 <= k <= m, n >= 1, where the bounds apply."""
     if not 2 <= k <= m:
         raise ParamError(f"need 2 <= k <= m, got k={k} m={m}")
-
-
-def _check_params(n: int, k: int, m: int) -> None:
-    """Reject parameters outside 2 <= k <= m, n >= 1, where the bounds apply."""
-    check_k(k, m)
     if n < 1:
         raise ParamError(f"need n >= 1, got n={n}")
 
@@ -116,7 +111,7 @@ def lower_bound(n: int, k: int, m: int) -> BoundResult:
     n*c - floor((k-c)*(U - n)/(m-k+1)).  The unfloored b-values are
     checked to peak exactly at this c (they rise up to it and fall after).
     """
-    _check_params(n, k, m)
+    check_params(n, k, m)
     ceiling = (k - 1) * comb(m, k - 1)
     if n > ceiling:
         raise RangeError(
@@ -211,7 +206,7 @@ def known_n(params: Params) -> BoundResult:
     it and any unproven regime that applies.
     """
     n, k, m = params.n, params.k, params.m
-    _check_params(n, k, m)
+    check_params(n, k, m)
 
     tags, values, unproven = [], [], []
     upper = None

@@ -125,8 +125,9 @@ def _cmd_construct(args) -> int:
     elif args.n is None:
         raise ParamError("-n is required")
     else:
-        # known_n below refuses such a k: refuse it before any builder runs.
-        bounds.check_k(args.k, args.m)
+        # known_n below refuses such parameters: refuse them before any
+        # builder runs.
+        bounds.check_params(args.n, args.k, args.m)
         if method == "auto":
             system, _ = construct.construct_best(args.n, args.k, args.m)
         else:

@@ -47,10 +47,15 @@ of shared logic so that one can cross-validate the other.
 
 ``find_sdr`` is that matching: a bitmask depth-first augmenting-path
 search on an explicit stack, lowest unseen server first, deterministic in
-the server order of the recursive reference matcher in the tests.  It
-returns each position's server; ``plan_batch`` is the one maker of a
-RetrievalPlan.  The CLI's ``simulate`` counts reads from ``find_sdr``
-directly, with its own check for a repeated server.
+the server order of the recursive reference matcher in the tests.  The
+search's first two steps are settled inline, with no stack: a set whose
+lowest server is free takes it, and else the holder of that server moves
+to its own next lowest server if that one is free.  Any other case has
+changed nothing yet, so the full search starts from scratch, replays
+those two steps and finds the same matching.  It returns each position's
+server; ``plan_batch`` is the one maker of a RetrievalPlan.  The CLI's
+``simulate`` counts reads from ``find_sdr`` directly, with its own check
+for a repeated server.
 """
 
 from __future__ import annotations
@@ -97,8 +102,7 @@ class RetrievalPlan:
     assignment: dict[int, int]
 
     def __post_init__(self):
-        servers = list(self.assignment.values())
-        if len(set(servers)) != len(servers):
+        if len(set(self.assignment.values())) != len(self.assignment):
             raise ParamError("plan reads one server twice")
 
 
@@ -271,11 +275,17 @@ def find_sdr(sets: Sequence[int]) -> Union[list[int], Deficiency]:
     depth-first search on an explicit stack, so an alternating path may be
     as long as ``sets`` (no recursion limit applies).  ``owner`` maps a
     server bit to the position holding it and ``seen`` is one int; each
-    step tries the lowest unseen server of the set on top of the stack.  A
-    set whose lowest server is free takes it at once, which is the first
-    step of that same search.  Deterministic (but not canonical): servers
-    are tried in the same ascending order as the recursive reference
-    matcher, so matchings and deficiencies match it exactly.  On failure
+    step tries the lowest unseen server of the set on top of the stack.
+    The search's first two steps are settled inline: a set whose lowest
+    server ``low`` is free takes it at once; else, if the holder of ``low``
+    has a lowest server ``bit`` other than ``low`` and ``bit`` is free, the
+    holder moves to ``bit`` and the set takes ``low``.  In any other case
+    (``bit`` is 0 or taken) nothing has been changed, and the search starts
+    from the set with nothing seen, so it takes those same two steps first
+    and every matching and deficiency is what the search alone would give.
+    Deterministic (but not canonical): servers are tried in the same
+    ascending order as the recursive reference matcher, so matchings and
+    deficiencies match it exactly.  On failure
     returns the standard Hall violator: the sets reachable by alternating
     paths from the first unmatched one, whose union is too small.
     """
@@ -283,10 +293,23 @@ def find_sdr(sets: Sequence[int]) -> Union[list[int], Deficiency]:
     taken = [0] * len(sets)  # position -> its server bit
     for pos, mask in enumerate(sets):
         low = mask & -mask
-        if low and low not in owner:
-            owner[low] = pos
-            taken[pos] = low
-            continue
+        if low:
+            if low not in owner:
+                owner[low] = pos
+                taken[pos] = low
+                continue
+            # The search's first two steps: the holder of `low` moves to its
+            # lowest other server if that is free.  Otherwise nothing has
+            # changed yet and the search below replays these steps.
+            holder = owner[low]
+            rest = sets[holder] & ~low
+            bit = rest & -rest
+            if bit and bit not in owner:
+                owner[bit] = holder
+                taken[holder] = bit
+                owner[low] = pos
+                taken[pos] = low
+                continue
         stack = [pos]  # the alternating path, root first
         tried: list[int] = []  # tried[i]: the server stack[i] is trying
         seen = 0
@@ -352,13 +375,15 @@ def plan_batch(sys: SetSystem, request: Sequence[int]) -> RetrievalPlan:
     """
     n = len(sys.items)
     seen = set()
+    sets = []
     for j in request:
         if not 0 <= j < n:
             raise ParamError(f"item index {j} outside 0..{n - 1}")
         if j in seen:
             raise ParamError(f"item index {j} requested twice")
         seen.add(j)
-    result = find_sdr([sys.items[j] for j in request])
+        sets.append(sys.items[j])
+    result = find_sdr(sets)
     if isinstance(result, Deficiency):
         items = tuple(request[j] for j in result.items)
         raise NoPlan(Deficiency(items, result.servers))

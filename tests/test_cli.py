@@ -594,6 +594,19 @@ NINES_4300 = "9" * 4300
         pytest.param(
             ["construct", "-n", "4", "-k", "1", "-m", "4", "--method", "m-equals-k"], "", 2,
             "construct: need 2 <= k <= m, got k=1 m=4\n", id="construct-k1-before-m-equals-k"),
+        # ... and n >= 1, so no builder's own message or build comes first.
+        pytest.param(
+            ["construct", "-n", "0", "-k", "2", "-m", "3", "--method", "trivial"], "", 2,
+            "construct: need n >= 1, got n=0\n", id="construct-n0-before-trivial"),
+        pytest.param(
+            ["construct", "-n", "0", "-k", "2", "-m", "2", "--method", "m-equals-k"], "", 2,
+            "construct: need n >= 1, got n=0\n", id="construct-n0-before-m-equals-k"),
+        pytest.param(
+            ["construct", "-n", "-1", "-k", "2", "-m", "3"], "", 2,
+            "construct: need n >= 1, got n=-1\n", id="construct-negative-n-before-auto"),
+        pytest.param(
+            ["construct", "-n", "0", "-k", "3", "-m", "5", "--method", "range-a"], "", 2,
+            "construct: need n >= 1, got n=0\n", id="construct-n0-before-range-a"),
     ],
 )
 def test_exit_code_table_rows(monkeypatch, capsys, tmp_path, argv, text, code, stderr):

@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -160,6 +160,38 @@ def test_find_sdr_matches_recursive_reference(sets):
         assert (got.items, got.servers) == (want.items, want.servers)
 
 
+def test_find_sdr_matches_reference_on_every_short_sequence():
+    # Every sequence of at most 4 masks over 4 servers, and of at most 5 over
+    # 3, the empty mask included.  The matching of a sequence's last position
+    # starts from its prefix's matching, so that position is also classed by
+    # the path it takes: its lowest server free, the holder of that server
+    # moving to its next lowest, free server (find_sdr's inline two steps),
+    # or the full search.  Each path must be taken.
+    paths: Counter[str] = Counter()
+    for m, longest in ((4, 4), (3, 5)):
+        matched: dict[tuple[int, ...], list[int]] = {(): []}
+        for length in range(longest + 1):
+            for sets in product(range(1 << m), repeat=length):
+                got, want = find_sdr(sets), sdr_reference(sets)
+                if isinstance(want, list):
+                    assert got == want, sets
+                    matched[sets] = got
+                else:
+                    assert isinstance(got, Deficiency), sets
+                    assert (got.items, got.servers) == (want.items, want.servers), sets
+                prior = matched.get(sets[:-1]) if sets else None
+                if prior is None:
+                    continue  # no last set, or the prefix has no SDR
+                owner = {server: pos for pos, server in enumerate(prior)}
+                low = next(bits(sets[-1]), None)
+                if low is not None and low not in owner:
+                    paths["free"] += 1
+                    continue
+                others = [] if low is None else [s for s in bits(sets[owner[low]]) if s != low]
+                paths["inline" if others and others[0] not in owner else "search"] += 1
+    assert min(paths["free"], paths["inline"], paths["search"]) > 0, paths
+
+
 def test_deep_augmenting_path_plans():
     system = chain_system(1200)
     plan = plan_batch(system, range(system.n))
@@ -172,6 +204,7 @@ def test_deep_augmenting_path_plans():
 PINNED_PLANS = {
     (43, 4, 6): "4380f2c626ef94fa4642e5ff950ba9b2eb8381211b0b9eaff211cf135ae80d02",
     (500, 5, 16): "9139132c10261da72cc93c99f76e75a42cb24748924967f61bc7024778e277fc",
+    (42499, 7, 24): "656a76f9cfb280ed4bcc2bedf6a2672a51e7d17e9dad6ff4357eace8c7219d76",
 }
 
 
