@@ -245,6 +245,19 @@ MUTANTS = (
            "        if len(set(servers)) != k:",
            "        if False:",
            ("tests/test_cli.py::test_simulate_exits_2_when_a_plan_reads_one_server_twice",)),
+    # simulate's block sampler against next_u64 and the README's list sampler.
+    Mutant("draws: lane mask dropped before the second multiply", CLI,
+           "z = ((z ^ (z >> 27)) & mask) * SPLITMIX_MULT2 & mask",
+           "z = (z ^ (z >> 27)) * SPLITMIX_MULT2 & mask",
+           ("tests/test_cli.py::test_draws_match_repeated_next_u64",)),
+    Mutant("draws: state advanced count - 1 steps", CLI,
+           "self.state = (self.state + count * SPLITMIX_INCREMENT) & _MASK64",
+           "self.state = (self.state + (count - 1) * SPLITMIX_INCREMENT) & _MASK64",
+           ("tests/test_cli.py::test_draws_match_repeated_next_u64",)),
+    Mutant("sample_batches: last partial block drawn at full size", CLI,
+           "    yield rng.draws(total)\n",
+           "    yield rng.draws(DRAW_BLOCK)\n",
+           ("tests/test_cli.py::test_sample_batches_match_the_list_sampler",)),
     Mutant("simulate: layout read before --batches and --seed", CLI,
            "def _cmd_simulate(args) -> int:\n",
            "def _cmd_simulate(args) -> int:\n    _read_layout(args)\n",

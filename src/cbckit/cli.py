@@ -16,7 +16,10 @@ The simulate command must reproduce bit-exactly across implementations,
 so its batch sampler is pinned down completely: a splitmix-style 64-bit
 generator (constants below, documented in the README) drives a partial
 Fisher-Yates shuffle of the item indices; the first k entries, in
-selection order, form the batch.
+selection order, form the batch.  ``SplitMix64.next_u64`` is the
+reference for that sequence, one output at a time.  ``simulate`` draws the
+same sequence a block at a time (``SplitMix64.draws``, through
+``sample_batches``), so its batches are unchanged.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
+import struct
 import sys
+from collections.abc import Iterator
 
 from . import bounds, construct, oracle
 from .core import Params, SetSystem, parse, serialize, total_storage
@@ -48,8 +54,17 @@ SPLITMIX_MULT1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MULT2 = 0x94D049BB133111EB
 
 
+# Outputs per ``SplitMix64.draws`` call in ``sample_batches``: one block's
+# lanes make an int of 16 * DRAW_BLOCK bytes.
+DRAW_BLOCK = 4096
+
+
 class SplitMix64:
-    """Deterministic 64-bit generator: state += increment, then two xor-multiply mixes."""
+    """Deterministic 64-bit generator: state += increment, then two xor-multiply mixes.
+
+    ``next_u64`` is the reference, one output at a time; ``draws`` computes
+    the next outputs of the same sequence together.
+    """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -61,20 +76,72 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * SPLITMIX_MULT2) & _MASK64
         return z ^ (z >> 31)
 
+    def draws(self, count: int) -> tuple[int, ...]:
+        """The next ``count`` outputs of ``next_u64``, computed together.
 
-def sample_batch(rng: SplitMix64, n: int, k: int) -> list[int]:
-    """Uniform k-subset of range(n) via partial Fisher-Yates, in selection order.
+        Lane i of one int, its bits 128i to 128i+127, holds the state of
+        output i in its low 64 bits, and each mixing step runs once over
+        every lane.  Each lane is masked to 64 bits before each multiply, so
+        its product stays below 2**128 and carries nothing into the next
+        lane; the high half of a lane is never read back.  The state
+        advances by ``count`` steps, as after ``count`` calls of ``next_u64``.
+        """
+        if count < 0:
+            raise ParamError(f"need count >= 0, got count={count_text(count)}")
+        lanes = "<" + "Q8x" * count
+        ones = int.from_bytes(struct.pack(lanes, *itertools.repeat(1, count)), "little")
+        steps = int.from_bytes(struct.pack(lanes, *range(1, count + 1)), "little")
+        mask = _MASK64 * ones
+        z = (self.state * ones + SPLITMIX_INCREMENT * steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * SPLITMIX_MULT1 & mask
+        z = ((z ^ (z >> 27)) & mask) * SPLITMIX_MULT2 & mask
+        z ^= z >> 31
+        self.state = (self.state + count * SPLITMIX_INCREMENT) & _MASK64
+        return struct.unpack(lanes, z.to_bytes(16 * count, "little"))
+
+
+def sample_batches(rng: SplitMix64, n: int, k: int, count: int) -> Iterator[list[int]]:
+    """``count`` uniform k-subsets of range(n), each as ``sample_batch`` draws it.
+
+    The outputs come from ``rng.draws`` in blocks of at most ``DRAW_BLOCK``,
+    so ``rng`` runs up to one block ahead of the batches yielded; once every
+    batch is yielded it has advanced exactly k * count steps.
+    """
+    if not 0 <= k <= n:
+        raise ParamError(f"need 0 <= k <= n, got n={count_text(n)} k={count_text(k)}")
+    if count < 0:
+        raise ParamError(f"need count >= 0, got count={count_text(count)}")
+    return _fisher_yates(n, k, count, itertools.chain.from_iterable(_blocks(rng, k * count)))
+
+
+def _blocks(rng: SplitMix64, total: int) -> Iterator[tuple[int, ...]]:
+    """``total`` outputs of ``rng`` in all, as ``draws`` blocks of at most ``DRAW_BLOCK``."""
+    while total > DRAW_BLOCK:
+        yield rng.draws(DRAW_BLOCK)
+        total -= DRAW_BLOCK
+    yield rng.draws(total)
+
+
+def _fisher_yates(n: int, k: int, count: int, outputs: Iterator[int]) -> Iterator[list[int]]:
+    """Partial Fisher-Yates over range(n), k steps per batch, one output per step.
 
     The shuffled pool is kept sparsely, as the positions whose entry a swap
     has changed, so a batch costs O(k) whatever n is.
     """
-    moved: dict[int, int] = {}  # pool position -> entry, where it is not the position
-    batch = []
-    for j in range(k):
-        r = j + rng.next_u64() % (n - j)
-        batch.append(moved.get(r, r))
-        moved[r] = moved.get(j, j)
-    return batch
+    for _ in range(count):
+        moved: dict[int, int] = {}  # pool position -> entry, where it is not the position
+        batch = []
+        # range(k) comes first, so zip takes no output past a batch's last step.
+        for j, output in zip(range(k), outputs):
+            r = j + output % (n - j)
+            batch.append(moved.get(r, r))
+            moved[r] = moved.get(j, j)
+        yield batch
+
+
+def sample_batch(rng: SplitMix64, n: int, k: int) -> list[int]:
+    """Uniform k-subset of range(n) via partial Fisher-Yates, in selection order."""
+    return next(sample_batches(rng, n, k, 1))
 
 
 def _witness_json(witness) -> dict:
@@ -242,10 +309,9 @@ def _cmd_simulate(args) -> int:
         raise ParamError(f"batch size {k} exceeds item count {n}")
     rng = SplitMix64(args.seed)
     per_server = [0] * m
-    # sample_batch draws k distinct indices in 0..n-1, so each batch goes
-    # straight to the matching; plan_batch would check them again.
-    for _ in range(args.batches):
-        batch = sample_batch(rng, n, k)
+    # sample_batches draws k distinct indices in 0..n-1 per batch, so each
+    # batch goes straight to the matching; plan_batch would check them again.
+    for batch in sample_batches(rng, n, k, args.batches):
         servers = find_sdr([items[j] for j in batch])
         if isinstance(servers, Deficiency):
             witness = Deficiency(tuple(batch[j] for j in servers.items), servers.servers)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import cbckit
 from cbckit import cli, construct
-from cbckit.cli import SplitMix64, main, sample_batch
+from cbckit.cli import DRAW_BLOCK, SPLITMIX_INCREMENT, SplitMix64, main, sample_batch, sample_batches
 from cbckit.core import parse, serialize, total_storage
-from cbckit.errors import CbcError, NoPlan
+from cbckit.errors import CbcError, NoPlan, ParamError
 from cbckit.hall import Deficiency, plan_batch
 
 from conftest import chain_system
@@ -316,12 +316,22 @@ def test_simulate_exits_2_when_a_plan_reads_one_server_twice(monkeypatch, capsys
     assert run(capsys, *argv) == (2, "", "simulate: plan reads one server twice\n")
 
 
+def list_sample_batch(rng, n, k):
+    """The sampler as the README pins it: partial Fisher-Yates on a full list."""
+    pool = list(range(n))
+    for j in range(k):
+        r = rng.next_u64() % (n - j)
+        pool[j], pool[j + r] = pool[j + r], pool[j]
+    return pool[:k]
+
+
 def recount(system, k, batches, seed):
-    """Per-server reads of ``simulate``'s batches, each planned by ``plan_batch``."""
+    """Per-server reads of ``simulate``'s batches, each drawn by the list
+    sampler over ``next_u64`` and planned by ``plan_batch``."""
     rng = SplitMix64(seed)
     per_server = [0] * system.m
     for _ in range(batches):
-        for server in plan_batch(system, sample_batch(rng, system.n, k)).assignment.values():
+        for server in plan_batch(system, list_sample_batch(rng, system.n, k)).assignment.values():
             per_server[server] += 1
     return per_server
 
@@ -357,6 +367,17 @@ def test_simulate_reads_match_a_recount_by_plan_batch(monkeypatch, capsys, name,
         lines = out.splitlines()
         assert lines[1:1 + system.m] == [f"server {s}: {c}" for s, c in enumerate(expected)]
         assert lines[1 + system.m] == f"total reads: {60 * k}"
+
+
+def test_simulate_across_draw_blocks_matches_a_recount(monkeypatch, capsys):
+    # 2,000 batches of 5 items take 10,000 outputs: two full blocks and a
+    # partial one, with batches cut across both block boundaries.
+    assert 2 * DRAW_BLOCK < 5 * 2000 < 3 * DRAW_BLOCK and DRAW_BLOCK % 5
+    system = SIMULATE_LAYOUTS["range-b"]
+    argv = ["simulate", "-", "-k", "5", "--batches", "2000", "--seed", "7", "--json"]
+    code, out, err = stdin_run(monkeypatch, capsys, serialize(system), argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["per_server_reads"] == recount(system, 5, 2000, 7)
 
 
 def test_simulate_negative_batches_exits_2(capsys, table1_file):
@@ -430,15 +451,6 @@ def test_sample_batch_is_a_k_subset():
         assert all(0 <= x < 9 for x in batch)
 
 
-def list_sample_batch(rng, n, k):
-    """The sampler as the README pins it: partial Fisher-Yates on a full list."""
-    pool = list(range(n))
-    for j in range(k):
-        r = rng.next_u64() % (n - j)
-        pool[j], pool[j + r] = pool[j + r], pool[j]
-    return pool[:k]
-
-
 def test_sample_batch_matches_list_sampler():
     cases = [(0, 0), (1, 0), (1, 1), (2, 2), (9, 0), (9, 9), (10, 3), (43, 4), (10_000, 7)]
     for seed in (0, 1, 42, 2**64 - 1):
@@ -447,6 +459,53 @@ def test_sample_batch_matches_list_sampler():
             for _ in range(3):
                 assert sample_batch(fast, n, k) == list_sample_batch(slow, n, k), (seed, n, k)
             assert fast.state == slow.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1, 2**64 - SPLITMIX_INCREMENT])
+def test_draws_match_repeated_next_u64(seed):
+    for count in (0, 1, 2, 4095, 4096, 4097, 3 * 4096 + 5):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert list(block.draws(count)) == [scalar.next_u64() for _ in range(count)], count
+        assert block.state == scalar.state, count
+
+
+def test_draws_interleave_with_next_u64():
+    block, scalar = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    for count in (3, 0, 1, 17, 4097, 2):
+        assert block.next_u64() == scalar.next_u64()
+        assert list(block.draws(count)) == [scalar.next_u64() for _ in range(count)], count
+    assert block.state == scalar.state
+
+
+def test_sample_batches_match_the_list_sampler():
+    # k * count: 10,000 (a partial last block), 2 * 4,096 (full blocks
+    # only), 8,194 (batches cut mid-batch by a block), 0 and small ones.
+    cases = [(43, 5, 2000), (5000, 4096, 2), (5000, 4097, 2), (12, 4, 1024),
+             (10, 3, 1), (1, 1, 5), (9, 0, 4), (0, 0, 2), (9, 3, 0)]
+    for seed in (0, 2**64 - 1):
+        for n, k, count in cases:
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            expected = [list_sample_batch(slow, n, k) for _ in range(count)]
+            assert list(sample_batches(fast, n, k, count)) == expected, (seed, n, k, count)
+            assert fast.state == slow.state, (seed, n, k, count)
+
+
+@pytest.mark.parametrize("n, k", [(5, -1), (5, 6), (3, 5), (0, 1)])
+def test_samplers_refuse_k_outside_0_to_n(n, k):
+    message = f"need 0 <= k <= n, got n={n} k={k}"
+    with pytest.raises(ParamError, match=message):
+        sample_batch(SplitMix64(0), n, k)
+    with pytest.raises(ParamError, match=message):
+        sample_batches(SplitMix64(0), n, k, 3)
+
+
+def test_samplers_refuse_a_negative_count():
+    rng = SplitMix64(0)
+    with pytest.raises(ParamError, match="need count >= 0, got count=-1"):
+        sample_batches(rng, 5, 2, -1)
+    with pytest.raises(ParamError, match="need count >= 0, got count=-1"):
+        rng.draws(-1)
+    assert rng.state == 0
 
 
 def test_plan_deep_augmenting_path(capsys, tmp_path):
